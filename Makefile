@@ -28,7 +28,8 @@ lint:
 		echo "mypy not installed; skipping"; \
 	fi
 
-# The CI entry point: static analysis, the tier-1 suite, the quick
+# The CI entry point: static analysis, the tier-1 suite, the benchmark
+# smoke (every bench/ workload at a tiny size), the quick
 # parallel-runner smoke (which includes the observability smoke in
 # benchmarks/test_obs_smoke.py), the fault-campaign smoke, the
 # instrumented-run smoke, the resume smoke (deadline checkpoint ->
@@ -37,6 +38,7 @@ lint:
 # (socket burst byte-identity, SIGTERM drain -> exit 75 -> resume,
 # breaker cycle; mirrors .github/workflows/ci.yml).
 ci: lint test
+	$(PYTHON) -m pytest bench/test_bench.py -q -p no:cacheprovider
 	$(PYTHON) -m pytest benchmarks -m quick -q -p no:cacheprovider
 	$(PYTHON) -m repro faultcampaign --crash-points 2 --num-stores 40 --jobs 2
 	PYTHON="$(PYTHON)" sh tools/obs_smoke.sh

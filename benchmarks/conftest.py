@@ -13,6 +13,8 @@ import os
 
 import pytest
 
+from repro.analysis.runner import clear_result_memo
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 # Trace length per workload for the timing experiments.  Large enough for
@@ -34,6 +36,13 @@ def pytest_configure(config):
         "quick: fast smoke subset exercising the parallel runner "
         "(run with `pytest benchmarks -m quick`)",
     )
+
+
+@pytest.fixture(autouse=True)
+def _fresh_result_memo():
+    """Start every benchmark with an empty run_jobs result memo, so each
+    artifact's timing covers its own simulations."""
+    clear_result_memo()
 
 
 @pytest.fixture(scope="session")

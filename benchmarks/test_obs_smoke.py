@@ -17,6 +17,7 @@ import os
 
 import pytest
 
+from repro.analysis.runner import clear_result_memo
 from repro.cli import main
 from repro.core.schemes import get_scheme
 from repro.core.simulator import run_scheme
@@ -97,6 +98,7 @@ def test_metrics_deterministic_across_worker_counts():
 
     snapshots = []
     for jobs in (1, 2):
+        clear_result_memo()  # both worker counts must simulate
         registry = MetricsRegistry()
         run_table4(
             num_ops=1500,

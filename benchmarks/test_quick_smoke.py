@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.analysis.experiments import run_table4
+from repro.analysis.runner import clear_result_memo
 from repro.cli import main
 
 pytestmark = pytest.mark.quick
@@ -22,6 +23,7 @@ SMOKE = dict(num_ops=2500, benchmarks=["gamess", "povray", "hmmer"])
 
 def test_parallel_sweep_matches_serial(save_result):
     serial = run_table4(jobs=1, **SMOKE)
+    clear_result_memo()  # or the parallel side is answered from it
     parallel = run_table4(jobs=2, **SMOKE)
     assert parallel.mean_overhead_pct == serial.mean_overhead_pct
     assert parallel.per_benchmark_pct == serial.per_benchmark_pct

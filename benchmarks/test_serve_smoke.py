@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.analysis.runner import run_jobs
+from repro.analysis.runner import clear_result_memo, run_jobs
 from repro.serve import (
     InProcessClient,
     ServeConfig,
@@ -62,6 +62,7 @@ def test_overload_partition_deterministic_and_replayable(
         }
         for request_id, results in replayed.items():
             jobs = build_jobs(requests[request_id])
+            clear_result_memo()  # the reference must simulate, too
             reference = results_payload(
                 jobs,
                 run_jobs(

@@ -1,13 +1,13 @@
 """Microbenchmark of the simulator inner loop (perf-regression gate).
 
 Times one full trace-driven simulation per scheme with pytest-benchmark,
-the same measurement ``tools/bench_baseline`` records in
-``BENCH_simloop.json``.  The hot-path optimization work (ISSUE 3) holds
-two properties simultaneously:
+the measurement the ``simloop-*`` workloads of the end-to-end benchmark
+in ``bench/`` make per configuration (see ``bench/README.md``).  The
+hot-path optimization work holds two properties simultaneously:
 
 * artifacts stay byte-identical (tests/test_golden_output.py), and
-* single-simulation throughput stays at >= 2x the pre-optimization
-  seed on NoGap and COBCM (BENCH_simloop.json "before" vs "after").
+* single-simulation throughput does not regress (``bench/run.py
+  --workload simloop-stores`` and ``simloop-loads``).
 
 pytest-benchmark tracks the wall-clock side across runs; the assertions
 here are *correctness* ones (each timed run must produce the same cycle

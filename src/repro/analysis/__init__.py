@@ -19,7 +19,15 @@ from .experiments import (
     run_table6,
 )
 from .report import format_table, paper_vs_measured, series_table
-from .runner import JobFailure, SimJob, SimSpec, execute_job, run_jobs, run_tasks
+from .runner import (
+    JobFailure,
+    SimJob,
+    SimSpec,
+    clear_result_memo,
+    execute_job,
+    run_jobs,
+    run_tasks,
+)
 from .serialize import load_result, result_to_dict, save_result, to_jsonable
 
 __all__ = [
@@ -33,6 +41,7 @@ __all__ = [
     "SimSpec",
     "SizeBatteryTable",
     "SizeSweepResult",
+    "clear_result_memo",
     "execute_job",
     "format_table",
     "load_result",

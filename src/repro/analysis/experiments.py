@@ -23,6 +23,17 @@ lists executed by :func:`~.runner.run_jobs` — pass ``jobs=N`` to fan the
 The reduction is keyed and ordered, so parallel output is bit-identical
 to serial.
 
+Artifacts share simulations: Fig. 6 is Table IV's grid, Fig. 8 is its
+secure half, Fig. 7's 32-entry column and Fig. 9's BBB and CM bars
+repeat it too.  :func:`~.runner.run_jobs` memoizes results by job
+*content* — benchmark, num_ops, seed, warmup, simulator, scheme, BMF cut
+(with its root cache), and the resolved ``SystemConfig`` and
+``TimingCalibration`` — not by job key, so within one process each
+distinct simulation runs once however many artifacts ask for it.  The
+memo lasts as long as the process and
+:func:`~.runner.clear_result_memo` empties it; nothing is kept on disk,
+so a fresh ``repro experiment`` process still pays the full cost.
+
 Timing experiments also accept ``runner_opts`` — a dict of extra keyword
 arguments forwarded verbatim to :func:`~.runner.run_jobs` (``completed``
 / ``on_result`` / ``stop`` from :mod:`repro.durability`, ``chunk`` for
@@ -199,7 +210,10 @@ def run_fig6(
     """Fig. 6: per-benchmark execution time normalized to BBB.
 
     Same data as Table IV at per-benchmark granularity; the render method
-    prints the full per-benchmark grid (the figure's series).
+    prints the full per-benchmark grid (the figure's series).  After
+    :func:`run_table4` with the same arguments in the same process,
+    every job is a result-memo hit and the figure simulates nothing; run
+    alone, it pays Table IV's full cost.
     """
     result = run_table4(
         num_ops, seed, benchmarks, config, calibration, jobs, runner_opts

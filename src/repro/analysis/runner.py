@@ -25,7 +25,10 @@ reduction is *identical* regardless of worker count or completion order:
   behavior;
 * results are assembled in *submission order* into a plain dict — the
   parallel output is the same object, bit for bit, as the serial one,
-  whatever the batching.
+  whatever the batching;
+* :func:`run_jobs` memoizes results by job *content* for the life of
+  the process, so a simulation that several artifacts share runs once
+  (:func:`clear_result_memo` forgets them).
 
 The generic engine underneath, :func:`run_tasks`, also powers the
 fault-injection campaign (:mod:`repro.fault`) and is **hardened**: a
@@ -57,7 +60,7 @@ import logging
 import time
 import traceback
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -164,6 +167,11 @@ class SimSpec:
             raise KeyError(
                 f"unknown scheme {self.scheme!r}; available: {sorted(SCHEMES)}"
             )
+        if self.scheme is not None and self.simulator == "strict":
+            raise ValueError(
+                f"scheme {self.scheme!r} needs simulator='secure'; "
+                "the strict baseline takes no scheme"
+            )
 
 
 @dataclass(frozen=True)
@@ -182,36 +190,97 @@ class SimJob:
     spec: SimSpec
 
 
-def execute_job(job: SimJob) -> SimulationResult:
-    """Run one job in the current process (trace via the memoizing store)."""
+@dataclass(frozen=True)
+class _SimContent:
+    """Everything that determines a job's result, with defaults resolved.
+
+    Two jobs with equal content simulate the same thing whatever their
+    keys, so this is the key of the result memo.  ``bmf`` is ``(cut
+    height, root-cache bytes)``, or ``None`` without a BMF cut, where the
+    simulator never reads the root-cache size.
+    """
+
+    benchmark: str
+    num_ops: int
+    seed: int
+    warmup_frac: float
+    simulator: str
+    scheme: Optional[str]
+    bmf: Optional[Tuple[int, int]]
+    config: SystemConfig
+    calibration: TimingCalibration
+
+
+def _resolve(job: SimJob) -> _SimContent:
+    """The one place a job's spec is resolved (memo key and simulator)."""
     spec = job.spec
-    trace = get_trace(job.benchmark, job.num_ops, job.seed)
     config = spec.config if spec.config is not None else SystemConfig()
     if spec.secpb_entries is not None:
         config = config.with_secpb_entries(spec.secpb_entries)
+    return _SimContent(
+        benchmark=job.benchmark,
+        num_ops=job.num_ops,
+        seed=job.seed,
+        warmup_frac=job.warmup_frac,
+        simulator=spec.simulator,
+        scheme=spec.scheme,
+        bmf=(
+            (spec.bmf_cut, spec.root_cache_bytes)
+            if spec.bmf_cut is not None
+            else None
+        ),
+        config=config,
+        calibration=(
+            spec.calibration
+            if spec.calibration is not None
+            else TimingCalibration()
+        ),
+    )
+
+
+def execute_job(job: SimJob) -> SimulationResult:
+    """Run one job in the current process (trace via the memoizing store)."""
+    content = _resolve(job)
+    config = content.config
+    trace = get_trace(content.benchmark, content.num_ops, content.seed)
     bmt_levels_fn = None
-    if spec.bmf_cut is not None:
+    if content.bmf is not None:
+        cut_height, root_cache_bytes = content.bmf
         forest = ForestTimingModel(
             full_height=config.security.bmt_levels,
-            cut_height=spec.bmf_cut,
-            root_cache_bytes=spec.root_cache_bytes,
+            cut_height=cut_height,
+            root_cache_bytes=root_cache_bytes,
         )
         bmt_levels_fn = forest.levels
-    if spec.simulator == "strict":
+    if content.simulator == "strict":
         simulator = StrictPersistencySimulator(
             config=config,
-            calibration=spec.calibration,
+            calibration=content.calibration,
             bmt_levels_fn=bmt_levels_fn,
         )
     else:
-        scheme = SCHEMES[spec.scheme] if spec.scheme is not None else None
+        scheme = SCHEMES[content.scheme] if content.scheme is not None else None
         simulator = SecurePersistencySimulator(
             config=config,
             scheme=scheme,
-            calibration=spec.calibration,
+            calibration=content.calibration,
             bmt_levels_fn=bmt_levels_fn,
         )
-    return simulator.run(trace, job.warmup_frac)
+    return simulator.run(trace, content.warmup_frac)
+
+
+_RESULT_MEMO: Dict[_SimContent, SimulationResult] = {}
+"""Process-wide results of :func:`run_jobs`, keyed by job content."""
+
+
+def clear_result_memo() -> None:
+    """Forget every memoized simulation result (see :func:`run_jobs`)."""
+    _RESULT_MEMO.clear()
+
+
+def _private_copy(result: SimulationResult) -> SimulationResult:
+    """A copy whose ``stats`` dict no other holder can mutate."""
+    return replace(result, stats=dict(result.stats))
 
 
 def _timed_call(fn: Callable[[Any], Any], task: Any) -> Tuple[Any, float]:
@@ -314,6 +383,13 @@ class _RunnerObs:
             self._metrics.counter(
                 "runner.tasks_resumed", "Tasks satisfied from a resumed journal"
             ).inc(resumed)
+
+    def tasks_memoized(self, count: int) -> None:
+        if self._metrics is not None:
+            self._metrics.counter(
+                "runner.tasks_memoized",
+                "Jobs answered from the in-process result memo",
+            ).inc(count)
 
     def task_done(self, key: JobKey, elapsed: float) -> None:
         if self._metrics is not None:
@@ -1052,27 +1128,98 @@ def run_jobs(
     byte-identical to its serial run.  Resumption knobs
     (``completed``/``on_result``/``stop``) are forwarded too — see
     :func:`run_tasks`.
+
+    A simulation this process has already run is not run again.  Results
+    are memoized by job *content*, not by ``job.key``: benchmark,
+    num_ops, seed, warmup_frac, simulator, scheme, bmf_cut,
+    ``root_cache_bytes`` (only with a ``bmf_cut``), and the resolved
+    ``SystemConfig`` (after ``secpb_entries``) and ``TimingCalibration``
+    (``None`` is the default).  Before dispatch, a job whose content is
+    memoized is answered without running; only the misses reach the
+    pool, and only their traces are published.  ``on_result`` still
+    fires for every answered key, so a journal covers the whole call,
+    but such keys are neither counted as resumed nor logged as
+    journaled; ``metrics`` counts them in ``runner.tasks_memoized``.  A
+    :class:`JobFailure` is never memoized, and each caller gets its own
+    copy of a result's ``stats``.  The memo lives as long as the process
+    (like the trace store's ``DEFAULT_STORE``); :func:`clear_result_memo`
+    empties it.  Nothing is kept on disk, so a fresh process pays the
+    full cost again.
     """
+    jobs = list(jobs)
+    _check_unique_keys(jobs)
+    journaled = completed or {}
+    content_of: Dict[JobKey, _SimContent] = {}  # dispatched key -> memo key
+    hits: List[Tuple[JobKey, SimulationResult]] = []
+    dispatch: List[SimJob] = []
+    for job in jobs:
+        content = None if job.key in journaled else _content_or_none(job)
+        cached = None if content is None else _RESULT_MEMO.get(content)
+        if cached is not None:
+            hits.append((job.key, _private_copy(cached)))
+            continue
+        if content is not None:
+            content_of[job.key] = content
+        dispatch.append(job)
+    memoized = len(jobs) - len(dispatch)
+    if metrics is not None:
+        _RunnerObs(metrics, None).tasks_memoized(memoized)
+    if memoized:
+        logger.info(
+            "%d/%d job(s) answered from the result memo", memoized, len(jobs)
+        )
+
+    def landed(key: JobKey, value: Any) -> None:
+        content = content_of.get(key)
+        if content is not None and not isinstance(value, JobFailure):
+            _RESULT_MEMO[content] = _private_copy(value)
+        if on_result is not None:
+            on_result(key, value)
+
     setup: Optional[TraceAttachSetup] = None
     if (
         workers > 1
-        and len(jobs) > 1
+        and len(dispatch) > 1
         and plane_enabled()
         and shm_enabled()
     ):
-        setup = _publish_job_traces(jobs, completed, metrics)
-    return run_tasks(
-        jobs,
-        execute_job,
-        workers=workers,
-        on_error=on_error,
-        retries=retries,
-        timeout=timeout,
-        completed=completed,
-        on_result=on_result,
-        stop=stop,
-        metrics=metrics,
-        tracer=tracer,
-        chunk=chunk,
-        setup=setup,
-    )
+        setup = _publish_job_traces(dispatch, completed, metrics)
+    answered: Dict[JobKey, Any] = {}
+    try:
+        for key, value in hits:
+            _record(answered, key, value, on_result)
+        fresh = run_tasks(
+            dispatch,
+            execute_job,
+            workers=workers,
+            on_error=on_error,
+            retries=retries,
+            timeout=timeout,
+            completed=completed,
+            on_result=landed,
+            stop=stop,
+            metrics=metrics,
+            tracer=tracer,
+            chunk=chunk,
+            setup=setup,
+        )
+    except RunInterrupted as exc:
+        merged = dict(journaled)
+        merged.update(answered)
+        merged.update(exc.completed)
+        raise RunInterrupted(exc.reason, merged) from None
+    answered.update(fresh)
+    return {job.key: answered[job.key] for job in jobs}
+
+
+def _content_or_none(job: SimJob) -> Optional[_SimContent]:
+    """``job``'s memo key, or None when its spec does not resolve.
+
+    An unresolvable spec (say, a zero-entry SecPB) is dispatched as is,
+    so the worker raises the real error under the caller's
+    ``on_error`` and the failure is never memoized.
+    """
+    try:
+        return _resolve(job)
+    except (TypeError, ValueError):
+        return None

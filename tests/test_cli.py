@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.runner import clear_result_memo
 from repro.cli import build_parser, main
 
 
@@ -224,6 +225,7 @@ class TestResumableFlags:
         args = ["experiment", "table4", "--num-ops", "1500"]
         assert main(args) == 0
         baseline = capsys.readouterr().out
+        clear_result_memo()  # the journaled run must simulate, too
         assert main(args + ["--journal", str(journal)]) == 0
         journaled = capsys.readouterr().out
         assert journaled == baseline

@@ -15,6 +15,7 @@ import logging
 
 import pytest
 
+from repro.analysis.runner import clear_result_memo
 from repro.core.schemes import get_scheme
 from repro.core.simulator import SecurePersistencySimulator, run_scheme
 from repro.fault import CampaignSpec, run_campaign
@@ -182,6 +183,7 @@ class TestCampaignMetrics:
 
     def test_snapshot_deterministic_across_worker_counts(self):
         _, serial = self._run(jobs=1)
+        clear_result_memo()
         _, parallel = self._run(jobs=4)
         assert serial.snapshot() == parallel.snapshot()
         # The wall-clock histogram exists but is excluded from snapshots.
@@ -231,6 +233,7 @@ class TestExperimentMetrics:
 
         snapshots = []
         for jobs in (1, 2):
+            clear_result_memo()  # both worker counts must simulate
             registry = MetricsRegistry()
             run_table4(
                 num_ops=1500,

@@ -9,7 +9,13 @@ produces, bit for bit, so every experiment artifact is comparable across
 import pytest
 
 from repro.analysis.experiments import DEFAULT_WARMUP, run_table4
-from repro.analysis.runner import SimJob, SimSpec, execute_job, run_jobs
+from repro.analysis.runner import (
+    SimJob,
+    SimSpec,
+    clear_result_memo,
+    execute_job,
+    run_jobs,
+)
 from repro.baselines.strict import StrictPersistencySimulator
 from repro.core.schemes import get_scheme
 from repro.core.simulator import SecurePersistencySimulator
@@ -36,6 +42,12 @@ class TestSimSpec:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(KeyError, match="unknown scheme"):
             SimSpec(scheme="not-a-scheme")
+
+    def test_scheme_rejected_for_strict_simulator(self):
+        # The strict baseline has no scheme; accepting one would let two
+        # specs for the same simulation look different.
+        with pytest.raises(ValueError, match="strict"):
+            SimSpec(simulator="strict", scheme="cm")
 
 
 class TestExecuteJob:
@@ -90,6 +102,7 @@ class TestRunJobs:
             for label, scheme in (("bbb", None), ("cm", "cm"), ("nogap", "nogap"))
         ]
         serial = run_jobs(jobs, workers=1)
+        clear_result_memo()  # or the parallel side is answered from it
         parallel = run_jobs(jobs, workers=3)
         assert serial == parallel
         assert list(serial) == list(parallel)
@@ -102,6 +115,7 @@ class TestExperimentDeterminism:
 
     def test_table4_parallel_identical_to_serial(self):
         serial = run_table4(num_ops=4000, benchmarks=self.BENCHES, jobs=1)
+        clear_result_memo()
         parallel = run_table4(num_ops=4000, benchmarks=self.BENCHES, jobs=4)
         assert parallel.mean_overhead_pct == serial.mean_overhead_pct
         assert parallel.per_benchmark_pct == serial.per_benchmark_pct

@@ -16,6 +16,7 @@ from repro.analysis.runner import (
     JobFailure,
     SimJob,
     SimSpec,
+    clear_result_memo,
     run_jobs,
     run_tasks,
 )
@@ -151,6 +152,7 @@ class TestPoisonedSweepSalvage:
     def test_poisoned_job_recorded_healthy_results_identical(self):
         healthy, with_poison = self._jobs()
         serial_reference = run_jobs(healthy, workers=1)
+        clear_result_memo()  # the healthy jobs must run again in the sweep
         swept = run_jobs(
             with_poison, workers=4, on_error="record", retries=1
         )
@@ -163,6 +165,7 @@ class TestPoisonedSweepSalvage:
     def test_serial_record_mode_matches_parallel(self):
         _, with_poison = self._jobs()
         serial = run_jobs(with_poison, workers=1, on_error="record")
+        clear_result_memo()
         parallel = run_jobs(with_poison, workers=4, on_error="record")
         for job in with_poison:
             s, p = serial[job.key], parallel[job.key]

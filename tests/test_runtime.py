@@ -26,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.analysis.runner import SimJob, SimSpec, JobFailure, run_jobs, run_tasks
+from repro.analysis.runner import (
+    JobFailure,
+    SimJob,
+    SimSpec,
+    clear_result_memo,
+    run_jobs,
+    run_tasks,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import pool as pool_mod
 from repro.runtime import shm
@@ -441,6 +448,7 @@ class TestTraceMaterializedOncePerRun:
         jobs = _sweep_jobs()
         parallel = run_jobs(jobs, workers=2)
         DEFAULT_STORE.clear()
+        clear_result_memo()
         serial = run_jobs(jobs, workers=1)
         assert parallel == serial
         assert list(parallel) == list(serial)

@@ -24,7 +24,7 @@ import json
 
 import pytest
 
-from repro.analysis.runner import run_jobs
+from repro.analysis.runner import clear_result_memo, run_jobs
 from repro.envfault import FaultPlan, FaultSpec, injected
 from repro.obs import MetricsRegistry
 from repro.resilience import (
@@ -214,6 +214,8 @@ class TestOverloadPartition:
             for request_id in accepted:
                 response = client.collect(request_id, timeout=1.0)
                 assert response["status"] == "ok", response
+                # The server filled the memo; the reference must simulate.
+                clear_result_memo()
                 reference = _reference_results(
                     burst[request_id], config.workers
                 )
@@ -359,6 +361,7 @@ class TestBreakerUnderFaults:
             ]
             # The probe's results are the reference bytes, crash
             # history notwithstanding.
+            clear_result_memo()
             assert _canon(response["results"]) == _canon(
                 _reference_results(probe, config.workers)
             )
@@ -410,6 +413,7 @@ class TestDrain:
         replayed = execute_drained(journal_path, workers=2)
         assert list(replayed) == [r.id for r in requests]
         for request in requests:
+            clear_result_memo()
             assert _canon(replayed[request.id]) == _canon(
                 _reference_results(request, workers=2)
             )
