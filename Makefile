@@ -33,10 +33,9 @@ lint:
 # parallel-runner smoke (which includes the observability smoke in
 # benchmarks/test_obs_smoke.py), the fault-campaign smoke, the
 # instrumented-run smoke, the resume smoke (deadline checkpoint ->
-# resume -> byte-identical report), the chaos smoke (systematic
-# crash-consistency sweep + seeded envfault soak), and the serve smoke
-# (socket burst byte-identity, SIGTERM drain -> exit 75 -> resume,
-# breaker cycle; mirrors .github/workflows/ci.yml).
+# resume -> byte-identical report), and the chaos smoke (systematic
+# crash-consistency sweep + seeded envfault soak; mirrors
+# .github/workflows/ci.yml).
 ci: lint test
 	$(PYTHON) -m pytest bench/test_bench.py -q -p no:cacheprovider
 	$(PYTHON) -m pytest benchmarks -m quick -q -p no:cacheprovider
@@ -44,7 +43,6 @@ ci: lint test
 	PYTHON="$(PYTHON)" sh tools/obs_smoke.sh
 	PYTHON="$(PYTHON)" sh tools/resume_smoke.sh
 	PYTHON="$(PYTHON)" sh tools/chaos_smoke.sh
-	PYTHON="$(PYTHON)" sh tools/serve_smoke.sh
 
 smoke: test
 	$(PYTHON) -m pytest benchmarks -m quick -q -p no:cacheprovider

@@ -14,6 +14,8 @@ import os
 import pytest
 
 from repro.analysis.runner import clear_result_memo
+from repro.runtime.pool import shutdown_shared_pool
+from repro.runtime.shm import cleanup_shared_registry
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -43,6 +45,19 @@ def _fresh_result_memo():
     """Start every benchmark with an empty run_jobs result memo, so each
     artifact's timing covers its own simulations."""
     clear_result_memo()
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _release_execution_plane():
+    """Tear down the warm pool and owned shm segments after each module.
+
+    Parallel sweeps keep both alive for the life of the process; a later
+    module in the same pytest process (the chaos soak's ``/dev/shm``
+    residue check) must not inherit them.
+    """
+    yield
+    shutdown_shared_pool()
+    cleanup_shared_registry()
 
 
 @pytest.fixture(scope="session")

@@ -36,14 +36,13 @@ so a fresh ``repro experiment`` process still pays the full cost.
 
 Timing experiments also accept ``runner_opts`` — a dict of extra keyword
 arguments forwarded verbatim to :func:`~.runner.run_jobs` (``completed``
-/ ``on_result`` / ``stop`` from :mod:`repro.durability`, ``chunk`` for
-batched dispatch), which is how the CLI makes ``repro experiment
---journal/--resume/--deadline/--chunk`` work: journaled jobs are
+/ ``on_result`` / ``stop`` from :mod:`repro.durability`, ``metrics`` /
+``tracer`` from :mod:`repro.obs`), which is how the CLI makes ``repro
+experiment --journal/--resume/--deadline`` work: journaled jobs are
 skipped, fresh results checkpoint as they land, and a tripped deadline
 raises :class:`~repro.durability.RunInterrupted` through the experiment.
 Parallel sweeps share the persistent warm worker pool and zero-copy
-trace plane of :mod:`repro.runtime`; see that package for the
-``SECPB_EXEC_PLANE`` / ``SECPB_TRACE_SHM`` opt-outs.
+trace plane of :mod:`repro.runtime`.
 """
 
 from __future__ import annotations

@@ -16,13 +16,12 @@ reduction is *identical* regardless of worker count or completion order:
   each materialized trace once into the shared-memory plane
   (:mod:`repro.runtime.shm`) and workers *attach* zero-copy read-only
   views instead of rebuilding — a worker materializes a trace only when
-  the plane is cold or disabled;
+  its segment is missing or fails verification;
 * jobs are dispatched in **batches** over a process-wide *warm*
   :class:`~repro.runtime.pool.WorkerPool` (:mod:`repro.runtime.pool`)
   that survives across ``run_tasks`` calls, amortizing both pool
-  construction and per-future pickle/IPC; ``SECPB_EXEC_PLANE=0``
-  restores the legacy fresh-pool-per-call, one-future-per-task
-  behavior;
+  construction and per-future pickle/IPC.  That pool and the shm trace
+  plane are the only parallel path;
 * results are assembled in *submission order* into a plain dict — the
   parallel output is the same object, bit for bit, as the serial one,
   whatever the batching;
@@ -82,19 +81,8 @@ from ..envfault import procfault as _procfault
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import LANE_STORES, Tracer
 from ..resilience import RetryPolicy
-from ..runtime.pool import (
-    WorkerPool,
-    discard_shared_pool,
-    ephemeral_pool,
-    get_shared_pool,
-    plane_enabled,
-)
-from ..runtime.shm import (
-    TraceAttachSetup,
-    attach_retries,
-    shared_registry,
-    shm_enabled,
-)
+from ..runtime.pool import WorkerPool, discard_shared_pool, get_shared_pool
+from ..runtime.shm import TraceAttachSetup, attach_retries, shared_registry
 from ..security.bmf import ForestTimingModel
 from ..sim.config import SystemConfig
 from ..sim.stats import SimulationResult
@@ -628,27 +616,18 @@ def _run_batch(
     )
 
 
-def _chunk_size(
-    total: int,
-    workers: int,
-    chunk: Optional[int],
-    timeout: Optional[float],
-) -> int:
+def _batch_size(total: int, workers: int, timeout: Optional[float]) -> int:
     """Tasks per submitted batch.
 
-    An explicit ``chunk`` wins.  A per-task ``timeout`` forces 1: the
-    harvest deadline is per *future*, so batching would make tasks share
-    one budget and break the wedged-worker semantics.  Otherwise the
-    size adapts to roughly four batches per worker (capped at 32) —
-    small enough that stragglers still balance across the pool, large
-    enough to amortize pickle/IPC per future.
+    A per-task ``timeout`` forces 1: the harvest deadline is per
+    *future*, so batching would make tasks share one budget and break
+    the wedged-worker semantics.  Otherwise the size adapts to roughly
+    four batches per worker (capped at 32) — small enough that
+    stragglers still balance across the pool, large enough to amortize
+    pickle/IPC per future.
     """
     if timeout is not None:
         return 1
-    if chunk is not None:
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
-        return chunk
     return max(1, min(32, -(-total // (workers * 4))))
 
 
@@ -693,23 +672,6 @@ def _salvage_in_flight(
             logger.info("%s: salvaged at interrupt", task.key)
 
 
-def _acquire_pool(
-    pool: Optional[WorkerPool], workers: int, total: int
-) -> Tuple[WorkerPool, bool]:
-    """The pool for this run and whether it is the shared (warm) one.
-
-    With the execution plane on, every caller shares one process-wide
-    warm pool; with ``SECPB_EXEC_PLANE=0`` each run gets a single-use
-    pool sized to its work (the legacy behavior).  An explicitly passed
-    pool is used as-is.
-    """
-    if pool is not None:
-        return pool, pool.persistent
-    if plane_enabled():
-        return get_shared_pool(workers), True
-    return ephemeral_pool(min(workers, total)), False
-
-
 def _run_tasks_pool(
     tasks: Sequence[Any],
     fn: Callable[[Any], Any],
@@ -720,19 +682,16 @@ def _run_tasks_pool(
     stop: Optional[StopToken],
     on_result: Optional[Callable[[JobKey, Any], None]],
     obs: Optional[_RunnerObs] = None,
-    chunk: Optional[int] = None,
     setup: Optional[Callable[[], None]] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> Dict[JobKey, Any]:
-    total = len(tasks)
     results: Dict[JobKey, Any] = {}
     #: key -> prior execution attempts (for retry accounting)
     attempts: Dict[JobKey, int] = {task.key: 0 for task in tasks}
-    timed_out = False
-    interrupted = False
     completed_normally = False
-    pool, shared = _acquire_pool(pool, workers, total)
-    chunk_size = _chunk_size(total, workers, chunk, timeout)
+    # Called through the module global, so a wrapper installed on
+    # ``runner.get_shared_pool`` sees every acquisition.
+    pool = get_shared_pool(workers)
+    batch_size = _batch_size(len(tasks), workers, timeout)
     if obs is not None:
         obs.pool_acquired(pool)
     try:
@@ -742,18 +701,14 @@ def _run_tasks_pool(
                 # A crashed worker broke the previous round's pool; the
                 # retry round gets a fresh generation so one casualty
                 # cannot poison every subsequent attempt.
-                if shared:
-                    discard_shared_pool(pool)
-                    pool = get_shared_pool(workers)
-                else:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ephemeral_pool(min(workers, len(pending)))
+                discard_shared_pool(pool)
+                pool = get_shared_pool(workers)
                 if obs is not None:
                     obs.pool_acquired(pool)
             round_total = len(pending)
             batches = [
-                pending[start:start + chunk_size]
-                for start in range(0, round_total, chunk_size)
+                pending[start:start + batch_size]
+                for start in range(0, round_total, batch_size)
             ]
             futures = [
                 (batch, pool.submit(_run_batch, fn, batch, setup))
@@ -775,14 +730,13 @@ def _run_tasks_pool(
                         )
                     # Harvest in submission order; the per-task timeout
                     # is measured from when the harvest starts waiting on
-                    # the future (chunk size is 1 whenever a timeout is
+                    # the future (batch size is 1 whenever a timeout is
                     # set), so a task never gets *less* than `timeout`
                     # seconds of wall clock.
                     outcomes, built, attached, shm_retries = _wait_result(
                         future, timeout, stop
                     )
                 except _StopRequested:
-                    interrupted = True
                     _salvage_in_flight(
                         futures[batch_index:], results, on_result, obs
                     )
@@ -790,8 +744,9 @@ def _run_tasks_pool(
                     raise RunInterrupted(stop.reason, results)
                 except FutureTimeoutError:
                     # The worker may be wedged; record and move on — the
-                    # remaining futures are still harvested (salvage).
-                    timed_out = True
+                    # remaining futures are still harvested (salvage),
+                    # but the pool is never reused after this run.
+                    pool.mark_unhealthy()
                     for task in batch:
                         key = task.key
                         attempts[key] += 1
@@ -903,15 +858,9 @@ def _run_tasks_pool(
         # A timed-out (or abandoned-at-interrupt) worker may never
         # return; don't block shutdown on it, and never hand a pool with
         # that history — or with futures abandoned by a raising harvest
-        # — to the next run.
-        if shared:
-            if not (completed_normally and pool.healthy):
-                discard_shared_pool(pool)
-            # A healthy shared pool stays warm for the next run.
-        elif timed_out or interrupted or not completed_normally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            pool.shutdown(wait=True)
+        # — to the next run.  A healthy pool stays warm for the next run.
+        if not (completed_normally and pool.healthy):
+            discard_shared_pool(pool)
     return results
 
 
@@ -927,9 +876,7 @@ def run_tasks(
     stop: Optional[StopToken] = None,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
-    chunk: Optional[int] = None,
     setup: Optional[Callable[[], None]] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> Dict[JobKey, Any]:
     """Execute keyed tasks and return ``{task.key: result}`` in task order.
 
@@ -942,7 +889,12 @@ def run_tasks(
         tasks: the work items, in the order results should be keyed.
         fn: ``task -> result``; must be picklable for ``workers > 1``.
         workers: ``<= 1`` runs serially in-process (the reference
-            behavior); more fans tasks out on a process pool.
+            behavior); more fans tasks out in batches on the
+            process-wide warm pool (:mod:`repro.runtime.pool`), reused
+            across calls.  The batch size adapts to the task and worker
+            counts, and a per-task ``timeout`` forces 1 so the timeout
+            budget stays per task.  Batching never changes results —
+            the harvest stays in submission order.
         on_error: ``"raise"`` propagates the first task exception (after
             retries) — the legacy, fail-fast behavior; ``"record"``
             stores a :class:`JobFailure` under the task's key instead,
@@ -976,20 +928,11 @@ def run_tasks(
         tracer: optional :class:`repro.obs.Tracer` receiving one
             ``runner.job`` complete-event per finished task, keyed by
             wall seconds since the run started.
-        chunk: tasks per submitted batch (pool mode).  Default adapts
-            to the task count and worker count; a per-task ``timeout``
-            forces 1 so the timeout budget stays per task.  Batching
-            never changes results — the harvest stays in submission
-            order.
         setup: optional picklable zero-argument callable run in the
             worker before each batch (e.g.
             :class:`repro.runtime.shm.TraceAttachSetup` announcing the
             shared-memory trace manifest).  A failing setup is logged
             in the worker and the batch proceeds.
-        pool: optional explicit :class:`repro.runtime.pool.WorkerPool`.
-            By default the process-wide warm pool is shared and reused
-            across calls (``SECPB_EXEC_PLANE=0`` restores the legacy
-            single-use pool per call).
 
     Returns:
         Results keyed and ordered by ``task.key``; under
@@ -1036,7 +979,7 @@ def run_tasks(
         else:
             fresh = _run_tasks_pool(
                 todo, fn, workers, on_error, retry_policy, timeout, stop,
-                on_result, obs, chunk=chunk, setup=setup, pool=pool,
+                on_result, obs, setup=setup,
             )
     except RunInterrupted as exc:
         # Re-raise with the journaled prefix merged in, so the caller's
@@ -1108,7 +1051,6 @@ def run_jobs(
     stop: Optional[StopToken] = None,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
-    chunk: Optional[int] = None,
 ) -> Dict[JobKey, SimulationResult]:
     """Execute ``jobs`` and return ``{job.key: result}`` in job order.
 
@@ -1116,11 +1058,9 @@ def run_jobs(
     reference behavior); ``workers > 1`` fans jobs out in batches on the
     process-wide warm pool, after publishing each distinct trace once
     into the shared-memory plane so workers attach zero-copy views
-    instead of rebuilding (``SECPB_TRACE_SHM=0`` disables the segments,
-    ``SECPB_EXEC_PLANE=0`` the whole plane).  All paths produce
-    bit-identical result mappings — the simulations are deterministic
-    and results are keyed, so completion order cannot leak into the
-    output.
+    instead of rebuilding.  Both produce bit-identical result mappings —
+    the simulations are deterministic and results are keyed, so
+    completion order cannot leak into the output.
 
     Hardening knobs (``on_error``/``retries``/``timeout``) are forwarded
     to :func:`run_tasks`; with ``on_error="record"`` a failing job maps
@@ -1177,12 +1117,7 @@ def run_jobs(
             on_result(key, value)
 
     setup: Optional[TraceAttachSetup] = None
-    if (
-        workers > 1
-        and len(dispatch) > 1
-        and plane_enabled()
-        and shm_enabled()
-    ):
+    if workers > 1 and len(dispatch) > 1:
         setup = _publish_job_traces(dispatch, completed, metrics)
     answered: Dict[JobKey, Any] = {}
     try:
@@ -1200,7 +1135,6 @@ def run_jobs(
             stop=stop,
             metrics=metrics,
             tracer=tracer,
-            chunk=chunk,
             setup=setup,
         )
     except RunInterrupted as exc:

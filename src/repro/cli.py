@@ -25,12 +25,6 @@ Commands:
   invariants and shrinking violations to replayable reproducers.
 * ``trace`` — run one simulation with structured event tracing and write
   a Chrome-trace/Perfetto-loadable timeline keyed by simulated cycles.
-* ``serve`` — supervised long-running frontend over a Unix-domain
-  socket: bounded admission with typed load shedding, per-request
-  deadlines, per-scheme circuit breakers, a warm-pool supervisor, and
-  graceful SIGTERM drain (queued requests journal for
-  ``--resume-drain``; exit 75 marks the journal worth resuming).  The
-  same command is the client (``--health`` / ``--stats`` / ``--burst``).
 * ``list`` — available benchmarks, schemes and experiments.
 
 Every subcommand takes ``--verbose``/``-v`` and ``--quiet``/``-q``;
@@ -140,11 +134,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     kwargs: Dict[str, Any] = {}
     if args.id in TIMING_EXPERIMENTS:
         kwargs.update(num_ops=args.num_ops, seed=args.seed, jobs=args.jobs)
-    if getattr(args, "chunk", None) is not None and args.id not in TIMING_EXPERIMENTS:
-        raise SystemExit(
-            f"error: --chunk only applies to the trace-driven experiments "
-            f"({', '.join(TIMING_EXPERIMENTS)}); {args.id} finishes instantly"
-        )
     # Observability and checkpointing both ride on runner_opts, which the
     # experiment forwards verbatim to run_jobs.  Per-job progress/timing
     # goes to stderr via logging, keeping the rendered artifact on stdout
@@ -160,8 +149,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     if tracer is not None:
         runner_opts["tracer"] = tracer
-    if getattr(args, "chunk", None) is not None:
-        runner_opts["chunk"] = args.chunk
     writer = None
     token = None
     if journal is not None:
@@ -426,7 +413,6 @@ def _cmd_faultcampaign(args: argparse.Namespace) -> int:
                 stop=token,
                 metrics=registry,
                 tracer=tracer,
-                chunk=args.chunk,
             )
     except RunInterrupted as exc:
         return _report_interrupt(exc, journal)
@@ -521,128 +507,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _serve_client(args: argparse.Namespace) -> int:
-    """Client modes of ``repro serve``: health, stats, seeded bursts."""
-    import json
-
-    from .serve import ServeClient, seeded_burst
-
-    with ServeClient(args.socket) as client:
-        if args.health:
-            response = client.health()
-            print(json.dumps(response, indent=2, sort_keys=True))
-            return 0 if response.get("ready") else 1
-        if args.stats:
-            print(json.dumps(client.stats(), indent=2, sort_keys=True))
-            return 0
-        requests = seeded_burst(args.seed, args.burst, num_ops=args.num_ops)
-        for request in requests:
-            client.send(request)
-        responses = {
-            request.id: client.collect(request.id, timeout=args.timeout)
-            for request in requests
-        }
-    counts = {"ok": 0, "shed": 0, "error": 0, "journaled": 0}
-    reasons: Dict[str, int] = {}
-    for response in responses.values():
-        status = response.get("status", "error")
-        counts[status] = counts.get(status, 0) + 1
-        if status == "shed":
-            reason = response.get("reason", "?")
-            reasons[reason] = reasons.get(reason, 0) + 1
-    summary = (
-        f"burst seed={args.seed} sent={len(requests)} ok={counts['ok']} "
-        f"shed={counts['shed']} errors={counts['error']} "
-        f"journaled={counts['journaled']}"
-    )
-    if reasons:
-        summary += " reasons=" + ",".join(
-            f"{reason}:{count}" for reason, count in sorted(reasons.items())
-        )
-    print(summary)
-    if args.save:
-        write_artifact(
-            args.save,
-            json.dumps(responses, indent=2, sort_keys=True) + "\n",
-        )
-        print(f"responses saved to {args.save}", file=sys.stderr)
-    return 0 if counts["error"] == 0 else 1
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    # Lazy: the serving stack pulls in the runner and pool planes.
-    from .serve import (
-        ServeConfig,
-        ServeFrontend,
-        ServerCore,
-        execute_drained,
-    )
-
-    if args.resume_drain:
-        import json
-
-        try:
-            results = execute_drained(args.resume_drain, workers=args.workers)
-        except (JournalError, OSError, ValueError) as exc:
-            print(f"error: unusable drain journal: {exc}", file=sys.stderr)
-            return 2
-        print(f"resumed {len(results)} drained request(s)")
-        if args.save:
-            write_artifact(
-                args.save, json.dumps(results, indent=2, sort_keys=True) + "\n"
-            )
-            print(f"results saved to {args.save}", file=sys.stderr)
-        return 0
-    if args.socket is None:
-        print(
-            "error: serve needs --socket (server/client) or --resume-drain",
-            file=sys.stderr,
-        )
-        return 2
-    if args.health or args.stats or args.burst is not None:
-        return _serve_client(args)
-
-    from .resilience import BreakerPolicy
-
-    config = ServeConfig(
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        default_deadline_s=args.request_deadline,
-        retries=args.retries,
-        breaker=BreakerPolicy(open_seconds=args.breaker_open_seconds),
-        drain_grace_s=args.drain_grace,
-    )
-    registry = MetricsRegistry()
-    tracer = (
-        Tracer(process_name="secpb-serve", clock_unit="s")
-        if args.trace
-        else None
-    )
-    core = ServerCore(config, metrics=registry, tracer=tracer)
-    drain_journal = (
-        args.drain_journal
-        if args.drain_journal
-        else args.socket + ".drain.jsonl"
-    )
-    frontend = ServeFrontend(args.socket, core, drain_journal)
-    token = StopToken()
-    with graceful_shutdown(token):
-        journaled = frontend.run(token)
-    if args.metrics:
-        _write_metrics(registry, args.metrics)
-    if tracer is not None:
-        tracer.save_chrome(args.trace)
-        print(f"trace saved to {args.trace}", file=sys.stderr)
-    if journaled:
-        print(
-            f"drained: {journaled} request(s) journaled in {drain_journal}; "
-            f"rerun with --resume-drain {drain_journal}",
-            file=sys.stderr,
-        )
-        return EXIT_RESUMABLE
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .core.simulator import SecurePersistencySimulator
     from .obs import load_trace_schema, record_simulation, validate_or_raise
@@ -703,51 +567,34 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress warnings; only errors reach stderr",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    experiment = sub.add_parser(
-        "experiment", parents=[common], help="regenerate a paper artifact"
-    )
-    experiment.add_argument("id", choices=sorted(EXPERIMENTS))
-    experiment.add_argument("--num-ops", type=int, default=20_000)
-    experiment.add_argument(
-        "--seed", type=int, default=1, help="trace-generation seed"
-    )
-    experiment.add_argument(
+    # The run-control flags `experiment` and `faultcampaign` share: both
+    # drive run_tasks, so they take the same workers, checkpointing and
+    # export options.
+    run_control = argparse.ArgumentParser(add_help=False)
+    run_control.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the simulation sweep (default: serial)",
+        help="worker processes for the sweep (default: serial)",
     )
-    experiment.add_argument(
-        "--chunk",
-        type=int,
-        metavar="N",
-        default=None,
-        help="simulations per worker batch with --jobs > 1 (default: "
-        "adaptive); results are byte-identical either way",
+    run_control.add_argument(
+        "--save", metavar="PATH", default=None, help="write the result as JSON"
     )
-    experiment.add_argument(
-        "--save",
-        metavar="PATH",
-        default=None,
-        help="also persist the result as JSON (repro.analysis.serialize)",
-    )
-    experiment.add_argument(
+    run_control.add_argument(
         "--journal",
         metavar="PATH",
         default=None,
-        help="checkpoint each completed simulation to an append-only "
-        "journal (trace-driven experiments only)",
+        help="checkpoint each completed job to an append-only journal "
+        "(fsynced per record; survives SIGKILL)",
     )
-    experiment.add_argument(
+    run_control.add_argument(
         "--resume",
         metavar="PATH",
         default=None,
-        help="resume from a journal: skip journaled simulations, run the "
-        "rest, render the identical artifact",
+        help="resume from a journal: skip journaled jobs, run the rest, "
+        "produce byte-identical output",
     )
-    experiment.add_argument(
+    run_control.add_argument(
         "--deadline",
         type=float,
         metavar="SECONDS",
@@ -755,18 +602,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock budget; on expiry, checkpoint to the journal and "
         f"exit {EXIT_RESUMABLE} (resumable)",
     )
-    experiment.add_argument(
+    run_control.add_argument(
         "--metrics",
         metavar="PATH",
         default=None,
-        help="export runner metrics after the sweep (.json for JSON, "
+        help="export runner metrics after the run (.json for JSON, "
         "anything else for Prometheus text)",
     )
-    experiment.add_argument(
+    run_control.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
         help="write a Chrome-trace timeline of per-job wall time",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    experiment = sub.add_parser(
+        "experiment",
+        parents=[common, run_control],
+        help="regenerate a paper artifact",
+    )
+    experiment.add_argument("id", choices=sorted(EXPERIMENTS))
+    experiment.add_argument("--num-ops", type=int, default=20_000)
+    experiment.add_argument(
+        "--seed", type=int, default=1, help="trace-generation seed"
     )
     experiment.set_defaults(func=_cmd_experiment)
 
@@ -877,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     faultcampaign = sub.add_parser(
         "faultcampaign",
-        parents=[common],
+        parents=[common, run_control],
         help="fault-injection campaign: adversarial crashes, brownouts, "
         "tamper detection, minimized reproducers",
     )
@@ -896,46 +755,10 @@ def build_parser() -> argparse.ArgumentParser:
     faultcampaign.add_argument("--asids", type=int, default=4)
     faultcampaign.add_argument("--seed", type=int, default=2023)
     faultcampaign.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default: serial)"
-    )
-    faultcampaign.add_argument(
-        "--chunk",
-        type=int,
-        metavar="N",
-        default=None,
-        help="cases per worker batch with --jobs > 1 (default: adaptive; "
-        "--timeout forces per-case dispatch)",
-    )
-    faultcampaign.add_argument(
         "--timeout",
         type=float,
         default=None,
         help="per-case timeout in seconds (pool mode only)",
-    )
-    faultcampaign.add_argument(
-        "--save", metavar="PATH", default=None, help="write the JSON report"
-    )
-    faultcampaign.add_argument(
-        "--journal",
-        metavar="PATH",
-        default=None,
-        help="checkpoint each graded case to an append-only journal "
-        "(fsynced per record; survives SIGKILL)",
-    )
-    faultcampaign.add_argument(
-        "--resume",
-        metavar="PATH",
-        default=None,
-        help="resume from a journal: skip journaled cases, run the rest, "
-        "produce a byte-identical report",
-    )
-    faultcampaign.add_argument(
-        "--deadline",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="wall-clock budget; on expiry, checkpoint to the journal and "
-        f"exit {EXIT_RESUMABLE} (resumable)",
     )
     faultcampaign.add_argument(
         "--repro-dir",
@@ -953,20 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-minimize",
         action="store_true",
         help="skip failing-case minimization",
-    )
-    faultcampaign.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="export campaign/runner metrics (.json for JSON, anything "
-        "else for Prometheus text); ignored with --replay",
-    )
-    faultcampaign.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="write a Chrome-trace timeline of per-case wall time; "
-        "ignored with --replay",
     )
     faultcampaign.set_defaults(func=_cmd_faultcampaign)
 
@@ -1074,131 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
         "anything else for Prometheus text)",
     )
     trace_cmd.set_defaults(func=_cmd_trace)
-
-    serve = sub.add_parser(
-        "serve",
-        parents=[common],
-        help="long-running serving frontend over a Unix socket "
-        "(admission control, breakers, graceful SIGTERM drain); also "
-        "the client via --health/--stats/--burst and the drain resumer "
-        "via --resume-drain",
-    )
-    serve.add_argument(
-        "--socket",
-        metavar="PATH",
-        default=None,
-        help="Unix-domain socket to bind (server) or connect (client)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="pool width for multi-benchmark sweep requests "
-        "(default: %(default)s)",
-    )
-    serve.add_argument(
-        "--queue-depth",
-        type=int,
-        default=8,
-        help="admission bound; requests past it shed with queue_full "
-        "(default: %(default)s)",
-    )
-    serve.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="runner retry budget per job (default: %(default)s — "
-        "failures surface to the breaker immediately)",
-    )
-    serve.add_argument(
-        "--request-deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="default per-request budget covering queueing and execution",
-    )
-    serve.add_argument(
-        "--breaker-open-seconds",
-        type=float,
-        default=30.0,
-        help="breaker cooldown before half-open probes "
-        "(default: %(default)s)",
-    )
-    serve.add_argument(
-        "--drain-journal",
-        metavar="PATH",
-        default=None,
-        help="where SIGTERM journals queued requests "
-        "(default: <socket>.drain.jsonl)",
-    )
-    serve.add_argument(
-        "--drain-grace",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="how long a drain waits for the in-flight request "
-        "(default: %(default)s)",
-    )
-    serve.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="export serving metrics at shutdown (.json for JSON, "
-        "anything else for Prometheus text)",
-    )
-    serve.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="write a Chrome trace of per-request dispatch timings "
-        "at shutdown",
-    )
-    serve.add_argument(
-        "--health",
-        action="store_true",
-        help="client: query readiness and exit 0 iff ready",
-    )
-    serve.add_argument(
-        "--stats",
-        action="store_true",
-        help="client: print queue/breaker/pool statistics",
-    )
-    serve.add_argument(
-        "--burst",
-        type=int,
-        default=None,
-        metavar="N",
-        help="client: send a deterministic seeded burst of N requests "
-        "and print the accept/shed summary",
-    )
-    serve.add_argument(
-        "--seed", type=int, default=2023, help="burst seed (default: %(default)s)"
-    )
-    serve.add_argument(
-        "--num-ops",
-        type=int,
-        default=400,
-        help="trace length per burst request (default: %(default)s)",
-    )
-    serve.add_argument(
-        "--timeout",
-        type=float,
-        default=120.0,
-        help="client: per-response wait (default: %(default)s)",
-    )
-    serve.add_argument(
-        "--save",
-        metavar="PATH",
-        default=None,
-        help="save burst responses / resumed results as JSON",
-    )
-    serve.add_argument(
-        "--resume-drain",
-        metavar="JOURNAL",
-        default=None,
-        help="re-run the requests a drained server journaled, then exit",
-    )
-    serve.set_defaults(func=_cmd_serve)
 
     lister = sub.add_parser(
         "list",

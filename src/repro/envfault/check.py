@@ -343,9 +343,9 @@ def _check_sigkill_storm(
     scratch = tempfile.mkdtemp(dir=str(workdir), prefix="once_")
     fired = 0
     try:
-        # Virtual clock over the armed region: any resilience backoff the
-        # faults provoke (shm attach retries, pool restart pacing)
-        # advances manual time instead of really sleeping, so the sweep's
+        # Virtual clock over the armed region: any retry backoff the
+        # faults provoke (shm attach retries) advances manual time
+        # instead of really sleeping, so the sweep's
         # duration does not depend on how many faults fired.  Forked
         # workers inherit the clock alongside the armed fault context.
         with scoped_clock(ManualClock()):

@@ -506,7 +506,6 @@ def run_campaign(
     stop: Optional[StopToken] = None,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
-    chunk: Optional[int] = None,
 ) -> CampaignReport:
     """Build, execute, and grade a full campaign.
 
@@ -515,9 +514,9 @@ def run_campaign(
     opposed to failing its grade) lands in ``job_failures`` without
     disturbing any other case.  Parallel campaigns (``jobs > 1``) share
     the process-wide warm :class:`~repro.runtime.pool.WorkerPool` and
-    dispatch cases in batches (``chunk`` overrides the adaptive size; a
-    ``timeout`` forces per-case dispatch) — the report stays assembled
-    in case order either way.  Failing cases are shrunk to minimal
+    dispatch cases in batches of adaptive size (a ``timeout`` forces
+    per-case dispatch) — the report stays assembled in case order either
+    way.  Failing cases are shrunk to minimal
     replayable reproducers unless ``minimize`` is off.
 
     With ``journal`` set, each case's outcome is appended (and fsynced)
@@ -599,7 +598,7 @@ def run_campaign(
             cases, execute_case, workers=jobs, on_error="record",
             retries=1, timeout=timeout,
             completed=completed, on_result=on_result, stop=stop,
-            metrics=metrics, tracer=tracer, chunk=chunk,
+            metrics=metrics, tracer=tracer,
         )
     finally:
         # On RunInterrupted the journal already holds every completed

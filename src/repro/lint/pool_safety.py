@@ -271,9 +271,9 @@ class ResourceLifecycleRule(Rule):
                         self,
                         node,
                         f"raw {name}(...) outside repro.runtime.pool: "
-                        "construct pools through WorkerPool / "
-                        "get_shared_pool / ephemeral_pool so sweeps share "
-                        "the warm pool and its health accounting",
+                        "acquire the pool through get_shared_pool so "
+                        "sweeps share the warm pool and its health "
+                        "accounting",
                     )
             elif _is_shm_create(node):
                 if ctx.module != _SHM_OWNER_MODULE:

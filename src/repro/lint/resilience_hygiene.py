@@ -5,8 +5,8 @@ The resilience package exists so that every "wait and try again" in the
 tree is a declarative, clock-injectable policy: schedules are
 deterministic functions of a key, sleeps are virtualizable under a
 :class:`~repro.resilience.ManualClock` (which is what makes chaos soaks
-and breaker tests wall-clock-deterministic), and retry accounting is
-shared instead of re-derived.  A raw ``time.sleep`` or a hand-rolled
+wall-clock-deterministic), and retry accounting is shared instead of
+re-derived.  A raw ``time.sleep`` or a hand-rolled
 ``while ... except ... continue`` loop silently opts back out of all of
 that — it blocks real time even under an injected clock, and its retry
 budget is invisible to tests and metrics.

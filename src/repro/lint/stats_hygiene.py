@@ -33,7 +33,7 @@ from typing import Iterator, List, Union
 from .base import DETERMINISM_SCOPES, LintContext, Rule, in_scope, register_rule
 from .findings import Finding, Severity
 
-_STATS_SCOPES = DETERMINISM_SCOPES + ("repro.baselines",)
+_STATS_SCOPES = DETERMINISM_SCOPES + ("repro.baselines", "repro.persistency")
 _MUTATING_MAPPING_METHODS = {"update", "pop", "clear", "setdefault", "popitem"}
 
 

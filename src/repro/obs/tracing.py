@@ -38,7 +38,6 @@ from ..durability import write_artifact
 __all__ = [
     "LANE_CRASH",
     "LANE_DRAIN",
-    "LANE_SERVE",
     "LANE_STALLS",
     "LANE_STORES",
     "Tracer",
@@ -48,14 +47,12 @@ LANE_STORES = 1
 LANE_DRAIN = 2
 LANE_STALLS = 3
 LANE_CRASH = 4
-LANE_SERVE = 5
 
 _DEFAULT_LANE_NAMES = {
     LANE_STORES: "stores",
     LANE_DRAIN: "drain engine",
     LANE_STALLS: "stalls",
     LANE_CRASH: "crash/recovery",
-    LANE_SERVE: "serving",
 }
 
 Args = Optional[Dict[str, Any]]

@@ -24,7 +24,7 @@ under security.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Set
+from typing import Dict, Optional, Set
 
 from ..core.controller import TimingCalibration
 from ..security.metadata_cache import MetadataCaches
@@ -123,6 +123,7 @@ class FlushBasedSimulator:
         warmup_ops = int(len(trace) * warmup_frac)
         warmup_clock = 0.0
         warmup_instructions = 0
+        warmup_stats: Dict[str, float] = {}
         op_index = 0
 
         def fence_epoch(now: float) -> float:
@@ -143,6 +144,7 @@ class FlushBasedSimulator:
             if op_index == warmup_ops and warmup_ops:
                 warmup_clock = clock
                 warmup_instructions = instructions
+                warmup_stats = stats.snapshot()
             op_index += 1
             instructions += gap + 1
             clock += gap * cal.cpi_base
@@ -176,7 +178,12 @@ class FlushBasedSimulator:
         if self.model is PersistencyModel.EPOCH and epoch_dirty:
             clock = fence_epoch(clock)
 
-        stats.set("instructions", instructions)
+        if warmup_ops:
+            # Warmup counts (flushed lines, fences, cache hits) are
+            # excluded so the stats cover the same measured region as
+            # cycles; the end-of-trace fence above stays in it.
+            stats.subtract(warmup_stats)
+        stats.set("instructions", instructions - warmup_instructions)
         return SimulationResult(
             scheme=self.scheme_name,
             benchmark=trace.name,

@@ -1,29 +1,21 @@
-"""Resilience policy engine: declarative retry, timeout, breaker, bulkhead.
+"""Resilience: the injectable clock and the declarative retry policy.
 
 Before this package, every "try again" in the tree was hand-rolled: the
-shm plane counted attach attempts against an inline backoff tuple, the
-task runner compared ``attempts <= retries`` in four places, and the
-pool plane recycled on an inline health check.  Each was correct; none
-was *composable*, none was clock-injectable, and a serving frontend
-would have needed a fourth variant.  This package centralizes the
-patterns as pure-data policies:
+shm plane counted attach attempts against an inline backoff tuple and
+the task runner compared ``attempts <= retries`` in four places.  This
+package keeps the two pieces those sites share:
 
 * :class:`RetryPolicy` — capped exponential backoff with deterministic
-  key-seeded jitter (no RNG, no clock in the schedule);
-* :class:`TimeoutPolicy` / :class:`Deadline` — started budgets;
-* :class:`CircuitBreaker` / :class:`BreakerPolicy` — closed / open /
-  half-open over a failure-rate window;
-* :class:`AdmissionController` / :class:`Bulkhead` / :class:`Rejected`
-  — bounded queues and concurrency caps that shed with typed results;
-* :class:`RecyclePolicy` / :class:`RestartBackoff` — supervisor
-  building blocks for warm-resource recycling and crash-loop pacing.
+  key-seeded jitter (no RNG, no clock in the schedule), used by the
+  task runner's retry budget and the shm attach;
+* the injectable clock (:func:`get_clock` / :class:`ManualClock` /
+  :func:`scoped_clock`), through which every wait flows — which is what
+  makes retry schedules and whole chaos soaks wall-clock-deterministic
+  under test.
 
-Everything that waits does so through the injectable clock
-(:func:`get_clock` / :class:`ManualClock` / :func:`scoped_clock`), which
-is what makes retry schedules, breaker cooldowns, and whole chaos soaks
-wall-clock-deterministic under test.  Lint rule SPB505 fences raw
-``time.sleep`` and hand-rolled ``while/except/continue`` retry loops
-out of the rest of the tree; this package is their sanctioned home.
+Lint rule SPB505 fences raw ``time.sleep`` and hand-rolled
+``while/except/continue`` retry loops out of the rest of the tree; this
+package is their sanctioned home.
 
 The package imports only the stdlib — it sits *below*
 :mod:`repro.durability` in the layering (the interrupt plane's deadline
@@ -33,18 +25,6 @@ without creating an import cycle.
 
 from __future__ import annotations
 
-from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerPolicy, CircuitBreaker
-from .bulkhead import (
-    REJECT_BREAKER_OPEN,
-    REJECT_BULKHEAD,
-    REJECT_DEADLINE,
-    REJECT_DRAINING,
-    REJECT_QUEUE_FULL,
-    AdmissionController,
-    AdmissionPolicy,
-    Bulkhead,
-    Rejected,
-)
 from .clock import (
     Clock,
     ManualClock,
@@ -54,32 +34,12 @@ from .clock import (
     set_clock,
 )
 from .retry import RetryPolicy, jitter_token
-from .supervise import RecyclePolicy, RestartBackoff
-from .timeout import Deadline, TimeoutPolicy
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionPolicy",
-    "BreakerPolicy",
-    "Bulkhead",
-    "CLOSED",
-    "CircuitBreaker",
     "Clock",
-    "Deadline",
-    "HALF_OPEN",
     "ManualClock",
-    "OPEN",
-    "REJECT_BREAKER_OPEN",
-    "REJECT_BULKHEAD",
-    "REJECT_DEADLINE",
-    "REJECT_DRAINING",
-    "REJECT_QUEUE_FULL",
-    "RecyclePolicy",
-    "Rejected",
-    "RestartBackoff",
     "RetryPolicy",
     "SystemClock",
-    "TimeoutPolicy",
     "get_clock",
     "jitter_token",
     "scoped_clock",

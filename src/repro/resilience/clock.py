@@ -1,13 +1,13 @@
 """Injectable clocks: the one place the resilience plane touches time.
 
-Every backoff, breaker cooldown, and deadline in :mod:`repro.resilience`
-reads time and sleeps through a :class:`Clock`, never ``time`` directly
-(lint rule SPB505 enforces the same discipline on the rest of the tree).
-That indirection is what makes retry schedules and breaker transitions
-*wall-clock-deterministic* under test: swap in a :class:`ManualClock`
-and a three-attempt backoff "sleeps" by advancing virtual time
-instantly, so a chaos soak that injects hundreds of attach ENOENT races
-runs at CPU speed and replays byte-identically.
+Every retry backoff in :mod:`repro.resilience` sleeps through a
+:class:`Clock`, never ``time`` directly (lint rule SPB505 enforces the
+same discipline on the rest of the tree), and the interrupt plane's
+``--deadline`` token reads one.  That indirection is what makes retry
+schedules *wall-clock-deterministic* under test: swap in a
+:class:`ManualClock` and a three-attempt backoff "sleeps" by advancing
+virtual time instantly, so a chaos soak that injects hundreds of attach
+ENOENT races runs at CPU speed and replays byte-identically.
 
 The process-wide active clock (:func:`get_clock` / :func:`set_clock` /
 :func:`scoped_clock`) is a plain module global: forked pool workers
@@ -53,9 +53,8 @@ class SystemClock(Clock):
 class ManualClock(Clock):
     """Virtual time: ``sleep`` advances instantly, tests ``advance`` it.
 
-    Thread-safe — the serve dispatcher sleeps restart backoff on one
-    thread while a test advances the breaker cooldown from another.
-    ``sleeps`` records every positive sleep, so tests can assert the
+    Thread-safe, so a test may advance it while another thread sleeps
+    on it.  ``sleeps`` records every positive sleep, so tests can assert the
     exact backoff schedule a policy produced without waiting for it.
     """
 
@@ -76,7 +75,7 @@ class ManualClock(Clock):
             self.sleeps.append(float(seconds))
 
     def advance(self, seconds: float) -> None:
-        """Move virtual time forward (e.g. past a breaker cooldown)."""
+        """Move virtual time forward (e.g. past a ``--deadline``)."""
         with self._lock:
             self._now += float(seconds)
 

@@ -1,7 +1,6 @@
-"""Cross-process execution plane: shared-memory traces + warm pools.
+"""Cross-process execution plane: shared-memory traces + one warm pool.
 
-Two cooperating pieces take sweep orchestration off the critical path
-(the ROADMAP north-star is "as fast as the hardware allows"):
+Two cooperating pieces take sweep orchestration off the critical path:
 
 * :mod:`~repro.runtime.shm` — zero-copy publication of materialized
   trace columns into ``multiprocessing.shared_memory`` segments, with
@@ -14,24 +13,21 @@ Two cooperating pieces take sweep orchestration off the critical path
   health-checked recycling (wedged-worker timeouts, crashed workers,
   interrupts) and manifest-announcing initializers.
 
+Every parallel sweep takes this path; there is no other pool or trace
+transport to select.
+
 Layering: ``repro.runtime`` sits between :mod:`repro.durability` /
 :mod:`repro.workloads` (which it imports) and the runner / campaign
-layers (which import it).  Environment gates: ``SECPB_EXEC_PLANE=0``
-restores legacy per-call pools, ``SECPB_TRACE_SHM=0`` disables only the
-shared-memory segments.
+layers (which import it).
 """
 
 from .pool import (
-    EXEC_PLANE_ENV,
     WorkerPool,
-    ephemeral_pool,
     get_shared_pool,
-    plane_enabled,
     pool_stats,
     shutdown_shared_pool,
 )
 from .shm import (
-    TRACE_SHM_ENV,
     SharedTraceRegistry,
     TraceAttachSetup,
     TraceSegmentInfo,
@@ -40,12 +36,9 @@ from .shm import (
     cleanup_shared_registry,
     segment_prefix,
     shared_registry,
-    shm_enabled,
 )
 
 __all__ = [
-    "EXEC_PLANE_ENV",
-    "TRACE_SHM_ENV",
     "SharedTraceRegistry",
     "TraceAttachSetup",
     "TraceSegmentInfo",
@@ -53,12 +46,9 @@ __all__ = [
     "announce",
     "attach_trace",
     "cleanup_shared_registry",
-    "ephemeral_pool",
     "get_shared_pool",
-    "plane_enabled",
     "pool_stats",
     "segment_prefix",
     "shared_registry",
-    "shm_enabled",
     "shutdown_shared_pool",
 ]

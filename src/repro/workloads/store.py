@@ -14,11 +14,11 @@ is free.  Worker processes of the parallel runner
 (:mod:`repro.analysis.runner`) each hold their own process-local default
 store; a miss there first tries to **attach** a zero-copy read-only view
 of a segment published by the parent through the shared-memory trace
-plane (:mod:`repro.runtime.shm`) — the default fast path for parallel
-sweeps, disabled with ``SECPB_TRACE_SHM=0`` — before falling back to
-regeneration.  ``built`` counts actual materializations and
-``attach_hits`` counts zero-copy adoptions, so tests can assert a trace
-is built at most once per run across the whole pool.
+plane (:mod:`repro.runtime.shm`) — the fast path for parallel sweeps —
+before falling back to regeneration.  ``built`` counts actual
+materializations and ``attach_hits`` counts zero-copy adoptions, so
+tests can assert a trace is built at most once per run across the whole
+pool.
 
 Integrity: every memoized trace is fingerprinted with a SHA-256 digest
 of its columns (:func:`trace_digest`), and the optional on-disk cache
@@ -82,17 +82,12 @@ class TraceStore:
             built traces (``.npz`` + SHA-256 manifest).  Defaults to the
             ``SECPB_TRACE_CACHE`` environment variable; ``None`` with no
             environment override disables the disk cache.
-        shm_attach: whether a miss may adopt a zero-copy view of a
-            segment announced via :mod:`repro.runtime.shm` before
-            regenerating.  Defaults to the ``SECPB_TRACE_SHM``
-            environment gate (on unless set to ``0``).
     """
 
     def __init__(
         self,
         max_traces: Optional[int] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        shm_attach: Optional[bool] = None,
     ):
         if max_traces is not None and max_traces <= 0:
             raise ValueError("max_traces must be positive (or None)")
@@ -100,7 +95,6 @@ class TraceStore:
         if cache_dir is None:
             cache_dir = os.environ.get(CACHE_DIR_ENV) or None
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.shm_attach = shm_attach
         self._traces: "OrderedDict[TraceKey, Trace]" = OrderedDict()
         self._checksums: Dict[TraceKey, str] = {}
         self.hits = 0
@@ -181,20 +175,15 @@ class TraceStore:
         write_artifact(self._cache_path(key), buffer.getvalue())
 
     def _attach_from_shm(self, key: TraceKey) -> Optional[Tuple[Trace, str]]:
-        """A digest-verified zero-copy attach, or None (plane cold/off).
+        """A digest-verified zero-copy attach, or None (nothing announced).
 
-        The attach path is the default for pool workers: the parent
+        The attach path is how pool workers get traces: the parent
         publishes each materialized trace once and every worker adopts
         read-only views instead of rebuilding.  The import is lazy so a
         process that never runs parallel sweeps never touches the plane.
         """
-        if self.shm_attach is False:
-            return None
         from ..runtime.shm import attach_trace
 
-        # attach_trace applies the SECPB_TRACE_SHM env gate itself, so
-        # the environment remains a global kill switch even for stores
-        # constructed with shm_attach=True.
         return attach_trace(key)
 
     def get(self, benchmark: str, num_ops: int, seed: int = 1) -> Trace:
@@ -265,6 +254,6 @@ def store_counters() -> Tuple[int, int]:
     the deltas into the ``runner.worker_traces_built`` /
     ``runner.worker_trace_attaches`` observability counters, which is
     how the regression tests prove a trace is materialized at most once
-    per run with the shared-memory plane on.
+    per run.
     """
     return DEFAULT_STORE.built, DEFAULT_STORE.attach_hits

@@ -974,7 +974,7 @@ def test_findings_sorted_deterministically():
 
 
 def lint_runtime_fixture(source: str, **kwargs):
-    """Lint a snippet as generic harness code (runner/serve territory)."""
+    """Lint a snippet as generic harness code (runner territory)."""
     return lint_source(
         textwrap.dedent(source),
         "fixture.py",

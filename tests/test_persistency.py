@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.bbb import run_bbb
+from repro.baselines.strict import StrictPersistencySimulator
 from repro.core.schemes import get_scheme
 from repro.core.simulator import run_scheme
 from repro.persistency.flush import FlushBasedSimulator, PersistencyModel
@@ -49,6 +50,16 @@ class TestModelOrdering:
         result = FlushBasedSimulator(PersistencyModel.STRICT).run(trace)
         assert result.stats["flush.lines"] == trace.num_stores
         assert result.stats["flush.fences"] == trace.num_stores
+
+    def test_warmup_excluded_from_stats(self, trace):
+        """Stats cover the measured region, like cycles and instructions."""
+        result = FlushBasedSimulator(PersistencyModel.STRICT).run(trace, 0.3)
+        assert result.stats["instructions"] == result.instructions
+        # Strict flushing persists one line per measured store, exactly
+        # as the SP baseline updates the BMT root once per measured store.
+        strict = StrictPersistencySimulator().run(trace, 0.3)
+        assert result.stats["flush.lines"] == strict.stats["bmt.root_updates"]
+        assert result.stats["flush.fences"] == result.stats["flush.lines"]
 
     def test_epoch_fences_once_per_epoch(self, trace):
         result = FlushBasedSimulator(

@@ -1,17 +1,11 @@
-"""Resilience policy engine: retry schedules, breakers, admission, pacing.
-
-Acceptance anchors (ISSUE 10):
+"""Resilience: retry schedules and the injectable clock.
 
 * retry schedules are **pure functions** of (policy, key) — no RNG, no
   clock read — and the shm attach policy reproduces the pre-migration
   backoff tuple bit-exactly (the byte-identity pin lives here *and* in
   ``tests/test_runtime.py``);
 * every wait flows through the injectable clock: a ``ManualClock``
-  drives a full breaker closed → open → half-open → closed cycle and a
-  three-step restart-backoff schedule without sleeping real time;
-* bounded admission sheds with typed :class:`~repro.resilience.Rejected`
-  results and the accept/shed partition of an offer sequence is a pure
-  function of arrival order and capacity.
+  sleeps a retry schedule without sleeping real time.
 """
 
 import hashlib
@@ -19,25 +13,9 @@ import hashlib
 import pytest
 
 from repro.resilience import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    AdmissionController,
-    AdmissionPolicy,
-    BreakerPolicy,
-    Bulkhead,
-    CircuitBreaker,
-    Deadline,
     ManualClock,
-    REJECT_BULKHEAD,
-    REJECT_DRAINING,
-    REJECT_QUEUE_FULL,
-    RecyclePolicy,
-    Rejected,
-    RestartBackoff,
     RetryPolicy,
     SystemClock,
-    TimeoutPolicy,
     get_clock,
     jitter_token,
     scoped_clock,
@@ -257,313 +235,3 @@ class TestClocks:
 
     def test_system_clock_is_default(self):
         assert isinstance(get_clock(), SystemClock)
-
-
-# --- deadlines ---------------------------------------------------------------
-
-
-class TestDeadlines:
-    def test_deadline_expires_on_manual_clock(self):
-        clock = ManualClock()
-        deadline = Deadline(5.0, clock=clock)
-        assert not deadline.expired()
-        assert deadline.remaining() == 5.0
-        clock.advance(4.0)
-        assert deadline.remaining() == pytest.approx(1.0)
-        clock.advance(1.0)
-        assert deadline.expired()
-        assert deadline.remaining() == 0.0
-
-    def test_deadline_rejects_nonpositive_budget(self):
-        with pytest.raises(ValueError, match="deadline seconds"):
-            Deadline(0.0, clock=ManualClock())
-
-    def test_timeout_policy_none_is_unbounded(self):
-        assert TimeoutPolicy(None).deadline() is None
-
-    def test_timeout_policy_starts_deadline(self):
-        clock = ManualClock()
-        deadline = TimeoutPolicy(3.0).deadline(clock=clock)
-        assert deadline is not None
-        assert deadline.seconds == 3.0
-
-    def test_timeout_policy_validation(self):
-        with pytest.raises(ValueError, match="seconds"):
-            TimeoutPolicy(-1.0)
-
-
-# --- circuit breaker ---------------------------------------------------------
-
-
-def _breaker(clock, **overrides):
-    settings = dict(
-        window=4,
-        failure_rate=0.5,
-        min_calls=2,
-        open_seconds=10.0,
-        half_open_probes=1,
-    )
-    settings.update(overrides)
-    return CircuitBreaker(BreakerPolicy(**settings), name="test", clock=clock)
-
-
-class TestCircuitBreaker:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            BreakerPolicy(window=0)
-        with pytest.raises(ValueError, match="failure_rate"):
-            BreakerPolicy(failure_rate=0.0)
-        with pytest.raises(ValueError, match="failure_rate"):
-            BreakerPolicy(failure_rate=1.5)
-        with pytest.raises(ValueError, match="min_calls"):
-            BreakerPolicy(min_calls=0)
-        with pytest.raises(ValueError, match="open_seconds"):
-            BreakerPolicy(open_seconds=-1.0)
-        with pytest.raises(ValueError, match="half_open_probes"):
-            BreakerPolicy(half_open_probes=0)
-
-    def test_single_early_failure_does_not_trip(self):
-        breaker = _breaker(ManualClock())
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-
-    def test_trips_at_failure_rate_past_min_calls(self):
-        breaker = _breaker(ManualClock())
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.allow()
-        assert breaker.transitions == [(CLOSED, OPEN)]
-
-    def test_successes_dilute_the_window(self):
-        breaker = _breaker(ManualClock())
-        breaker.record_success()
-        breaker.record_success()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CLOSED  # 1/4 < 0.5
-
-    def test_window_slides_old_outcomes_off(self):
-        breaker = _breaker(ManualClock())
-        breaker.record_failure()
-        for _ in range(4):  # window=4: the failure falls off entirely
-            breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CLOSED  # 1/4, not 2/5
-
-    def test_full_cycle_closed_open_half_open_closed(self):
-        clock = ManualClock()
-        breaker = _breaker(clock)
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        # Cooldown not yet served: still shedding.
-        clock.advance(9.9)
-        assert not breaker.allow()
-        # Past the cooldown: one probe is admitted.
-        clock.advance(0.2)
-        assert breaker.allow()
-        assert breaker.state == HALF_OPEN
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-        assert breaker.transitions == [
-            (CLOSED, OPEN),
-            (OPEN, HALF_OPEN),
-            (HALF_OPEN, CLOSED),
-        ]
-
-    def test_probe_failure_reopens_and_restarts_cooldown(self):
-        clock = ManualClock()
-        breaker = _breaker(clock)
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_failure()  # probe failed
-        assert breaker.state == OPEN
-        clock.advance(9.0)
-        assert not breaker.allow()  # cooldown restarted at the re-open
-        clock.advance(1.0)
-        assert breaker.allow()
-        assert breaker.state == HALF_OPEN
-
-    def test_multiple_probes_required_when_configured(self):
-        clock = ManualClock()
-        breaker = _breaker(clock, half_open_probes=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_success()
-        breaker.record_success()
-        assert breaker.state == HALF_OPEN
-        breaker.record_success()
-        assert breaker.state == CLOSED
-
-    def test_closing_clears_the_window(self):
-        clock = ManualClock()
-        breaker = _breaker(clock)
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(10.0)
-        breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        # The pre-trip failures are gone: one new failure must not trip.
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-
-
-# --- admission and bulkhead --------------------------------------------------
-
-
-class TestAdmissionController:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="max_queue_depth"):
-            AdmissionPolicy(max_queue_depth=0)
-
-    def test_fifo_accept_then_shed_partition(self):
-        admission = AdmissionController(AdmissionPolicy(max_queue_depth=3))
-        outcomes = [admission.offer(f"req{i}") for i in range(8)]
-        assert outcomes[:3] == [None, None, None]
-        assert all(
-            isinstance(out, Rejected) and out.reason == REJECT_QUEUE_FULL
-            for out in outcomes[3:]
-        )
-        assert admission.accepted == 3
-        assert admission.shed == 5
-        assert admission.depth() == 3
-
-    def test_partition_is_deterministic_in_arrival_order(self):
-        def run_once():
-            admission = AdmissionController(
-                AdmissionPolicy(max_queue_depth=4)
-            )
-            return [
-                i for i in range(12) if admission.offer(f"req{i}") is None
-            ]
-
-        assert run_once() == run_once() == [0, 1, 2, 3]
-
-    def test_take_is_fifo(self):
-        admission = AdmissionController(AdmissionPolicy(max_queue_depth=4))
-        for i in range(3):
-            admission.offer(i)
-        assert [admission.take(timeout=0.0) for _ in range(3)] == [0, 1, 2]
-        assert admission.take(timeout=0.0) is None
-
-    def test_take_frees_capacity(self):
-        admission = AdmissionController(AdmissionPolicy(max_queue_depth=1))
-        assert admission.offer("a") is None
-        assert admission.offer("b").reason == REJECT_QUEUE_FULL
-        assert admission.take(timeout=0.0) == "a"
-        assert admission.offer("c") is None
-
-    def test_close_sheds_draining(self):
-        admission = AdmissionController(AdmissionPolicy(max_queue_depth=4))
-        admission.offer("queued")
-        admission.close()
-        rejected = admission.offer("late")
-        assert rejected.reason == REJECT_DRAINING
-        # What was already queued is still drainable.
-        assert admission.drain() == ["queued"]
-        assert admission.depth() == 0
-
-    def test_drain_atomically_empties(self):
-        admission = AdmissionController(AdmissionPolicy(max_queue_depth=8))
-        for i in range(5):
-            admission.offer(i)
-        assert admission.drain() == [0, 1, 2, 3, 4]
-        assert admission.drain() == []
-
-
-class TestBulkhead:
-    def test_limit_validation(self):
-        with pytest.raises(ValueError, match="limit"):
-            Bulkhead(limit=0)
-
-    def test_sheds_past_limit(self):
-        bulkhead = Bulkhead(limit=2)
-        assert bulkhead.try_acquire() is None
-        assert bulkhead.try_acquire() is None
-        rejected = bulkhead.try_acquire()
-        assert rejected is not None and rejected.reason == REJECT_BULKHEAD
-        bulkhead.release()
-        assert bulkhead.try_acquire() is None
-
-    def test_slot_context_releases(self):
-        bulkhead = Bulkhead(limit=1)
-        with bulkhead.slot() as rejected:
-            assert rejected is None
-            assert bulkhead.in_flight() == 1
-            with bulkhead.slot() as nested:
-                assert nested is not None
-        assert bulkhead.in_flight() == 0
-
-    def test_unbalanced_release_raises(self):
-        with pytest.raises(RuntimeError, match="without a matching acquire"):
-            Bulkhead(limit=1).release()
-
-
-class TestRejected:
-    def test_str_with_and_without_detail(self):
-        assert str(Rejected("queue_full")) == "rejected (queue_full)"
-        assert (
-            str(Rejected("queue_full", "depth 8 at capacity 8"))
-            == "rejected (queue_full): depth 8 at capacity 8"
-        )
-
-
-# --- supervision -------------------------------------------------------------
-
-
-class TestRecyclePolicy:
-    def test_truth_table(self):
-        policy = RecyclePolicy(on_unhealthy=True, on_resize=True)
-        assert not policy.should_recycle(healthy=True, resized=False)
-        assert policy.should_recycle(healthy=False, resized=False)
-        assert policy.should_recycle(healthy=True, resized=True)
-        assert policy.should_recycle(healthy=False, resized=True)
-
-    def test_disabled_conditions(self):
-        lax = RecyclePolicy(on_unhealthy=False, on_resize=False)
-        assert not lax.should_recycle(healthy=False, resized=True)
-
-
-class TestRestartBackoff:
-    def test_paces_crash_loop_and_clamps_at_cap(self):
-        clock = ManualClock()
-        policy = RetryPolicy(
-            attempts=4, base_delay=1.0, multiplier=2.0, jitter_frac=0.0
-        )
-        backoff = RestartBackoff(policy, clock=clock)
-        delays = [backoff.record_failure() for _ in range(5)]
-        # Three scheduled delays, then the last one repeats forever —
-        # a supervisor never gives up, it settles at the capped pace.
-        assert delays == [1.0, 2.0, 4.0, 4.0, 4.0]
-        assert clock.sleeps == delays
-        assert backoff.restarts == 5
-        assert backoff.consecutive == 5
-
-    def test_success_resets_the_streak(self):
-        clock = ManualClock()
-        policy = RetryPolicy(
-            attempts=3, base_delay=1.0, multiplier=2.0, jitter_frac=0.0
-        )
-        backoff = RestartBackoff(policy, clock=clock)
-        backoff.record_failure()
-        backoff.record_failure()
-        backoff.record_success()
-        assert backoff.consecutive == 0
-        assert backoff.record_failure() == 1.0  # back to the base delay
-        assert backoff.restarts == 3  # lifetime counter keeps counting
-
-    def test_zero_delay_policy_never_touches_the_clock(self):
-        clock = ManualClock()
-        backoff = RestartBackoff(
-            RetryPolicy(attempts=1, base_delay=0.0), clock=clock
-        )
-        assert backoff.record_failure() == 0.0
-        assert clock.sleeps == []

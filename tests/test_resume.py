@@ -474,124 +474,3 @@ class TestKillMidRun:
         )
         assert done.returncode == 0
 
-
-class TestServeDrain:
-    """ISSUE 10: SIGTERM mid-burst drains ``repro serve`` gracefully —
-    in-flight work finishes, the queued remainder lands in a drain
-    journal (exit 75), no ``/dev/shm`` residue survives, and
-    ``--resume-drain`` replays the journal."""
-
-    def test_sigterm_mid_burst_journals_exit_75_no_shm_leak(self, tmp_path):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("requires /dev/shm")
-        from repro.serve import ServeClient, seeded_burst
-
-        socket_path = str(tmp_path / "s.sock")
-        journal_path = tmp_path / "serve.drain.jsonl"
-        shm_before = set(os.listdir("/dev/shm"))
-        server = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--socket", socket_path,
-                "--workers", "2", "--queue-depth", "32",
-                "--drain-journal", str(journal_path),
-            ],
-            env=_env(), stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        requests = seeded_burst(2023, 16, num_ops=60000)
-        try:
-            # The server imports the whole serving stack before binding.
-            deadline = time.monotonic() + 60
-            while not os.path.exists(socket_path):
-                assert server.poll() is None, "server died before binding"
-                assert time.monotonic() < deadline, "socket never appeared"
-                time.sleep(0.05)
-            with ServeClient(socket_path) as client:
-                for request in requests:
-                    client.send(request)
-                # Let at least one request complete, then pull the plug
-                # while the queue is still deep.
-                first = client.collect(requests[0].id, timeout=120.0)
-                assert first["status"] == "ok"
-                server.send_signal(signal.SIGTERM)
-                responses = {first["id"]: first}
-                for request in requests[1:]:
-                    responses[request.id] = client.collect(
-                        request.id, timeout=120.0
-                    )
-        finally:
-            try:
-                returncode = server.wait(timeout=120)
-            except subprocess.TimeoutExpired:
-                server.send_signal(signal.SIGTERM)
-                try:
-                    returncode = server.wait(timeout=60)
-                except subprocess.TimeoutExpired:
-                    server.kill()
-                    raise
-
-        statuses = {
-            request_id: response["status"]
-            for request_id, response in responses.items()
-        }
-        journaled = [r for r, s in statuses.items() if s == "journaled"]
-        completed = [r for r, s in statuses.items() if s == "ok"]
-        # Every request was answered exactly once: finished or journaled,
-        # nothing dropped, nothing run twice.
-        assert set(statuses.values()) <= {"ok", "journaled"}
-        assert len(completed) + len(journaled) == len(requests)
-        if not journaled:
-            pytest.skip("burst finished before the signal landed")
-        assert returncode == EXIT_RESUMABLE
-
-        # The drain released the warm pool and every shm trace segment.
-        shm_after = set(os.listdir("/dev/shm"))
-        assert not {
-            name for name in shm_after - shm_before
-            if name.startswith("secpb_shm_")
-        }
-
-        # The journal is a valid serve-drain journal holding exactly the
-        # unfinished requests, in admission order.
-        journal = read_journal(journal_path)
-        assert journal.kind == "serve-drain"
-        assert list(journal.entries) == journaled
-
-        # --resume-drain replays every journaled request...
-        saved = tmp_path / "resumed.json"
-        done = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--resume-drain", str(journal_path),
-                "--workers", "2", "--save", str(saved),
-            ],
-            env=_env(), stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-        )
-        assert done.returncode == 0
-        assert f"resumed {len(journaled)} drained request(s)" in (
-            done.stdout.decode()
-        )
-        replayed = json.loads(saved.read_text())
-        assert list(replayed) == journaled
-
-        # ...byte-identically: spot-check the first journaled request
-        # against a direct in-process run of the same jobs.
-        from repro.analysis.runner import run_jobs
-        from repro.serve import build_jobs, parse_request, results_payload
-
-        request = parse_request(journal.entries[journaled[0]])
-        jobs = build_jobs(request)
-        reference = results_payload(
-            jobs,
-            run_jobs(
-                jobs,
-                workers=2 if len(jobs) > 1 else 1,
-                on_error="raise",
-                retries=0,
-            ),
-        )
-        assert json.dumps(
-            replayed[journaled[0]], sort_keys=True
-        ) == json.dumps(reference, sort_keys=True)

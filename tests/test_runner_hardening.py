@@ -20,6 +20,7 @@ from repro.analysis.runner import (
     run_jobs,
     run_tasks,
 )
+from repro.runtime.pool import pool_stats
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,8 @@ class TestTimeout:
         assert failure.timed_out
         assert failure.error_type == "TimeoutError"
         assert failure.attempts == 1  # timeouts are never retried
+        # The wedged worker may never return: its pool is not reused.
+        assert pool_stats()["healthy"] == 0
 
     def test_timeout_raise_mode_propagates(self):
         tasks = [Task("wedge")] * 1 + [Task("ok", 1)]

@@ -11,8 +11,8 @@ Acceptance anchors (ISSUE 8):
 * ``run_tasks``/``run_jobs`` share one warm pool across calls (the fork
   generation does not advance), recycle it after a worker crash, and
   batched dispatch returns byte-identical results to serial;
-* with the plane on, a trace is materialized **at most once per run**:
-  the parent builds each distinct key once, workers only attach
+* a trace is materialized **at most once per run**: the parent builds
+  each distinct key once, workers only attach
   (``runner.worker_traces_built`` stays zero).
 """
 
@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import os
 import pickle
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from repro.analysis import runner
 from repro.analysis.runner import (
     JobFailure,
     SimJob,
@@ -35,12 +35,10 @@ from repro.analysis.runner import (
     run_tasks,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime import pool as pool_mod
 from repro.runtime import shm
 from repro.runtime.pool import (
     WorkerPool,
     get_shared_pool,
-    plane_enabled,
     pool_stats,
     shutdown_shared_pool,
 )
@@ -53,7 +51,6 @@ from repro.runtime.shm import (
     cleanup_shared_registry,
     reset_attachments,
     segment_prefix,
-    shm_enabled,
 )
 from repro.workloads.spec import build_trace
 from repro.workloads.store import DEFAULT_STORE, trace_digest
@@ -62,10 +59,8 @@ HAS_DEV_SHM = os.path.isdir("/dev/shm")
 
 
 @pytest.fixture(autouse=True)
-def plane_isolation(monkeypatch):
+def plane_isolation():
     """Run every test against a cold plane, and leave nothing behind."""
-    monkeypatch.setenv("SECPB_EXEC_PLANE", "1")
-    monkeypatch.setenv("SECPB_TRACE_SHM", "1")
     reset_attachments()
     shutdown_shared_pool()
     cleanup_shared_registry()
@@ -157,18 +152,6 @@ class TestSharedTraceRegistry:
             announce(registry.manifest())
             assert attach_trace(self.KEY) is None
             assert self.KEY not in announced_keys()
-        finally:
-            reset_attachments()
-            registry.cleanup()
-
-    def test_env_gate_disables_attach(self, monkeypatch):
-        registry = SharedTraceRegistry()
-        try:
-            _, info = self._publish(registry)
-            announce([info])
-            monkeypatch.setenv("SECPB_TRACE_SHM", "0")
-            assert not shm_enabled()
-            assert attach_trace(self.KEY) is None
         finally:
             reset_attachments()
             registry.cleanup()
@@ -364,38 +347,28 @@ class TestWarmPool:
         assert recovered["healthy"] == 1
         assert recovered["generation"] > crashed["generation"]
 
-    def test_chunked_results_byte_identical_to_serial(self):
-        tasks = [Task(str(i), i) for i in range(11)]
+    @pytest.mark.parametrize("count", [3, 11, 40, 300])
+    def test_batched_results_equal_serial_in_key_order(self, count):
+        # At workers=2 these counts batch 1, 2, 5 and 32 tasks per future.
+        tasks = [Task(str(i), i) for i in range(count)]
         serial = run_tasks(tasks, _double, workers=1)
-        for chunk in (1, 3, 16):
-            chunked = run_tasks(tasks, _double, workers=2, chunk=chunk)
-            assert chunked == serial
-            assert list(chunked) == list(serial)
+        batched = run_tasks(tasks, _double, workers=2)
+        assert batched == serial
+        assert list(batched) == list(serial)
 
-    def test_invalid_chunk_rejected(self):
-        tasks = [Task("a", 1), Task("b", 2)]
-        with pytest.raises(ValueError, match="chunk"):
-            run_tasks(tasks, _double, workers=2, chunk=0)
+    def test_run_jobs_acquires_pool_through_module_global(self, monkeypatch):
+        # bench/spans.py times pool acquisition by wrapping this module
+        # attribute; the runner must look it up on every acquisition.
+        calls = []
 
-    def test_legacy_mode_uses_no_shared_pool(self, monkeypatch):
-        monkeypatch.setenv("SECPB_EXEC_PLANE", "0")
-        assert not plane_enabled()
-        tasks = [Task(str(i), i) for i in range(4)]
-        assert run_tasks(tasks, _double, workers=2) == {
-            str(i): i * 2 for i in range(4)
-        }
-        assert pool_stats()["generation"] == 0  # nothing warm survives
+        def counting_get_shared_pool(workers):
+            calls.append(workers)
+            return get_shared_pool(workers)
 
-    def test_explicit_pool_is_respected_and_left_running(self):
-        tasks = [Task(str(i), i) for i in range(4)]
-        pool = WorkerPool(2, persistent=True)
-        try:
-            assert run_tasks(tasks, _double, workers=2, pool=pool) == {
-                str(i): i * 2 for i in range(4)
-            }
-            assert pool.healthy
-        finally:
-            pool.shutdown()
+        monkeypatch.setattr(runner, "get_shared_pool", counting_get_shared_pool)
+        results = run_jobs(_sweep_jobs(), workers=2)
+        assert len(results) == 4
+        assert calls == [2]
 
     def test_worker_pool_validates_worker_count(self):
         with pytest.raises(ValueError, match="workers"):
@@ -477,13 +450,3 @@ class TestTraceMaterializedOncePerRun:
         cleanup_shared_registry()
         assert not os.path.exists(_segment_file(info.segment))
 
-    def test_segments_disabled_still_correct(self, monkeypatch):
-        monkeypatch.setenv("SECPB_TRACE_SHM", "0")
-        DEFAULT_STORE.clear()
-        jobs = _sweep_jobs()
-        metrics = MetricsRegistry()
-        results = run_jobs(jobs, workers=2, metrics=metrics)
-        assert len(results) == len(jobs)
-        snapshot = metrics.snapshot(include_nondeterministic=True)
-        # No plane: workers fall back to deterministic regeneration.
-        assert snapshot.get("store.shm_segments", {"value": 0})["value"] == 0

@@ -212,10 +212,9 @@ class TestShmAttachIntegration:
     KEY = ("hmmer", 288, 53)
 
     @pytest.fixture(autouse=True)
-    def _plane(self, monkeypatch):
+    def _plane(self):
         from repro.runtime.shm import reset_attachments
 
-        monkeypatch.setenv("SECPB_TRACE_SHM", "1")
         reset_attachments()
         yield
         reset_attachments()
@@ -248,16 +247,6 @@ class TestShmAttachIntegration:
             # And the next lookup is a plain memo hit.
             assert store.get(*self.KEY) is trace
             assert store.attach_hits == 1
-        finally:
-            registry.cleanup()
-
-    def test_shm_attach_false_ignores_announcements(self):
-        registry, _ = self._announce_one()
-        try:
-            store = TraceStore(shm_attach=False)
-            store.get(*self.KEY)
-            assert store.built == 1
-            assert store.attach_hits == 0
         finally:
             registry.cleanup()
 
