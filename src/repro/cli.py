@@ -15,7 +15,7 @@ Commands:
   component plus the timing model's simulated-cycle breakdown.
 * ``lint`` — run secpb-lint (determinism / scheme-invariant /
   stats-hygiene / pool-safety / observability static analysis) over the
-  source tree.
+  source tree; its flags are those of ``python -m repro.lint``.
 * ``faultcampaign`` — seeded fault-injection campaign: adversarial
   crashes, battery brownouts, and post-crash tamper across every scheme,
   with failing-case minimization to replayable JSON reproducers.
@@ -326,32 +326,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     print(report.render())
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint.cli import main as lint_main
-
-    forwarded: List[str] = list(args.paths)
-    forwarded += ["--format", args.format]
-    for code in args.select or []:
-        forwarded += ["--select", code]
-    for code in args.ignore or []:
-        forwarded += ["--ignore", code]
-    if args.list_rules:
-        forwarded.append("--list-rules")
-    if args.no_semantic:
-        forwarded.append("--no-semantic")
-    if args.no_cache:
-        forwarded.append("--no-cache")
-    if args.cache_file is not None:
-        forwarded += ["--cache-file", args.cache_file]
-    if args.changed:
-        forwarded.append("--changed")
-    if args.baseline is not None:
-        forwarded += ["--baseline", args.baseline]
-    if args.update_baseline:
-        forwarded.append("--update-baseline")
-    return lint_main(forwarded)
 
 
 def _cmd_faultcampaign(args: argparse.Namespace) -> int:
@@ -715,24 +689,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.set_defaults(func=_cmd_profile)
 
-    lint = sub.add_parser(
+    # The lint flags (and --help) belong to repro.lint.cli's parser; main()
+    # hands it every argument this subparser leaves unparsed.
+    sub.add_parser(
         "lint",
         parents=[common],
+        add_help=False,
         help="secpb-lint static analysis (determinism, scheme invariants, "
         "stats hygiene, pool safety, observability)",
     )
-    lint.add_argument("paths", nargs="*", default=["src"])
-    lint.add_argument("--format", choices=["text", "json"], default="text")
-    lint.add_argument("--select", action="append", metavar="CODE")
-    lint.add_argument("--ignore", action="append", metavar="CODE")
-    lint.add_argument("--list-rules", action="store_true")
-    lint.add_argument("--no-semantic", action="store_true")
-    lint.add_argument("--no-cache", action="store_true")
-    lint.add_argument("--cache-file", metavar="FILE", default=None)
-    lint.add_argument("--changed", action="store_true")
-    lint.add_argument("--baseline", metavar="FILE", default=None)
-    lint.add_argument("--update-baseline", action="store_true")
-    lint.set_defaults(func=_cmd_lint)
 
     faultcampaign = sub.add_parser(
         "faultcampaign",
@@ -897,11 +862,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras and args.command != "lint":
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     configure_logging(
         verbose=getattr(args, "verbose", False),
         quiet=getattr(args, "quiet", False),
     )
+    if args.command == "lint":
+        from .lint.cli import main as lint_main
+
+        return lint_main(extras)
     return args.func(args)
 
 

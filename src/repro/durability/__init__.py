@@ -31,7 +31,6 @@ from .artifacts import (
     ArtifactStatus,
     atomic_write_bytes,
     atomic_write_text,
-    content_digest,
     manifest_path,
     quarantine_artifact,
     read_verified,
@@ -74,7 +73,6 @@ __all__ = [
     "StopToken",
     "atomic_write_bytes",
     "atomic_write_text",
-    "content_digest",
     "decode_key",
     "encode_key",
     "fingerprint",

@@ -139,14 +139,9 @@ def manifest_path(path: Union[str, Path]) -> Path:
     return path.parent / (path.name + MANIFEST_SUFFIX)
 
 
-def content_digest(data: bytes) -> str:
-    """SHA-256 hex digest of ``data`` — the manifest (and lint-cache)
-    content key."""
+def _digest(data: bytes) -> str:
+    """SHA-256 hex digest of ``data`` — the manifest's content key."""
     return hashlib.sha256(data).hexdigest()
-
-
-# Backwards-compatible private alias (pre-dates the public name).
-_digest = content_digest
 
 
 def write_artifact(

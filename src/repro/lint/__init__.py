@@ -58,13 +58,11 @@ view cannot see:
   exceptions swallowed by callers in other modules without logging or
   re-raising.
 
-Use :func:`lint_paths` / :func:`lint_source` programmatically, or the
-``repro lint`` CLI (``python -m repro.lint``).  Rules support per-line
-``# secpb-lint: disable=CODE`` and file-wide
-``# secpb-lint: disable-file=CODE`` suppressions.  The CLI adds an
-incremental content-hash cache (``--no-cache``), a git-aware
-``--changed`` mode, and fingerprinted baselines (``--baseline`` /
-``--update-baseline``).
+Use :func:`lint_paths` / :func:`lint_source` and :func:`analyze_paths`
+/ :func:`run_project_rules` programmatically, or the ``repro lint`` CLI
+(``python -m repro.lint``), which runs exactly those two passes over the
+given paths.  Rules support per-line ``# secpb-lint: disable=CODE`` and
+file-wide ``# secpb-lint: disable-file=CODE`` suppressions.
 """
 
 from __future__ import annotations

@@ -1,20 +1,18 @@
 """The secpb-lint command line: ``python -m repro.lint`` / ``repro lint``.
 
-One run composes up to three layers:
+One run lints the given paths in two layers and prints every finding:
 
-* the per-file rules (SPB1xx-SPB6xx), optionally served from the
-  content-addressed incremental cache (:mod:`.cache`, ``--no-cache``);
+* the per-file rules (SPB1xx-SPB6xx);
 * the whole-program semantic pass (SPB7xx-SPB9xx) built on the project
   model / call graph / dataflow in :mod:`.semantic` — on by default,
-  ``--no-semantic`` to skip;
-* report post-processing: ``--baseline`` subtracts accepted findings
-  (stale baseline entries are a hard error), ``--changed`` restricts
-  the run to git-modified files plus their reverse-import dependents.
+  ``--no-semantic`` to skip.
 
-Exit status is 0 when no findings survive selection, suppression, and
-baseline subtraction; 1 when any finding is reported; 2 on usage
-errors, unreadable baselines, or stale baseline entries — so the
-command slots directly into ``make lint``, CI, and the pre-commit hook.
+Exit status is 0 when no findings survive selection and suppression, 1
+when any finding is reported, and 2 on usage errors — so the command
+slots directly into ``make lint``, CI, and the pre-commit hook.
+``repro lint`` hands every argument but its shared ``-v``/``-q`` to
+:func:`main` unparsed, so :func:`build_parser` is the only definition of
+the lint flags.
 """
 
 from __future__ import annotations
@@ -22,34 +20,17 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
-# Importing the rule modules populates the registry before any lint run.
-from . import (  # noqa: F401
-    artifact_io,
-    determinism,
-    pool_safety,
-    robustness,
-    scheme_invariants,
-    stats_hygiene,
-)
 from .base import (
-    Rule,
     all_project_rules,
     all_rules,
-    iter_python_files,
-    lint_file,
-    module_name_for_path,
+    lint_paths,
     select_project_rules,
     select_rules,
 )
-from .baseline import Baseline, BaselineError, describe_stale
-from .cache import DEFAULT_CACHE_PATH, LintCache, tool_fingerprint
-from .changed import expand_changed, git_changed_files
-from .findings import Finding, findings_to_json, sort_findings
-from .semantic import SemanticAnalysis, run_project_rules
-from .semantic.project import ProjectModel
-from ..durability.artifacts import content_digest
+from .findings import findings_to_json, sort_findings
+from .semantic import analyze_paths, run_project_rules
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,41 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the whole-program semantic pass (SPB7xx-SPB9xx)",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the incremental lint cache",
-    )
-    parser.add_argument(
-        "--cache-file",
-        metavar="FILE",
-        default=str(DEFAULT_CACHE_PATH),
-        help=f"incremental cache location (default: {DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "lint only files git reports as modified (staged or not), "
-            "plus every module that transitively imports them"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "subtract findings recorded in this baseline file; stale "
-            "entries (no longer matching) are an error"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "write the current findings to the baseline file (given by "
-            "--baseline, default lint-baseline.json) and exit 0"
-        ),
-    )
     return parser
 
 
@@ -141,31 +87,6 @@ def _split_codes(values: Optional[Sequence[str]]) -> Optional[List[str]]:
     for value in values:
         codes.extend(code.strip() for code in value.split(",") if code.strip())
     return codes
-
-
-def _lint_files_cached(
-    files: Sequence[Path],
-    rules: Sequence[Rule],
-    cache: Optional[LintCache],
-    digests: List[Tuple[str, str]],
-) -> List[Finding]:
-    """Per-file pass, cache-aware; records every file's content digest."""
-    findings: List[Finding] = []
-    for path in files:
-        digest = content_digest(path.read_bytes())
-        digests.append((str(path), digest))
-        module = module_name_for_path(path)
-        cached = (
-            cache.get_file(str(path), digest, module)
-            if cache is not None
-            else None
-        )
-        if cached is None:
-            cached = lint_file(path, rules=rules)
-            if cache is not None:
-                cache.put_file(str(path), digest, module, cached)
-        findings.extend(cached)
-    return findings
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -198,103 +119,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"repro lint: unknown rule code {requested}", file=sys.stderr)
             return 2
 
-    rules = select_rules(select=select, ignore=ignore)
     project_rules = select_project_rules(select=select, ignore=ignore)
-    run_semantic = bool(project_rules) and not args.no_semantic
-
-    # The semantic pass and --changed expansion share one project model:
-    # both need the whole tree parsed, so parse it once.
-    project: Optional[ProjectModel] = None
-    if run_semantic or args.changed:
-        project = ProjectModel.build(paths)
-
-    restrict_to: Optional[Set[str]] = None
-    if args.changed:
-        changed = git_changed_files()
-        if changed is None:
-            print(
-                "repro lint: --changed requires a git repository",
-                file=sys.stderr,
-            )
-            return 2
-        files = expand_changed(paths, changed, project=project)
-        if not files:
-            print("secpb-lint: no changed files under the lint target")
-            return 0
-        restrict_to = {str(p) for p in files}
-        print(
-            f"secpb-lint: --changed -> {len(files)} file(s) "
-            "(modified + reverse-import dependents)",
-            file=sys.stderr,
-        )
-    else:
-        files = list(iter_python_files(paths))
-
-    cache: Optional[LintCache] = None
-    if not args.no_cache:
-        fingerprint = tool_fingerprint(
-            extra=[f"rule:{code}" for code in sorted(known)]
-            + [f"select:{code}" for code in sorted(select or [])]
-            + [f"ignore:{code}" for code in sorted(ignore or [])]
-        )
-        cache = LintCache.load(Path(args.cache_file), fingerprint)
-
-    digests: List[Tuple[str, str]] = []
-    findings = _lint_files_cached(files, rules, cache, digests)
-
-    if run_semantic:
-        assert project is not None
-        # The semantic entry is keyed by the digests of *every* file in
-        # the target (the whole program), not just the --changed subset.
-        all_digests = (
-            digests
-            if restrict_to is None
-            else [
-                (str(p), content_digest(p.read_bytes()))
-                for p in iter_python_files(paths)
-            ]
-        )
-        key = LintCache.project_key(
-            all_digests, [rule.code for rule in project_rules]
-        )
-        semantic_findings = (
-            cache.get_project(key) if cache is not None else None
-        )
-        if semantic_findings is None:
-            analysis = SemanticAnalysis(project)
-            semantic_findings = run_project_rules(
-                analysis, rules=project_rules
-            )
-            if cache is not None:
-                cache.put_project(key, semantic_findings)
-        if restrict_to is not None:
-            semantic_findings = [
-                f for f in semantic_findings if f.path in restrict_to
-            ]
-        findings.extend(semantic_findings)
-
-    if cache is not None:
-        cache.save()
-
+    findings = lint_paths(paths, select_rules(select=select, ignore=ignore))
+    if project_rules and not args.no_semantic:
+        findings += run_project_rules(analyze_paths(paths), project_rules)
     findings = sort_findings(findings)
-
-    if args.update_baseline:
-        baseline_path = Path(args.baseline or "lint-baseline.json")
-        Baseline.from_findings(findings).save(baseline_path)
-        print(
-            f"secpb-lint: wrote {len(findings)} finding(s) to "
-            f"{baseline_path}"
-        )
-        return 0
-
-    stale_entries: List[Dict[str, Any]] = []
-    if args.baseline:
-        try:
-            baseline = Baseline.load(Path(args.baseline))
-        except BaselineError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        findings, stale_entries = baseline.apply(findings)
 
     if args.format == "json":
         print(findings_to_json(findings))
@@ -305,17 +134,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{len(findings)} finding(s)")
         else:
             print("secpb-lint: clean")
-    if stale_entries:
-        for entry in stale_entries:
-            print(
-                f"repro lint: stale baseline entry: {describe_stale(entry)}",
-                file=sys.stderr,
-            )
-        print(
-            "repro lint: baseline is stale — rerun with --update-baseline",
-            file=sys.stderr,
-        )
-        return 2
     return 1 if findings else 0
 
 

@@ -2,8 +2,8 @@
 
 Layers (each usable on its own):
 
-* :mod:`.project` — parse the whole lint target once; module graph,
-  import resolution, reverse-dependency queries (``--changed``);
+* :mod:`.project` — parse the whole lint target once; module graph
+  and import resolution;
 * :mod:`.callgraph` — project call graph with an explicit
   ``unresolved`` set, so soundness gaps are recorded, never hidden;
 * :mod:`.dataflow` — intra-procedural CFG + taint dataflow with

@@ -13,8 +13,8 @@ cross-module structure the semantic rules reason over:
 * per-module import bindings, including relative imports and one-level
   re-exports through package ``__init__`` files, resolved lazily by
   :meth:`ProjectModel.lookup`;
-* the project-internal import graph and its reverse (which modules
-  depend on me) — the basis of ``repro lint --changed``.
+* the project-internal import graph (which modules each module
+  imports).
 
 The model is deliberately *syntactic*: nothing is imported or executed,
 so linting a broken tree can never run broken code.
@@ -146,7 +146,6 @@ class ProjectModel:
         self.parse_errors: Dict[str, str] = {}
         #: module -> project modules it imports (directly)
         self.import_graph: Dict[str, Set[str]] = {}
-        self._reverse_imports: Optional[Dict[str, Set[str]]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -395,34 +394,6 @@ class ProjectModel:
                 if found is not None:
                     return found
         return None
-
-    # ------------------------------------------------------------------
-    # import graph queries
-
-    def reverse_imports(self) -> Dict[str, Set[str]]:
-        """module -> modules that (directly) import it."""
-        if self._reverse_imports is None:
-            reverse: Dict[str, Set[str]] = {
-                name: set() for name in self.modules
-            }
-            for name, imported in self.import_graph.items():
-                for target in imported:
-                    reverse.setdefault(target, set()).add(name)
-            self._reverse_imports = reverse
-        return self._reverse_imports
-
-    def dependents_of(self, names: Iterable[str]) -> Set[str]:
-        """Transitive reverse-import closure of ``names`` (exclusive)."""
-        reverse = self.reverse_imports()
-        result: Set[str] = set()
-        stack = list(names)
-        while stack:
-            current = stack.pop()
-            for dependent in reverse.get(current, ()):
-                if dependent not in result:
-                    result.add(dependent)
-                    stack.append(dependent)
-        return result
 
 
 def iter_own_nodes(root: ast.AST) -> Iterable[ast.AST]:

@@ -1,9 +1,15 @@
 """Tests for repro.cli — the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.runner import clear_result_memo
 from repro.cli import build_parser, main
+
+LINT_FIXTURE = (
+    Path(__file__).resolve().parent / "data" / "semantic" / "taint_tree"
+)
 
 
 class TestParser:
@@ -122,6 +128,49 @@ class TestLintCommand:
 
         assert main(["lint", "--list-rules"]) == 0
         assert "SPB501" in capsys.readouterr().out
+
+
+class TestOneLintParser:
+    """`repro lint` hands its arguments to repro.lint.cli unparsed."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            ([str(LINT_FIXTURE)], 1),
+            ([str(LINT_FIXTURE), "--format", "json"], 1),
+            (["--select", "SPB701", str(LINT_FIXTURE)], 1),
+            (["--list-rules"], 0),
+            ([str(LINT_FIXTURE / "no_such_dir")], 2),
+        ],
+        ids=["text", "json", "select", "list-rules", "missing-path"],
+    )
+    def test_same_bytes_and_exit_code(self, capsys, args, code):
+        from repro.lint.cli import main as lint_main
+
+        assert lint_main(args) == code
+        direct = capsys.readouterr()
+        assert main(["lint", *args]) == code
+        assert capsys.readouterr() == direct
+
+    def test_lint_help_is_the_lint_parsers(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--help"])
+        assert exc.value.code == 0
+        assert "--format" in capsys.readouterr().out
+
+    def test_lint_parser_rejects_unknown_arguments(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "src", "--bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro lint")
+        assert "unrecognized arguments: --bogus" in err
+
+    def test_other_subcommands_still_reject_unknown_arguments(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["list", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 class TestFaultCampaignCommand:

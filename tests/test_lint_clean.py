@@ -17,6 +17,7 @@ from repro.lint.cli import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
+FIXTURE_TREE = REPO_ROOT / "tests" / "data" / "semantic" / "taint_tree"
 
 
 def test_source_tree_is_lint_clean():
@@ -69,6 +70,13 @@ def test_cli_exits_nonzero_on_violation(tmp_path, capsys):
     assert lint_main([str(bad)]) == 1
     out = capsys.readouterr().out
     assert "SPB302" in out
+
+
+def test_cli_writes_nothing_to_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert lint_main([str(SRC)]) == 0
+    assert lint_main([str(FIXTURE_TREE)]) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_rejects_missing_path(capsys):

@@ -3,15 +3,14 @@
 Pins every layer against committed fixture trees in
 ``tests/data/semantic/`` and small in-memory projects:
 
-* the project model (module naming, imports, reverse dependencies);
+* the project model (module naming, imports, the import graph);
 * the call graph (methods, aliases, the recorded ``unresolved`` set);
 * the SPB7xx/8xx/9xx rule families against *planted* violations,
   including the acceptance scenario — a two-hop laundered
   ``time.time()`` flagged by SPB701 while the equivalent direct call
   stays SPB102-only (no double-reporting);
-* the CLI surface added with the pass: ``--no-semantic``, the
-  incremental cache (``--no-cache`` / ``--cache-file``), ``--changed``
-  expansion, and fingerprinted baselines.
+* the CLI surface added with the pass: ``--no-semantic``, ``--select``
+  and the JSON report.
 """
 
 from __future__ import annotations
@@ -21,11 +20,7 @@ from pathlib import Path
 
 from repro.lint import analyze_paths, lint_paths, run_project_rules
 from repro.lint.base import select_project_rules
-from repro.lint.baseline import Baseline
-from repro.lint.cache import LintCache, tool_fingerprint
-from repro.lint.changed import expand_changed
 from repro.lint.cli import main as lint_main
-from repro.lint.findings import Finding, Severity
 from repro.lint.semantic import SemanticAnalysis
 from repro.lint.semantic.project import ProjectModel
 
@@ -55,8 +50,6 @@ def test_fixture_trees_scope_like_the_real_source():
 def test_import_graph_and_reverse_dependents():
     project = ProjectModel.build([TAINT_TREE])
     assert "repro.util.clock" in project.import_graph["repro.sim.engine"]
-    dependents = project.dependents_of(["repro.util.clock"])
-    assert "repro.sim.engine" in dependents
 
 
 def test_relative_and_aliased_imports_resolve():
@@ -231,162 +224,19 @@ def test_logging_handler_is_compliant():
 
 
 # ----------------------------------------------------------------------
-# incremental cache
-
-
-def test_cache_roundtrip_and_content_invalidation(tmp_path):
-    cache_path = tmp_path / "cache.json"
-    fingerprint = tool_fingerprint()
-    cache = LintCache(cache_path, fingerprint)
-    finding = Finding(
-        code="SPB102",
-        severity=Severity.ERROR,
-        path="x.py",
-        line=3,
-        col=0,
-        message="m",
-    )
-    cache.put_file("x.py", "digest-a", "pkg.x", [finding])
-    cache.save()
-
-    loaded = LintCache.load(cache_path, fingerprint)
-    hit = loaded.get_file("x.py", "digest-a", "pkg.x")
-    assert hit == [finding]
-    assert loaded.get_file("x.py", "digest-B", "pkg.x") is None
-    assert loaded.get_file("x.py", "digest-a", "other.module") is None
-    assert loaded.hits == 1 and loaded.misses == 2
-
-
-def test_cache_dropped_on_fingerprint_change(tmp_path):
-    cache_path = tmp_path / "cache.json"
-    cache = LintCache(cache_path, "fp-1")
-    cache.put_file("x.py", "d", "m", [])
-    cache.save()
-    assert LintCache.load(cache_path, "fp-1").get_file("x.py", "d", "m") == []
-    assert LintCache.load(cache_path, "fp-2").get_file("x.py", "d", "m") is None
-
-
-def test_corrupt_cache_file_is_ignored(tmp_path):
-    cache_path = tmp_path / "cache.json"
-    cache_path.write_text("{not json")
-    loaded = LintCache.load(cache_path, "fp")
-    assert loaded.get_file("x.py", "d", "m") is None
-
-
-def test_cli_cache_speeds_up_and_is_correct(tmp_path):
-    cache_file = str(tmp_path / "cache.json")
-    tree = str(TAINT_TREE)
-    first = lint_main([tree, "--cache-file", cache_file])
-    second = lint_main([tree, "--cache-file", cache_file])
-    assert first == second == 1  # planted findings, identical verdict
-    assert Path(cache_file).exists()
-
-
-def test_tool_fingerprint_covers_rule_selection():
-    assert tool_fingerprint() != tool_fingerprint(extra=["select:SPB102"])
-
-
-# ----------------------------------------------------------------------
-# --changed expansion
-
-
-def test_expand_changed_includes_reverse_dependents():
-    helper = TAINT_TREE / "repro" / "util" / "clock.py"
-    expanded = expand_changed([TAINT_TREE], [helper])
-    names = {p.name for p in expanded}
-    assert "clock.py" in names
-    assert "engine.py" in names, "importers of the changed module re-lint"
-    assert "collections.py" not in names  # unrelated module stays out
-
-
-def test_expand_changed_outside_target_is_empty(tmp_path):
-    other = tmp_path / "other.py"
-    other.write_text("x = 1\n")
-    assert expand_changed([TAINT_TREE], [other]) == []
-
-
-# ----------------------------------------------------------------------
-# baselines
-
-
-def _planted_findings():
-    return lint_paths([TAINT_TREE]) + semantic_findings(TAINT_TREE)
-
-
-def test_baseline_subtracts_known_findings(tmp_path):
-    findings = _planted_findings()
-    assert findings
-    baseline = Baseline.from_findings(findings)
-    new, stale = baseline.apply(findings)
-    assert new == [] and stale == []
-
-
-def test_baseline_survives_line_shifts(tmp_path):
-    # The fingerprint hashes line *content*, not line numbers: inserting
-    # unrelated lines above the finding keeps the baseline valid.
-    root = tmp_path / "tree"
-    (root / "repro" / "sim").mkdir(parents=True)
-    (root / "repro" / "__init__.py").write_text("")
-    (root / "repro" / "sim" / "__init__.py").write_text("")
-    bad = root / "repro" / "sim" / "eng.py"
-    bad.write_text("import time\n\n\ndef stamp():\n    return time.time()\n")
-    baseline = Baseline.from_findings(lint_paths([root]))
-    bad.write_text(
-        "import time\n\nPAD = 1\nPAD2 = 2\n\n\ndef stamp():\n"
-        "    return time.time()\n"
-    )
-    shifted = lint_paths([root])
-    assert {f.line for f in shifted} != {
-        e["line"] for e in baseline.entries
-    }, "the finding really moved"
-    new, stale = baseline.apply(shifted)
-    assert new == [] and stale == []
-
-
-def test_cli_baseline_flow(tmp_path, capsys):
-    baseline_file = str(tmp_path / "lint-baseline.json")
-    tree = str(TAINT_TREE)
-    args = [tree, "--no-cache", "--baseline", baseline_file]
-    assert lint_main(args + ["--update-baseline"]) == 0
-    capsys.readouterr()
-    assert lint_main(args) == 0, "baselined tree reports clean"
-    out = capsys.readouterr().out
-    assert "secpb-lint: clean" in out
-
-
-def test_cli_stale_baseline_is_an_error(tmp_path, capsys):
-    # Baseline a tree, then fix the findings: stale entries -> exit 2.
-    root = tmp_path / "tree"
-    (root / "repro" / "sim").mkdir(parents=True)
-    (root / "repro" / "__init__.py").write_text("")
-    (root / "repro" / "sim" / "__init__.py").write_text("")
-    bad = root / "repro" / "sim" / "eng.py"
-    bad.write_text("import time\n\n\ndef stamp():\n    return time.time()\n")
-    baseline_file = str(tmp_path / "bl.json")
-    args = [str(root), "--no-cache", "--baseline", baseline_file]
-    assert lint_main(args + ["--update-baseline"]) == 0
-    assert lint_main(args) == 0
-    bad.write_text("def stamp():\n    return 0.0\n")
-    capsys.readouterr()
-    assert lint_main(args) == 2
-    err = capsys.readouterr().err
-    assert "stale baseline entry" in err
-
-
-# ----------------------------------------------------------------------
 # CLI composition
 
 
 def test_no_semantic_hides_project_findings(capsys):
     tree = str(TAINT_TREE)
-    assert lint_main([tree, "--no-cache", "--no-semantic"]) == 1
+    assert lint_main([tree, "--no-semantic"]) == 1
     out = capsys.readouterr().out
     assert "SPB102" in out
     assert "SPB701" not in out
 
 
 def test_json_report_includes_semantic_codes(capsys):
-    assert lint_main([str(TAINT_TREE), "--no-cache", "--format", "json"]) == 1
+    assert lint_main([str(TAINT_TREE), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"].get("SPB701") == 1
     assert payload["counts"].get("SPB102") == 1
@@ -400,9 +250,7 @@ def test_list_rules_includes_semantic_codes(capsys):
 
 
 def test_select_semantic_code_runs_only_that_family(capsys):
-    assert (
-        lint_main([str(TAINT_TREE), "--no-cache", "--select", "SPB701"]) == 1
-    )
+    assert lint_main([str(TAINT_TREE), "--select", "SPB701"]) == 1
     out = capsys.readouterr().out
     assert "SPB701" in out
     assert "SPB102" not in out

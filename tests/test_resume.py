@@ -291,6 +291,24 @@ def _shm_segments(pid):
     return glob.glob(f"/dev/shm/secpb_shm_{pid}_*")
 
 
+def _live_group_members(pgid):
+    """PIDs in process group ``pgid`` that are not (yet) zombies."""
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited since the listing
+        # Fields after the parenthesised command name: state, ppid, pgrp.
+        state, _ppid, group = stat.rpartition(")")[2].split()[:3]
+        if int(group) == pgid and state != "Z":
+            live.append(int(entry))
+    return live
+
+
 class TestKillMidRun:
     """The satellite: SIGKILL a --jobs campaign, resume, compare bytes."""
 
@@ -302,10 +320,12 @@ class TestKillMidRun:
             stderr=subprocess.DEVNULL,
         )
         journal_path = tmp_path / "campaign.jsonl"
+        # A session of its own puts the CLI, its pool workers and its
+        # resource tracker in one process group the test can kill whole.
         proc = subprocess.Popen(
             CLI + CAMPAIGN_ARGS + ["--journal", str(journal_path)],
             env=_env(), stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, start_new_session=True,
         )
         try:
             # Wait for a few checkpointed cases, then kill -9 mid-run.
@@ -323,6 +343,17 @@ class TestKillMidRun:
                 proc.send_signal(signal.SIGKILL)
         finally:
             proc.wait()
+            # Killing the CLI orphans its children; take them down too.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        # SIGKILL lands asynchronously: give the group a moment to die.
+        # Orphans may stay zombies when nothing reaps them; that is fine.
+        deadline = time.monotonic() + 10
+        while _live_group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _live_group_members(proc.pid) == []
 
         # The journal must be a valid prefix: parseable header, every
         # complete line a replayable record, at most a torn tail.
