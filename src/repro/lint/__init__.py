@@ -43,10 +43,9 @@ and the paper artifacts' reproducibility — actually rest on:
   flow through one logging bootstrap, hot-path instrumentation through
   the bound no-op tracing hooks.
 
-On top of the per-file families, the **whole-program semantic pass**
-(:mod:`repro.lint.semantic`) parses the entire tree once, builds a call
-graph and dataflow summaries, and checks the invariants a single-file
-view cannot see:
+Three more families see the whole program at once — the project model,
+call graph and dataflow summaries of :mod:`repro.lint.semantic` — and
+check the invariants a single-file view cannot see:
 
 * **interprocedural determinism taint** (SPB701-704): wall-clock, RNG,
   environment, and set-order values laundered through helpers in *other*
@@ -58,11 +57,16 @@ view cannot see:
   exceptions swallowed by callers in other modules without logging or
   re-raising.
 
-Use :func:`lint_paths` / :func:`lint_source` and :func:`analyze_paths`
-/ :func:`run_project_rules` programmatically, or the ``repro lint`` CLI
-(``python -m repro.lint``), which runs exactly those two passes over the
-given paths.  Rules support per-line ``# secpb-lint: disable=CODE`` and
-file-wide ``# secpb-lint: disable-file=CODE`` suppressions.
+The nondeterminism, set-order and raw-write primitives are each defined
+once and read by both views: a per-file rule reports one where it is
+called if that is in scope, its whole-program twin where its value
+enters the scope.  Every rule is registered with one
+``@register_rule`` and run by one driver over one parse of the tree
+(:func:`run_project_rules`); use :func:`lint_paths` /
+:func:`lint_source` programmatically, or the ``repro lint`` CLI
+(``python -m repro.lint``).  Rules support per-line
+``# secpb-lint: disable=CODE`` and file-wide
+``# secpb-lint: disable-file=CODE`` suppressions.
 """
 
 from __future__ import annotations
@@ -83,18 +87,19 @@ from .base import (
     LintContext,
     ProjectRule,
     Rule,
-    all_project_rules,
     all_rules,
-    lint_file,
-    lint_paths,
-    lint_source,
     module_name_for_path,
-    select_project_rules,
     select_rules,
 )
 from .cli import main
 from .findings import Finding, Severity, findings_to_json, sort_findings
-from .semantic import SemanticAnalysis, analyze_paths, run_project_rules
+from .semantic import (
+    SemanticAnalysis,
+    analyze_paths,
+    lint_paths,
+    lint_source,
+    run_project_rules,
+)
 
 __all__ = [
     "DETERMINISM_SCOPES",
@@ -104,17 +109,14 @@ __all__ = [
     "Rule",
     "SemanticAnalysis",
     "Severity",
-    "all_project_rules",
     "all_rules",
     "analyze_paths",
     "findings_to_json",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "main",
     "module_name_for_path",
     "run_project_rules",
-    "select_project_rules",
     "select_rules",
     "sort_findings",
 ]

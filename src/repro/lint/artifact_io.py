@@ -16,6 +16,9 @@ SPB502    in ``repro.analysis`` / ``repro.fault``: a bare builtin
           method call
 ========  ==========================================================
 
+The primitives and messages come from
+:func:`~.semantic.io_reachability.raw_write`, the table SPB801-SPB802
+use for the same writes reached through helpers in other modules.
 Reads (``open(path)``), string serialization (``json.dumps``), and the
 durability package itself (which *implements* the atomic discipline) are
 out of scope.  Writes that are genuinely not result artifacts — e.g. a
@@ -26,34 +29,11 @@ debug dump guarded by a flag — can carry the usual
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Iterator
 
 from .base import LintContext, Rule, in_scope, register_rule
-from .determinism import _ImportMap
 from .findings import Finding
-
-ARTIFACT_SCOPES: Tuple[str, ...] = (
-    "repro.analysis",
-    "repro.fault",
-)
-"""Layers that write experiment/campaign artifacts to disk."""
-
-_WRITE_MODE_CHARS = set("wax+")
-
-_WRITE_METHODS = ("write_text", "write_bytes")
-
-
-def _literal_mode(call: ast.Call) -> Optional[str]:
-    """The ``open`` mode argument when it is a string literal, else None."""
-    if len(call.args) >= 2:
-        mode = call.args[1]
-    else:
-        mode = next(
-            (kw.value for kw in call.keywords if kw.arg == "mode"), None
-        )
-    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-        return mode.value
-    return None
+from .semantic.io_reachability import ARTIFACT_SCOPES, raw_write
 
 
 @register_rule
@@ -70,42 +50,8 @@ class ArtifactIORule(Rule):
         return in_scope(ctx.module, ARTIFACT_SCOPES)
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        imports = _ImportMap(ctx.tree)
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "open":
-                mode = _literal_mode(node)
-                if mode is not None and _WRITE_MODE_CHARS & set(mode):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"bare open(..., {mode!r}) write: a crash mid-write "
-                        "leaves a truncated artifact; use "
-                        "repro.durability.write_artifact (or "
-                        "atomic_write_text) instead",
-                    )
-                continue
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _WRITE_METHODS
-            ):
-                yield ctx.finding(
-                    self,
-                    node,
-                    f".{func.attr}(...) is a non-atomic write: a crash "
-                    "mid-write leaves a truncated artifact; use "
-                    "repro.durability.write_artifact (or "
-                    "atomic_write_text) instead",
-                )
-                continue
-            resolved = imports.resolve_call(func)
-            if resolved == ("json", "dump"):
-                yield ctx.finding(
-                    self,
-                    node,
-                    "json.dump to a file handle is a non-atomic write; "
-                    "serialize with json.dumps and write through "
-                    "repro.durability.write_artifact instead",
-                )
+            if isinstance(node, ast.Call):
+                write = raw_write(ctx.dotted(node.func), node)
+                if write is not None:
+                    yield ctx.finding(self, node, write[1])

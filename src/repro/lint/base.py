@@ -1,11 +1,19 @@
 """The secpb-lint rule framework.
 
-Rules are small classes registered in :data:`RULES`; each one owns a
-stable code (``SPB101`` ...), a severity, and a ``check`` method that
-yields :class:`~.findings.Finding` objects for one parsed source file.
-:func:`lint_file` / :func:`lint_paths` drive the rules, apply
-``# secpb-lint: disable=CODE`` suppressions, and return a deterministic,
-sorted finding list.
+Rules are small classes registered with :func:`register_rule`; each one
+owns a stable code (``SPB101`` ...), a severity, and a summary.  Both
+rule kinds share the one registry:
+
+* a :class:`Rule` checks one parsed file at a time through a
+  :class:`LintContext`;
+* a :class:`ProjectRule` checks the whole program at once (project
+  model, call graph, dataflow).
+
+The one driver, :func:`~.semantic.run_project_rules`, runs both kinds
+over one parse of every file (:func:`~.semantic.lint_paths` /
+:func:`~.semantic.lint_source` parse and call it), applies
+``# secpb-lint: disable=CODE`` suppressions, and returns a
+deterministic, sorted finding list.
 
 Suppressions
 ------------
@@ -30,11 +38,23 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+    Union,
+)
 
-from .findings import Finding, Severity, sort_findings
+from .findings import Finding, Severity
 
 _SUPPRESS_RE = re.compile(
     r"#\s*secpb-lint:\s*(disable|disable-file)\s*=\s*([A-Z0-9, ]+)"
@@ -74,16 +94,13 @@ def in_scope(module: str, scopes: Sequence[str]) -> bool:
 
 @dataclass
 class LintContext:
-    """Everything a rule may inspect about one source file."""
+    """Everything a per-file rule may inspect about one parsed file."""
 
     path: str
-    source: str
     tree: ast.Module
     module: str
-    #: line -> codes disabled on that line
-    line_suppressions: Dict[int, Set[str]] = field(default_factory=dict)
-    #: codes disabled for the whole file
-    file_suppressions: Set[str] = field(default_factory=set)
+    #: the file's name resolver, :meth:`~.semantic.project.ModuleInfo.dotted`
+    dotted: Callable[[ast.AST], Optional[str]]
 
     def finding(
         self, rule: "Rule", node: ast.AST, message: str
@@ -97,11 +114,6 @@ class LintContext:
             col=getattr(node, "col_offset", 0),
             message=message,
         )
-
-    def suppressed(self, finding: Finding) -> bool:
-        if finding.code in self.file_suppressions:
-            return True
-        return finding.code in self.line_suppressions.get(finding.line, set())
 
 
 def parse_suppressions(source: str) -> Tuple[Dict[int, Set[str]], Set[str]]:
@@ -127,7 +139,7 @@ def parse_suppressions(source: str) -> Tuple[Dict[int, Set[str]], Set[str]]:
 
 
 class Rule:
-    """Base class for one lint rule.
+    """Base class for one per-file lint rule.
 
     Subclasses set :attr:`code`, :attr:`severity`, :attr:`summary` (used
     by ``--list-rules`` and the docs) and implement :meth:`check`.
@@ -163,60 +175,29 @@ class ProjectRule:
         raise NotImplementedError
 
 
-RULES: List[Type[Rule]] = []
-"""All registered rule classes, in registration (i.e. code) order."""
+AnyRule = Union[Rule, ProjectRule]
 
-PROJECT_RULES: List[Type[ProjectRule]] = []
-"""All registered whole-program rule classes."""
+RULES: List[Type[AnyRule]] = []
+"""All registered rule classes of both kinds, in registration order."""
 
 
-def register_rule(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule to the global registry."""
+def register_rule(cls: Type[AnyRule]) -> Type[AnyRule]:
+    """Class decorator adding a rule of either kind to the registry."""
     if any(existing.code == cls.code for existing in RULES):
         raise ValueError(f"duplicate rule code {cls.code}")
     RULES.append(cls)
     return cls
 
 
-def register_project_rule(cls: Type[ProjectRule]) -> Type[ProjectRule]:
-    """Class decorator adding a whole-program rule to the registry."""
-    if any(existing.code == cls.code for existing in PROJECT_RULES):
-        raise ValueError(f"duplicate project rule code {cls.code}")
-    PROJECT_RULES.append(cls)
-    return cls
-
-
-def all_rules() -> List[Rule]:
+def all_rules() -> List[AnyRule]:
     """Fresh instances of every registered rule, sorted by code."""
     return [cls() for cls in sorted(RULES, key=lambda c: c.code)]
-
-
-def all_project_rules() -> List[ProjectRule]:
-    """Fresh instances of every whole-program rule, sorted by code."""
-    return [cls() for cls in sorted(PROJECT_RULES, key=lambda c: c.code)]
-
-
-def select_project_rules(
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> List[ProjectRule]:
-    """Whole-program rule instances filtered by selections/ignores."""
-    selected = set(select) if select else None
-    ignored = set(ignore) if ignore else set()
-    rules = []
-    for rule in all_project_rules():
-        if selected is not None and rule.code not in selected:
-            continue
-        if rule.code in ignored:
-            continue
-        rules.append(rule)
-    return rules
 
 
 def select_rules(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-) -> List[Rule]:
+) -> List[AnyRule]:
     """Registry instances filtered by explicit selections/ignores."""
     selected = set(select) if select else None
     ignored = set(ignore) if ignore else set()
@@ -228,55 +209,6 @@ def select_rules(
             continue
         rules.append(rule)
     return rules
-
-
-def lint_source(
-    source: str,
-    path: str,
-    module: Optional[str] = None,
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Lint one in-memory source blob (the unit tests' entry point)."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                code="SPB001",
-                severity=Severity.ERROR,
-                path=path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    per_line, per_file = parse_suppressions(source)
-    ctx = LintContext(
-        path=path,
-        source=source,
-        tree=tree,
-        module=module if module is not None else Path(path).stem,
-        line_suppressions=per_line,
-        file_suppressions=per_file,
-    )
-    findings: List[Finding] = []
-    for rule in rules if rules is not None else all_rules():
-        if not rule.applies_to(ctx):
-            continue
-        for finding in rule.check(ctx):
-            if not ctx.suppressed(finding):
-                findings.append(finding)
-    return sort_findings(findings)
-
-
-def lint_file(
-    path: Path, rules: Optional[Sequence[Rule]] = None
-) -> List[Finding]:
-    """Lint one file on disk."""
-    source = path.read_text(encoding="utf-8")
-    return lint_source(
-        source, str(path), module=module_name_for_path(path), rules=rules
-    )
 
 
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
@@ -292,13 +224,3 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
             if resolved not in seen:
                 seen.add(resolved)
                 yield candidate
-
-
-def lint_paths(
-    paths: Sequence[Path], rules: Optional[Sequence[Rule]] = None
-) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths`` (the CLI's entry point)."""
-    findings: List[Finding] = []
-    for file_path in iter_python_files(paths):
-        findings.extend(lint_file(file_path, rules=rules))
-    return sort_findings(findings)

@@ -1,11 +1,9 @@
 """The secpb-lint command line: ``python -m repro.lint`` / ``repro lint``.
 
-One run lints the given paths in two layers and prints every finding:
-
-* the per-file rules (SPB1xx-SPB6xx);
-* the whole-program semantic pass (SPB7xx-SPB9xx) built on the project
-  model / call graph / dataflow in :mod:`.semantic` — on by default,
-  ``--no-semantic`` to skip.
+One run parses the given paths once and runs every selected rule over
+them — the per-file rules (SPB1xx-SPB6xx) and the whole-program rules
+(SPB7xx-SPB9xx) alike — then prints every finding.  ``--select`` /
+``--ignore`` narrow a run to any set of codes.
 
 Exit status is 0 when no findings survive selection and suppression, 1
 when any finding is reported, and 2 on usage errors — so the command
@@ -22,15 +20,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .base import (
-    all_project_rules,
-    all_rules,
-    lint_paths,
-    select_project_rules,
-    select_rules,
-)
-from .findings import findings_to_json, sort_findings
-from .semantic import analyze_paths, run_project_rules
+from .base import all_rules, select_rules
+from .findings import findings_to_json
+from .semantic import lint_paths
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,11 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print every rule code with its summary and exit",
     )
-    parser.add_argument(
-        "--no-semantic",
-        action="store_true",
-        help="skip the whole-program semantic pass (SPB7xx-SPB9xx)",
-    )
     return parser
 
 
@@ -97,11 +84,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.code}  [{rule.severity.value}]  {rule.summary}")
-        for project_rule in all_project_rules():
-            print(
-                f"{project_rule.code}  [{project_rule.severity.value}]  "
-                f"{project_rule.summary}"
-            )
         return 0
 
     paths = [Path(p) for p in args.paths]
@@ -113,17 +95,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     select = _split_codes(args.select)
     ignore = _split_codes(args.ignore)
     known = {rule.code for rule in all_rules()}
-    known |= {rule.code for rule in all_project_rules()}
     for requested in (select or []) + (ignore or []):
         if requested not in known:
             print(f"repro lint: unknown rule code {requested}", file=sys.stderr)
             return 2
 
-    project_rules = select_project_rules(select=select, ignore=ignore)
     findings = lint_paths(paths, select_rules(select=select, ignore=ignore))
-    if project_rules and not args.no_semantic:
-        findings += run_project_rules(analyze_paths(paths), project_rules)
-    findings = sort_findings(findings)
 
     if args.format == "json":
         print(findings_to_json(findings))

@@ -7,7 +7,9 @@ therefore must not consult any source of nondeterminism:
 
 ========  ==========================================================
 SPB101    unseeded RNG (``random.*`` globals, ``numpy.random`` legacy
-          globals, ``default_rng()``/``Random()`` without a seed)
+          globals, ``default_rng()``/``Random()`` without a seed) and
+          OS entropy (``uuid.uuid1``/``uuid4``, ``os.urandom``,
+          ``secrets.*``)
 SPB102    wall-clock reads (``time.time``, ``perf_counter``,
           ``datetime.now`` ...) — timing must come from the simulated
           clock, never the host's
@@ -26,13 +28,16 @@ SPB105    counter names built per access — an f-string / concatenated /
 
 All five rules are scoped to :data:`~.base.DETERMINISM_SCOPES`; analysis
 and CLI code (progress timing, ``--jobs`` defaults) may use these APIs
-freely.
+freely.  SPB101-SPB104 read their primitives and set-ness from
+:mod:`.semantic.dataflow`, the same table the whole-program taint pass
+(SPB701-SPB704) uses for its sources: a primitive is reported where it
+is called when that is in scope, else where its value enters.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional
 
 from .base import (
     DETERMINISM_SCOPES,
@@ -42,68 +47,15 @@ from .base import (
     register_rule,
 )
 from .findings import Finding
-
-_NUMPY_LEGACY_SAFE = {"default_rng", "Generator", "SeedSequence", "Philox", "PCG64"}
-_WALL_CLOCK_TIME_FNS = {
-    "time",
-    "time_ns",
-    "monotonic",
-    "monotonic_ns",
-    "perf_counter",
-    "perf_counter_ns",
-    "process_time",
-}
-_WALL_CLOCK_DATETIME_FNS = {"now", "utcnow", "today"}
-
-
-class _ImportMap:
-    """Resolve local names back to the stdlib/numpy modules they alias."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        #: local alias -> dotted module it names ("numpy", "numpy.random", ...)
-        self.modules: Dict[str, str] = {}
-        #: local name -> (module, original name) for ``from m import n``
-        self.members: Dict[str, Tuple[str, str]] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.modules[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name if alias.asname else alias.name.split(".")[0]
-                    )
-                    if alias.asname:
-                        self.modules[alias.asname] = alias.name
-            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    self.members[local] = (node.module, alias.name)
-
-    def resolve_call(self, func: ast.AST) -> Optional[Tuple[str, str]]:
-        """(module, function) for a called name, if it aliases an import.
-
-        Handles ``module.fn(...)``, ``pkg.sub.fn(...)`` and
-        ``from module import fn; fn(...)``.
-        """
-        if isinstance(func, ast.Name):
-            return self.members.get(func.id)
-        if isinstance(func, ast.Attribute):
-            chain: List[str] = [func.attr]
-            value = func.value
-            while isinstance(value, ast.Attribute):
-                chain.insert(0, value.attr)
-                value = value.value
-            if not isinstance(value, ast.Name):
-                return None
-            root = value.id
-            if root in self.modules:
-                prefix = self.modules[root]
-            elif root in self.members:
-                module, member = self.members[root]
-                prefix = f"{module}.{member}"
-            else:
-                return None
-            full = [prefix] + chain
-            return ".".join(full[:-1]), full[-1]
-        return None
+from .semantic.dataflow import (
+    ENV,
+    RNG,
+    WALLCLOCK,
+    classify_call,
+    infer_set_locals,
+    reads_environ,
+    setlike,
+)
 
 
 class _DeterminismRule(Rule):
@@ -122,41 +74,36 @@ class UnseededRandomRule(_DeterminismRule):
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        imports = _ImportMap(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            resolved = imports.resolve_call(node.func)
-            if resolved is None:
+            dotted = ctx.dotted(node.func)
+            if dotted is None or classify_call(dotted, node) != RNG:
                 continue
-            module, fn = resolved
-            if module == "random":
-                if fn == "Random" and node.args:
-                    continue  # random.Random(seed) is deterministic
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"call to random.{fn}: the global `random` RNG is "
+            package = dotted.partition(".")[0]
+            if package == "random":
+                message = (
+                    f"call to {dotted}: the global `random` RNG is "
                     "process-shared, unseeded state; derive a seeded "
-                    "Generator from the job seed instead",
+                    "Generator from the job seed instead"
                 )
-            elif module in ("numpy.random", "np.random"):
-                if fn in _NUMPY_LEGACY_SAFE:
-                    if fn == "default_rng" and not node.args:
-                        yield ctx.finding(
-                            self,
-                            node,
-                            "numpy.random.default_rng() without a seed is "
-                            "entropy-seeded; pass the trace/job seed",
-                        )
-                    continue
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"call to numpy.random.{fn}: the legacy numpy global "
-                    "RNG is shared, unseeded state; use "
-                    "numpy.random.default_rng(seed)",
+            elif package not in ("numpy", "np"):
+                message = (
+                    f"call to {dotted}: OS entropy differs on every run "
+                    "and worker; derive the value from the job seed instead"
                 )
+            elif dotted.endswith(".default_rng"):
+                message = (
+                    "numpy.random.default_rng() without a seed is "
+                    "entropy-seeded; pass the trace/job seed"
+                )
+            else:
+                message = (
+                    f"call to numpy.random.{dotted.split('.', 2)[2]}: the "
+                    "legacy numpy global RNG is shared, unseeded state; use "
+                    "numpy.random.default_rng(seed)"
+                )
+            yield ctx.finding(self, node, message)
 
 
 @register_rule
@@ -168,31 +115,19 @@ class WallClockRule(_DeterminismRule):
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        imports = _ImportMap(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            resolved = imports.resolve_call(node.func)
-            if resolved is None:
+            dotted = ctx.dotted(node.func)
+            if dotted is None or classify_call(dotted, node) != WALLCLOCK:
                 continue
-            module, fn = resolved
-            if module == "time" and fn in _WALL_CLOCK_TIME_FNS:
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"call to time.{fn}: host wall-clock is nondeterministic "
-                    "across runs and workers",
-                )
-            elif (
-                module in ("datetime.datetime", "datetime.date")
-                and fn in _WALL_CLOCK_DATETIME_FNS
-            ):
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"call to {module}.{fn}: host date/time is "
-                    "nondeterministic across runs and workers",
-                )
+            clock = "wall-clock" if dotted.startswith("time.") else "date/time"
+            yield ctx.finding(
+                self,
+                node,
+                f"call to {dotted}: host {clock} is nondeterministic "
+                "across runs and workers",
+            )
 
 
 _SAFE_SINKS = {
@@ -207,7 +142,6 @@ _SAFE_SINKS = {
     "all",
     "bool",
 }
-_SET_METHODS = {"union", "intersection", "difference", "symmetric_difference"}
 _ORDER_SENSITIVE_CALLS = {"list", "tuple", "enumerate", "iter", "reversed", "next"}
 _STRINGIFY_CALLS = {"str", "repr", "format"}
 
@@ -226,32 +160,7 @@ class SetIterationOrderRule(_DeterminismRule):
             for child in ast.iter_child_nodes(parent):
                 parents[child] = parent
 
-        set_locals = self._infer_set_locals(ctx.tree)
-
-        def setlike(node: ast.AST) -> bool:
-            if isinstance(node, (ast.Set, ast.SetComp)):
-                return True
-            if isinstance(node, ast.Name) and node.id in set_locals:
-                return True
-            if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.BitAnd, ast.BitOr, ast.BitXor, ast.Sub)
-            ):
-                # &, |, ^, - stay set-typed when either side is a set
-                # (flagging `a - b` only when one side is known-set).
-                return setlike(node.left) or setlike(node.right)
-            if isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name) and node.func.id in (
-                    "set",
-                    "frozenset",
-                ):
-                    return True
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _SET_METHODS
-                    and setlike(node.func.value)
-                ):
-                    return True
-            return False
+        set_locals = infer_set_locals(ctx.tree)
 
         def inside_safe_sink(node: ast.AST) -> bool:
             parent = parents.get(node)
@@ -262,7 +171,7 @@ class SetIterationOrderRule(_DeterminismRule):
             return False
 
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.For) and setlike(node.iter):
+            if isinstance(node, ast.For) and setlike(node.iter, set_locals):
                 yield ctx.finding(
                     self,
                     node.iter,
@@ -273,7 +182,7 @@ class SetIterationOrderRule(_DeterminismRule):
                 if inside_safe_sink(node):
                     continue
                 for gen in node.generators:
-                    if setlike(gen.iter):
+                    if setlike(gen.iter, set_locals):
                         yield ctx.finding(
                             self,
                             gen.iter,
@@ -286,7 +195,7 @@ class SetIterationOrderRule(_DeterminismRule):
                     isinstance(func, ast.Name)
                     and func.id in _ORDER_SENSITIVE_CALLS | _STRINGIFY_CALLS
                     and node.args
-                    and setlike(node.args[0])
+                    and setlike(node.args[0], set_locals)
                     and not inside_safe_sink(node)
                 ):
                     yield ctx.finding(
@@ -299,7 +208,7 @@ class SetIterationOrderRule(_DeterminismRule):
                     isinstance(func, ast.Attribute)
                     and func.attr == "join"
                     and node.args
-                    and setlike(node.args[0])
+                    and setlike(node.args[0], set_locals)
                 ):
                     yield ctx.finding(
                         self,
@@ -307,54 +216,15 @@ class SetIterationOrderRule(_DeterminismRule):
                         "str.join over a set produces an order-dependent "
                         "string; join sorted(...) instead",
                     )
-            elif isinstance(node, ast.FormattedValue) and setlike(node.value):
+            elif isinstance(node, ast.FormattedValue) and setlike(
+                node.value, set_locals
+            ):
                 yield ctx.finding(
                     self,
                     node.value,
                     "formatting a set into a string is order-dependent "
                     "(even in error messages); format sorted(...) instead",
                 )
-
-    @staticmethod
-    def _infer_set_locals(tree: ast.Module) -> Set[str]:
-        """Names assigned an unambiguous set expression anywhere in the file.
-
-        Deliberately simple flow-insensitive inference: a name counts as
-        set-typed only if *every* assignment to it is set-like, so
-        rebinding to a list/sorted() result clears it.
-        """
-
-        def structurally_setlike(node: ast.AST) -> bool:
-            if isinstance(node, (ast.Set, ast.SetComp)):
-                return True
-            if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.BitAnd, ast.BitOr, ast.BitXor, ast.Sub)
-            ):
-                return structurally_setlike(node.left) or structurally_setlike(
-                    node.right
-                )
-            if isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name) and node.func.id in (
-                    "set",
-                    "frozenset",
-                ):
-                    return True
-                if isinstance(
-                    node.func, ast.Attribute
-                ) and node.func.attr in _SET_METHODS:
-                    return structurally_setlike(node.func.value)
-            return False
-
-        set_named: Set[str] = set()
-        other_named: Set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            is_set = structurally_setlike(node.value)
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    (set_named if is_set else other_named).add(target.id)
-        return set_named - other_named
 
 
 @register_rule
@@ -366,32 +236,16 @@ class EnvironReadRule(_DeterminismRule):
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        imports = _ImportMap(ctx.tree)
-        env_aliases = {
-            name
-            for name, (module, member) in imports.members.items()
-            if module == "os" and member == "environ"
-        }
-        getenv_aliases = {
-            name
-            for name, (module, member) in imports.members.items()
-            if module == "os" and member == "getenv"
-        }
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Attribute) and node.attr == "environ":
-                value = node.value
-                if (
-                    isinstance(value, ast.Name)
-                    and imports.modules.get(value.id) == "os"
-                ):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        "os.environ access: environment state must not "
-                        "influence simulation results; thread the value "
-                        "through the job/config instead",
-                    )
-            elif isinstance(node, ast.Name) and node.id in env_aliases:
+            if isinstance(node, ast.Attribute) and reads_environ(node, ctx.dotted):
+                yield ctx.finding(
+                    self,
+                    node,
+                    "os.environ access: environment state must not "
+                    "influence simulation results; thread the value "
+                    "through the job/config instead",
+                )
+            elif isinstance(node, ast.Name) and reads_environ(node, ctx.dotted):
                 yield ctx.finding(
                     self,
                     node,
@@ -399,11 +253,8 @@ class EnvironReadRule(_DeterminismRule):
                     "through the job/config instead",
                 )
             elif isinstance(node, ast.Call):
-                resolved = imports.resolve_call(node.func)
-                if resolved == ("os", "getenv") or (
-                    isinstance(node.func, ast.Name)
-                    and node.func.id in getenv_aliases
-                ):
+                dotted = ctx.dotted(node.func)
+                if dotted is not None and classify_call(dotted, node) == ENV:
                     yield ctx.finding(
                         self,
                         node,

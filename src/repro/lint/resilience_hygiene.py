@@ -32,7 +32,6 @@ import ast
 from typing import Iterator, Tuple
 
 from .base import LintContext, Rule, in_scope, register_rule
-from .determinism import _ImportMap
 from .findings import Finding
 
 RESILIENCE_HOME: Tuple[str, ...] = ("repro.resilience",)
@@ -86,11 +85,9 @@ class ResilienceHygieneRule(Rule):
         return ctx.module == "repro" or ctx.module.startswith("repro.")
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        imports = _ImportMap(ctx.tree)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                resolved = imports.resolve_call(node.func)
-                if resolved == ("time", "sleep"):
+                if ctx.dotted(node.func) == "time.sleep":
                     yield ctx.finding(
                         self,
                         node,

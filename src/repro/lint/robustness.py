@@ -12,9 +12,10 @@ and *replayable*.  Two coding patterns silently destroy that:
 ========  ==========================================================
 SPB501    in ``repro.core.crash`` / ``repro.core.recovery`` /
           ``repro.fault``: an ``except`` handler whose body is only
-          ``pass`` / ``...``, or unseeded randomness (global
+          ``pass`` / ``...``, or unseeded randomness (any RNG primitive
+          of :func:`~.semantic.dataflow.classify_call`: global
           ``random.*`` calls, ``random.Random()`` / ``default_rng()``
-          without a seed)
+          without a seed, legacy ``numpy.random`` globals, OS entropy)
 SPB504    in ``repro.durability`` / ``repro.runtime``: an ``except``
           handler naming ``OSError`` / ``IOError`` that neither logs
           nor re-raises; anywhere in ``repro``: ``os.kill`` /
@@ -23,13 +24,13 @@ SPB504    in ``repro.durability`` / ``repro.runtime``: an ``except``
 ========  ==========================================================
 
 The determinism family (SPB101+) already polices ``repro.core``; SPB501
-extends the RNG discipline to ``repro.fault`` (which is *not* part of
-the simulated machine) and adds the exception-swallowing check that no
-other family covers.  SPB504 is the chaos plane's contract: the
-environment-fault checker (:mod:`repro.envfault.check`) grades the
-durability and runtime layers on *absorbing* OS faults, and an
-``except OSError`` that silently eats the error makes a genuinely
-broken path look absorbed.  Raw ``os.kill`` / ``signal.signal`` belong
+extends its RNG discipline, read from the same primitive table, to
+``repro.fault`` (which is *not* part of the simulated machine) and adds
+the exception-swallowing check that no other family covers.  SPB504 is
+the chaos plane's contract: the environment-fault checker
+(:mod:`repro.envfault.check`) grades the durability and runtime layers
+on *absorbing* OS faults, and an ``except OSError`` that silently eats
+the error makes a genuinely broken path look absorbed.  Raw ``os.kill`` / ``signal.signal`` belong
 only in the cooperative-interrupt plane and the fault injector — a
 third signal path would race both.
 """
@@ -40,8 +41,8 @@ import ast
 from typing import Iterator, Tuple
 
 from .base import LintContext, Rule, in_scope, register_rule
-from .determinism import _ImportMap
 from .findings import Finding
+from .semantic.dataflow import RNG, classify_call
 
 ROBUSTNESS_SCOPES: Tuple[str, ...] = (
     "repro.core.crash",
@@ -75,7 +76,6 @@ class RobustnessRule(Rule):
         return in_scope(ctx.module, ROBUSTNESS_SCOPES)
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        imports = _ImportMap(ctx.tree)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ExceptHandler):
                 if _handler_only_passes(node):
@@ -90,28 +90,25 @@ class RobustnessRule(Rule):
                         "must surface as a failure record, never vanish",
                     )
             elif isinstance(node, ast.Call):
-                resolved = imports.resolve_call(node.func)
-                if resolved is None:
+                dotted = ctx.dotted(node.func)
+                if dotted is None or classify_call(dotted, node) != RNG:
                     continue
-                module, fn = resolved
-                if module == "random":
-                    if fn == "Random" and node.args:
-                        continue  # random.Random(seed) is the sanctioned form
+                numpy = dotted.partition(".")[0] in ("numpy", "np")
+                if numpy and dotted.endswith(".default_rng"):
                     yield ctx.finding(
                         self,
                         node,
-                        f"call to random.{fn} without a seed: fault cases "
+                        "numpy.random.default_rng() without a seed is "
+                        "entropy-seeded; derive it from the case seed",
+                    )
+                else:
+                    yield ctx.finding(
+                        self,
+                        node,
+                        f"call to {dotted} without a seed: fault cases "
                         "must be pure functions of their seed or the "
                         "minimized JSON reproducer will not replay",
                     )
-                elif module in ("numpy.random", "np.random"):
-                    if fn == "default_rng" and not node.args:
-                        yield ctx.finding(
-                            self,
-                            node,
-                            "numpy.random.default_rng() without a seed is "
-                            "entropy-seeded; derive it from the case seed",
-                        )
 
 
 OSFAULT_SCOPES: Tuple[str, ...] = (
@@ -174,7 +171,6 @@ class OsFaultHygieneRule(Rule):
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         swallow_scope = in_scope(ctx.module, OSFAULT_SCOPES)
         sanctioned = in_scope(ctx.module, RAW_SIGNAL_HOMES)
-        imports = _ImportMap(ctx.tree)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ExceptHandler) and swallow_scope:
                 caught = set(
@@ -194,15 +190,12 @@ class OsFaultHygieneRule(Rule):
                     "path look healthy",
                 )
             elif isinstance(node, ast.Call) and not sanctioned:
-                resolved = imports.resolve_call(node.func)
-                if resolved is None:
-                    continue
-                module, fn = resolved
-                if (module, fn) in (("os", "kill"), ("signal", "signal")):
+                dotted = ctx.dotted(node.func)
+                if dotted in ("os.kill", "signal.signal"):
                     yield ctx.finding(
                         self,
                         node,
-                        f"raw {module}.{fn} outside "
+                        f"raw {dotted} outside "
                         f"{' / '.join(RAW_SIGNAL_HOMES)}: a third signal "
                         "path races the cooperative-interrupt plane and "
                         "the fault injector; use StopToken / the "

@@ -1,33 +1,37 @@
-"""repro.lint.semantic: whole-program analysis under the rule framework.
+"""repro.lint.semantic: one parse, the whole-program analyses, the driver.
 
 Layers (each usable on its own):
 
 * :mod:`.project` — parse the whole lint target once; module graph
-  and import resolution;
+  and the one name resolver (:meth:`~.project.ModuleInfo.dotted`);
 * :mod:`.callgraph` — project call graph with an explicit
   ``unresolved`` set, so soundness gaps are recorded, never hidden;
-* :mod:`.dataflow` — intra-procedural CFG + taint dataflow with
-  call-graph-propagated function summaries;
+* :mod:`.dataflow` — the nondeterminism and set-ness tables, and an
+  intra-procedural CFG + taint dataflow with call-graph-propagated
+  function summaries;
 * rule families built on top: :mod:`.determinism_taint` (SPB701-704),
   :mod:`.io_reachability` (SPB801-802), :mod:`.exception_flow`
   (SPB901).
 
-:func:`analyze_paths` builds the bundle; :func:`run_project_rules`
-drives every registered :class:`~..base.ProjectRule` over it and
-applies the same ``# secpb-lint: disable=`` suppressions the per-file
-rules honour.
+:func:`run_project_rules` is the one driver for every registered rule:
+over one :class:`SemanticAnalysis` it reports parse errors as SPB001,
+runs the per-file rules over every parsed file, then the whole-program
+rules (whose call graph and taint are built only if one runs), and
+applies the ``# secpb-lint: disable=`` suppressions once.
+:func:`lint_paths` and :func:`lint_source` wrap it for files on disk
+and for one in-memory source.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..base import ProjectRule, all_project_rules
-from ..findings import Finding, sort_findings
+from ..base import AnyRule, LintContext, ProjectRule, all_rules
+from ..findings import Finding, Severity, sort_findings
 from .callgraph import CallGraph
 from .dataflow import TaintAnalysis
-from .project import ModuleInfo, ProjectModel
+from .project import ProjectModel
 
 # Importing the rule modules registers their rules.
 from . import determinism_taint  # noqa: F401,E402
@@ -58,44 +62,71 @@ class SemanticAnalysis:
 
 
 def analyze_paths(paths: Sequence[Path]) -> SemanticAnalysis:
-    """Parse ``paths`` into a project model ready for project rules."""
+    """Parse ``paths`` into a project model ready for the rules."""
     return SemanticAnalysis(ProjectModel.build(paths))
-
-
-def _module_for_path(
-    project: ProjectModel, cache: Dict[str, Optional[ModuleInfo]], path: str
-) -> Optional[ModuleInfo]:
-    if path not in cache:
-        found = None
-        for module in project.modules.values():
-            if module.path == path:
-                found = module
-                break
-        cache[path] = found
-    return cache[path]
 
 
 def run_project_rules(
     analysis: SemanticAnalysis,
-    rules: Optional[Sequence[ProjectRule]] = None,
+    rules: Optional[Sequence[AnyRule]] = None,
 ) -> List[Finding]:
-    """All project-rule findings, suppression-filtered and sorted."""
-    findings: List[Finding] = []
-    path_cache: Dict[str, Optional[ModuleInfo]] = {}
-    for rule in rules if rules is not None else all_project_rules():
-        for finding in rule.check_project(analysis):
-            module = _module_for_path(
-                analysis.project, path_cache, finding.path
-            )
-            if module is not None:
-                if finding.code in module.file_suppressions:
-                    continue
-                if finding.code in module.line_suppressions.get(
-                    finding.line, set()
-                ):
-                    continue
-            findings.append(finding)
-    return sort_findings(findings)
+    """Every finding of ``rules`` (default: all), suppression-filtered
+    and sorted."""
+    project = analysis.project
+    findings = [
+        Finding(
+            code="SPB001",
+            severity=Severity.ERROR,
+            path=path,
+            line=exc.lineno or 1,
+            col=exc.offset or 0,
+            message=f"syntax error: {exc.msg}",
+        )
+        for path, exc in project.parse_errors.items()
+    ]
+    # Every parsed file, not the name-keyed module map: of two files with
+    # one dotted name the map keeps only the last.
+    contexts = [
+        LintContext(info.path, info.tree, info.name, info.dotted)
+        for info in project.files
+    ]
+    for rule in all_rules() if rules is None else rules:
+        if isinstance(rule, ProjectRule):
+            findings.extend(rule.check_project(analysis))
+            continue
+        for ctx in contexts:
+            if rule.applies_to(ctx):
+                findings.extend(rule.check(ctx))
+    by_path = {info.path: info for info in project.files}
+    kept = []
+    for finding in findings:
+        info = by_path.get(finding.path)
+        if info is not None and (
+            finding.code in info.file_suppressions
+            or finding.code in info.line_suppressions.get(finding.line, ())
+        ):
+            continue
+        kept.append(finding)
+    return sort_findings(kept)
+
+
+def lint_paths(
+    paths: Sequence[Path], rules: Optional[Sequence[AnyRule]] = None
+) -> List[Finding]:
+    """Lint every ``.py`` file under ``paths`` (the CLI's entry point)."""
+    return run_project_rules(analyze_paths(paths), rules)
+
+
+def lint_source(
+    source: str,
+    path: str,
+    module: Optional[str] = None,
+    rules: Optional[Sequence[AnyRule]] = None,
+) -> List[Finding]:
+    """Lint one in-memory source blob (the unit tests' entry point)."""
+    name = module if module is not None else Path(path).stem
+    project = ProjectModel.from_sources({name: (path, source)})
+    return run_project_rules(SemanticAnalysis(project), rules)
 
 
 __all__ = [
@@ -104,5 +135,7 @@ __all__ = [
     "SemanticAnalysis",
     "TaintAnalysis",
     "analyze_paths",
+    "lint_paths",
+    "lint_source",
     "run_project_rules",
 ]

@@ -326,7 +326,7 @@ class CallGraph:
                 return "<expr>"
         if chain[0] in _BUILTIN_NAMES and len(chain) == 1:
             return None
-        expanded = self.project.expand_name(scope.module, chain[0])
+        expanded = scope.module.expand(chain)
         if expanded is not None:
             root = expanded.split(".")[0]
             if root not in _project_roots(self.project):

@@ -1,9 +1,12 @@
-"""Intra-procedural CFG + taint dataflow with call-graph summaries.
+"""Nondeterminism primitives, set-ness, and the taint dataflow.
 
-The determinism rules (SPB101-104) are *syntactic*: they flag the line
-that calls ``time.time()``.  A helper that wraps the call launders the
-taint past every one of them.  This module closes that gap with a
-classic two-level analysis:
+This module holds the one table of nondeterminism primitives
+(:func:`classify_call`) and the one set-ness inference (:func:`setlike`,
+:func:`infer_set_locals`).  The per-file rules read them to flag a
+primitive where it is called — SPB101/SPB102/SPB104, SPB501's RNG check,
+SPB103 — and the taint analysis below reads them as its sources, so a
+helper that wraps ``time.time()`` is caught where its value enters the
+simulated machine.  The analysis has two levels:
 
 1. **Intra-procedural**: each function body is lowered to a control-flow
    graph of basic blocks; a forward may-analysis propagates, per local
@@ -31,6 +34,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
+    Container,
     Dict,
     FrozenSet,
     List,
@@ -41,7 +46,7 @@ from typing import (
 )
 
 from .callgraph import CallGraph, FunctionScope
-from .project import ProjectModel, attribute_chain
+from .project import ProjectModel
 
 Kind = str
 WALLCLOCK = "wallclock"
@@ -49,23 +54,106 @@ RNG = "rng"
 ENV = "env"
 SETORDER = "setorder"
 
-_WALL_CLOCK_TIME = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.process_time",
-}
-_WALL_CLOCK_DATETIME = {
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-}
-_RNG_EXTRA = {"uuid.uuid1", "uuid.uuid4", "os.urandom"}
-_NUMPY_SAFE = {"default_rng", "Generator", "SeedSequence", "Philox", "PCG64"}
+_WALL_CLOCK = frozenset(
+    {
+        "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+        "time.perf_counter", "time.perf_counter_ns", "time.process_time",
+        "datetime.datetime.now", "datetime.datetime.utcnow",
+        "datetime.datetime.today", "datetime.date.now",
+        "datetime.date.utcnow", "datetime.date.today",
+    }
+)
+#: OS-entropy draws (``secrets.*`` too): random by design, no seed to pass
+_ENTROPY = frozenset({"uuid.uuid1", "uuid.uuid4", "os.urandom"})
+#: ``numpy.random`` names that build explicitly seeded generators
+_NUMPY_SAFE = frozenset(
+    {"default_rng", "Generator", "SeedSequence", "Philox", "PCG64"}
+)
+
+
+def reads_environ(
+    node: ast.AST, dotted: Callable[[ast.AST], Optional[str]]
+) -> bool:
+    """Whether ``node`` names ``os.environ`` or an imported alias of it,
+    resolving names with ``dotted`` (see
+    :meth:`~.project.ModuleInfo.dotted`)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "environ" and dotted(node) == "os.environ"
+    return isinstance(node, ast.Name) and dotted(node) == "os.environ"
+
+
+def classify_call(dotted: str, call: ast.Call) -> Optional[Kind]:
+    """The nondeterminism kind of ``call``, whose callee resolves to
+    ``dotted`` (see :meth:`~.project.ModuleInfo.dotted`); None when the
+    call is deterministic."""
+    if dotted in _WALL_CLOCK:
+        return WALLCLOCK
+    if dotted == "os.getenv":
+        return ENV
+    if dotted in _ENTROPY or dotted.startswith("secrets."):
+        return RNG
+    if dotted.startswith("random."):
+        # Only random.Random(seed) is seeded; every other call (even
+        # random.seed) touches the process-shared global RNG.
+        return None if dotted == "random.Random" and call.args else RNG
+    if dotted.startswith(("numpy.random.", "np.random.")):
+        fn = dotted.rpartition(".")[2]
+        if fn == "default_rng":
+            return None if call.args else RNG
+        return None if fn in _NUMPY_SAFE else RNG
+    return None
+
+
+#: set methods whose result is again a set
+_SET_METHODS = frozenset(
+    {"union", "intersection", "difference", "symmetric_difference"}
+)
+
+
+def setlike(node: ast.AST, set_locals: Container[str]) -> bool:
+    """Whether ``node`` evaluates to a set: a set literal/comprehension, a
+    ``set()``/``frozenset()`` call, a set operator or set method applied
+    to a set, or a name in ``set_locals``."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in set_locals
+    if isinstance(node, ast.BinOp) and isinstance(
+        node.op, (ast.BitAnd, ast.BitOr, ast.BitXor, ast.Sub)
+    ):
+        # &, |, ^, - stay set-typed when either side is a set
+        # (flagging `a - b` only when one side is known-set).
+        return setlike(node.left, set_locals) or setlike(node.right, set_locals)
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id in ("set", "frozenset")
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr in _SET_METHODS
+            and setlike(func.value, set_locals)
+        )
+    return False
+
+
+def infer_set_locals(root: ast.AST) -> Set[str]:
+    """Names assigned an unambiguous set expression anywhere under ``root``.
+
+    Deliberately simple flow-insensitive inference: a name counts as
+    set-typed only if *every* assignment to it is set-like, so
+    rebinding to a list/sorted() result clears it.
+    """
+    set_named: Set[str] = set()
+    other_named: Set[str] = set()
+    for node in ast.walk(root):
+        if not isinstance(node, ast.Assign):
+            continue
+        is_set = setlike(node.value, ())
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                (set_named if is_set else other_named).add(target.id)
+    return set_named - other_named
+
 
 #: calls that strip the set-order kind (a sorted sequence is stable)
 _SETORDER_SANITIZERS = {"sorted", "len", "sum", "min", "max", "any", "all"}
@@ -330,83 +418,7 @@ class _FunctionTaint:
             self.param_names = [
                 a.arg for a in args.posonlyargs + args.args
             ]
-        self.set_locals = self._infer_set_locals()
-
-    # -- set-ness (for the setorder kind) ---------------------------------
-
-    def _structurally_setlike(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Name) and node.id in self.set_locals:
-            return True
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitAnd, ast.BitOr, ast.BitXor)
-        ):
-            return self._structurally_setlike(
-                node.left
-            ) or self._structurally_setlike(node.right)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id in ("set", "frozenset"):
-                return True
-        return False
-
-    def _infer_set_locals(self) -> Set[str]:
-        set_named: Set[str] = set()
-        other: Set[str] = set()
-        for node in ast.walk(self.scope.info.node):
-            if not isinstance(node, ast.Assign):
-                continue
-            is_set = isinstance(
-                node.value, (ast.Set, ast.SetComp)
-            ) or (
-                isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Name)
-                and node.value.func.id in ("set", "frozenset")
-            )
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    (set_named if is_set else other).add(target.id)
-        return set_named - other
-
-    # -- sources ----------------------------------------------------------
-
-    def _external_dotted(self, func: ast.AST) -> Optional[str]:
-        chain = attribute_chain(func)
-        if chain is None:
-            return None
-        expanded = self.project.expand_name(self.scope.module, chain[0])
-        if expanded is None:
-            return None
-        return ".".join([expanded] + chain[1:])
-
-    def classify_source(self, call: ast.Call) -> Optional[Tuple[Kind, str]]:
-        """(kind, primitive) when this call is a nondeterminism source."""
-        dotted = self._external_dotted(call.func)
-        if dotted is None:
-            return None
-        if dotted in _WALL_CLOCK_TIME or dotted in _WALL_CLOCK_DATETIME:
-            return WALLCLOCK, dotted
-        if dotted in _RNG_EXTRA:
-            return RNG, dotted
-        if dotted == "os.getenv":
-            return ENV, dotted
-        if dotted.startswith("random."):
-            fn = dotted.split(".", 1)[1]
-            if fn == "Random" and call.args:
-                return None  # seeded
-            if fn == "seed":
-                return None  # seeding is the fix, not the bug
-            return RNG, dotted
-        if dotted.startswith("numpy.random."):
-            fn = dotted.split(".")[-1]
-            if fn == "default_rng" and not call.args:
-                return RNG, dotted
-            if fn in _NUMPY_SAFE:
-                return None
-            return RNG, dotted
-        if dotted.startswith("secrets."):
-            return RNG, dotted
-        return None
+        self.set_locals = infer_set_locals(node)
 
     def _direct_witness(self, primitive: str) -> Witness:
         return Witness(
@@ -419,21 +431,20 @@ class _FunctionTaint:
     # -- expression evaluation -------------------------------------------
 
     def eval(self, node: ast.AST, state: Dict[str, FrozenSet[Elem]]) -> FrozenSet[Elem]:
+        if isinstance(node, ast.Name) and node.id in state:
+            return state[node.id]
+        if reads_environ(node, self.scope.module.dotted):
+            return frozenset(
+                {("src", ENV, self._direct_witness("os.environ"), node)}
+            )
         if isinstance(node, ast.Name):
-            return state.get(node.id, frozenset())
+            return frozenset()
+        if isinstance(node, ast.Attribute):
+            return self.eval(node.value, state)
         if isinstance(node, ast.Constant):
             return frozenset()
         if isinstance(node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)):
             return frozenset()
-        if isinstance(node, ast.Attribute):
-            dotted = self._external_dotted(node)
-            if dotted is not None and (
-                dotted == "os.environ" or dotted.startswith("os.environ.")
-            ):
-                return frozenset(
-                    {("src", ENV, self._direct_witness("os.environ"), node)}
-                )
-            return self.eval(node.value, state)
         if isinstance(node, ast.Call):
             return self.eval_call(node, state)
         # Generic conservative union over child expressions.
@@ -467,12 +478,13 @@ class _FunctionTaint:
         ) if (arg_taints or kw_taints) else frozenset()
 
         # 1. direct nondeterminism primitive
-        source = self.classify_source(call)
-        if source is not None:
-            kind, primitive = source
-            return all_args | frozenset(
-                {("src", kind, self._direct_witness(primitive), call)}
-            )
+        dotted = self.scope.module.dotted(call.func)
+        if dotted is not None:
+            kind = classify_call(dotted, call)
+            if kind is not None:
+                return all_args | frozenset(
+                    {("src", kind, self._direct_witness(dotted), call)}
+                )
 
         # 2. set-order materialization: list(a_set) etc.
         func = call.func
@@ -484,7 +496,7 @@ class _FunctionTaint:
             if (
                 func.id in ("list", "tuple", "iter", "enumerate")
                 and call.args
-                and self._structurally_setlike(call.args[0])
+                and setlike(call.args[0], self.set_locals)
             ):
                 return all_args | frozenset(
                     {

@@ -19,23 +19,18 @@ SPB704    set-iteration-order taint: a helper materializes a set into
           (interprocedural SPB103)
 ========  ==========================================================
 
-No double-reporting, by construction: a *direct* primitive call inside
-the determinism scopes resolves to a stdlib symbol, not a project
-function, so it never produces an SPB7xx finding — and any chain whose
-source function itself lies inside the determinism scopes is skipped,
-because the per-file rules already flag that source line.
+Both families read their primitives from one table
+(:func:`~.dataflow.classify_call`, :func:`~.dataflow.setlike`), and each
+primitive is reported where it is called if that is in scope (by
+SPB101-104), else where its value enters it (here): chains whose source
+function lies inside the determinism scopes are skipped.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Set, Tuple
 
-from ..base import (
-    DETERMINISM_SCOPES,
-    ProjectRule,
-    in_scope,
-    register_project_rule,
-)
+from ..base import DETERMINISM_SCOPES, ProjectRule, in_scope, register_rule
 from ..findings import Finding, Severity
 from .dataflow import ENV, RNG, SETORDER, WALLCLOCK, Witness
 
@@ -80,10 +75,7 @@ def _collect_taint_findings(analysis: object) -> Dict[str, List[Finding]]:
                 kind, witness, origin = elem[1], elem[2], elem[3]
                 assert isinstance(witness, Witness)
                 if in_scope(witness.source_module, DETERMINISM_SCOPES):
-                    # The source line itself is in scope: SPB101-104
-                    # already flag it there.  Reporting here too would
-                    # double-report the same root cause.
-                    continue
+                    continue  # reported where it is called, by SPB101-104
                 lineno = getattr(origin, "lineno", 1)
                 col = getattr(origin, "col_offset", 0)
                 key = (lineno, col, kind)
@@ -120,7 +112,7 @@ class _TaintRule(ProjectRule):
         yield from _collect_taint_findings(analysis).get(self.code, [])
 
 
-@register_project_rule
+@register_rule
 class WallClockTaintRule(_TaintRule):
     code = "SPB701"
     kind = WALLCLOCK
@@ -130,7 +122,7 @@ class WallClockTaintRule(_TaintRule):
     )
 
 
-@register_project_rule
+@register_rule
 class RngTaintRule(_TaintRule):
     code = "SPB702"
     kind = RNG
@@ -140,7 +132,7 @@ class RngTaintRule(_TaintRule):
     )
 
 
-@register_project_rule
+@register_rule
 class EnvTaintRule(_TaintRule):
     code = "SPB703"
     kind = ENV
@@ -150,7 +142,7 @@ class EnvTaintRule(_TaintRule):
     )
 
 
-@register_project_rule
+@register_rule
 class SetOrderTaintRule(_TaintRule):
     code = "SPB704"
     kind = SETORDER

@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..base import ProjectRule, in_scope, register_project_rule
+from ..base import ProjectRule, in_scope, register_rule
 from ..findings import Finding, Severity
 from ..robustness import ROBUSTNESS_SCOPES, _handler_only_passes
 from .callgraph import CallGraph
@@ -190,7 +190,7 @@ def _handler_compliant(handler: ast.ExceptHandler) -> bool:
     return False
 
 
-@register_project_rule
+@register_rule
 class SwallowedCrashExceptionRule(ProjectRule):
     code = "SPB901"
     severity = Severity.ERROR

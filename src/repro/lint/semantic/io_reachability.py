@@ -1,9 +1,11 @@
-"""Artifact-I/O reachability (SPB801-SPB802).
+"""Artifact-I/O reachability (SPB801-SPB802) and the raw-write table.
 
-SPB502 is a call-site pattern: it flags a bare ``open(path, "w")`` /
-``json.dump`` / ``.write_text`` *written inside* ``repro.analysis`` or
-``repro.fault``.  Wrap the same write in a helper one module over and
-it escapes.  These rules upgrade the invariant to graph reachability:
+:func:`raw_write` is the one definition of a raw filesystem write: a
+bare ``open(path, "w")``, ``json.dump`` to a handle, or a
+``.write_text`` / ``.write_bytes`` call.  SPB502 flags one *written
+inside* ``repro.analysis`` or ``repro.fault``; wrap the same write in a
+helper one module over and it escapes.  These rules upgrade the
+invariant to graph reachability:
 
 ========  ==========================================================
 SPB801    a raw filesystem write inside ``repro.durability`` whose
@@ -21,8 +23,8 @@ SPB802    a call site in ``repro.analysis`` / ``repro.fault`` whose
 Sanctioned writers — the functions that *implement* the atomic
 discipline — terminate propagation: a chain that reaches a raw write
 only through ``write_artifact`` or a journal append is exactly the
-design intent.  Raw writes *directly* inside analysis/fault files stay
-SPB502's to report (no double-reporting).
+design intent.  A raw write is reported where it is called if that is
+in analysis/fault code (SPB502), else where it enters it (SPB802).
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..base import ProjectRule, in_scope, register_project_rule
+from ..base import ProjectRule, in_scope, register_rule
 from ..findings import Finding, Severity
 from .callgraph import CallGraph
-from .project import ProjectModel, attribute_chain, iter_own_nodes
+from .project import ProjectModel, iter_own_nodes
 
-ARTIFACT_CALLER_SCOPES: Tuple[str, ...] = ("repro.analysis", "repro.fault")
+ARTIFACT_SCOPES: Tuple[str, ...] = ("repro.analysis", "repro.fault")
+"""Layers that write experiment/campaign artifacts to disk."""
+
 DURABILITY_SCOPE = "repro.durability"
 
 #: functions allowed to contain / front raw writes: the atomic writers
@@ -72,16 +76,50 @@ class RawWrite:
     path: str
     lineno: int
     col: int
-    primitive: str  # "open('w')", ".write_text", "json.dump"
+    primitive: str  # "open(mode='w')", ".write_text(...)", "json.dump"
 
 
 def _literal_mode(call: ast.Call) -> Optional[str]:
+    """The ``open`` mode argument when it is a string literal, else None."""
     if len(call.args) >= 2:
         mode = call.args[1]
     else:
         mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
     if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
         return mode.value
+    return None
+
+
+def raw_write(
+    dotted: Optional[str], call: ast.Call
+) -> Optional[Tuple[str, str]]:
+    """``(primitive, SPB502 message)`` when ``call`` — whose callee
+    resolves to ``dotted`` — is a raw filesystem write, else None."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = _literal_mode(call)
+        if mode is None or not _WRITE_MODE_CHARS & set(mode):
+            return None
+        return (
+            f"open(mode={mode!r})",
+            f"bare open(..., {mode!r}) write: a crash mid-write leaves a "
+            "truncated artifact; use repro.durability.write_artifact (or "
+            "atomic_write_text) instead",
+        )
+    if isinstance(func, ast.Attribute) and func.attr in _WRITE_METHODS:
+        return (
+            f".{func.attr}(...)",
+            f".{func.attr}(...) is a non-atomic write: a crash mid-write "
+            "leaves a truncated artifact; use "
+            "repro.durability.write_artifact (or atomic_write_text) instead",
+        )
+    if dotted == "json.dump":
+        return (
+            "json.dump",
+            "json.dump to a file handle is a non-atomic write; serialize "
+            "with json.dumps and write through "
+            "repro.durability.write_artifact instead",
+        )
     return None
 
 
@@ -97,30 +135,15 @@ def find_raw_writes(
         for node in iter_own_nodes(info.node):
             if not isinstance(node, ast.Call):
                 continue
-            primitive = None
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "open":
-                mode = _literal_mode(node)
-                if mode is not None and _WRITE_MODE_CHARS & set(mode):
-                    primitive = f"open(mode={mode!r})"
-            elif isinstance(func, ast.Attribute) and func.attr in _WRITE_METHODS:
-                primitive = f".{func.attr}(...)"
-            elif isinstance(func, ast.Attribute) or isinstance(func, ast.Name):
-                chain = attribute_chain(func)
-                if chain is not None:
-                    expanded = project.expand_name(module, chain[0])
-                    if expanded is not None:
-                        dotted = ".".join([expanded] + chain[1:])
-                        if dotted == "json.dump":
-                            primitive = "json.dump"
-            if primitive is not None:
+            write = raw_write(module.dotted(node.func), node)
+            if write is not None:
                 writes.setdefault(qualname, []).append(
                     RawWrite(
                         fn=qualname,
                         path=info.path,
                         lineno=getattr(node, "lineno", 1),
                         col=getattr(node, "col_offset", 0),
-                        primitive=primitive,
+                        primitive=write[0],
                     )
                 )
     return writes
@@ -169,7 +192,7 @@ def _analysis_state(analysis: object) -> Tuple[
     return cached
 
 
-@register_project_rule
+@register_rule
 class DurabilityEncapsulationRule(ProjectRule):
     code = "SPB801"
     severity = Severity.ERROR
@@ -230,7 +253,7 @@ def _outside_reacher(graph: CallGraph, target: str) -> Optional[str]:
     return None
 
 
-@register_project_rule
+@register_rule
 class LaunderedWriteRule(ProjectRule):
     code = "SPB802"
     severity = Severity.ERROR
@@ -245,9 +268,7 @@ class LaunderedWriteRule(ProjectRule):
         seen: Set[Tuple[str, int, str]] = set()
         for caller in sorted(graph.edges):
             info = graph.nodes.get(caller)
-            if info is None or not in_scope(
-                info.module, ARTIFACT_CALLER_SCOPES
-            ):
+            if info is None or not in_scope(info.module, ARTIFACT_SCOPES):
                 continue
             for site in graph.call_sites(caller):
                 if is_sanctioned(site.callee):
@@ -258,11 +279,9 @@ class LaunderedWriteRule(ProjectRule):
                 chain, write = entry
                 write_info = graph.nodes.get(write.fn)
                 if write_info is not None and in_scope(
-                    write_info.module, ARTIFACT_CALLER_SCOPES
+                    write_info.module, ARTIFACT_SCOPES
                 ):
-                    # The write site itself sits in analysis/fault code:
-                    # SPB502 flags it directly; don't double-report.
-                    continue
+                    continue  # reported where it is called, by SPB502
                 key = (info.path, site.lineno, site.callee)
                 if key in seen:
                     continue

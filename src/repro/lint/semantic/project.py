@@ -1,17 +1,20 @@
-"""Whole-program project model for the semantic lint layer.
+"""The project model: every lint target file, parsed once.
 
-The per-file rules (SPB1xx-SPB6xx) see one ``ast.Module`` at a time, so
-any invariant that crosses a call or an import is invisible to them.
-:class:`ProjectModel` parses the whole lint target once and exposes the
-cross-module structure the semantic rules reason over:
+Both rule kinds run over one :class:`ProjectModel`.  The per-file rules
+(SPB1xx-SPB6xx) see each :class:`ModuleInfo` through a
+:class:`~..base.LintContext`; the whole-program rules (SPB7xx-SPB9xx)
+reason over the cross-module structure the model exposes:
 
-* every module keyed by its dotted name (derived from ``__init__.py``
-  package ancestry, exactly like :func:`~..base.module_name_for_path`,
-  so fixture trees in tests scope like the real source tree);
+* every parsed file in :attr:`ProjectModel.files`, and every module
+  keyed by its dotted name (derived from ``__init__.py`` package
+  ancestry, exactly like :func:`~..base.module_name_for_path`, so
+  fixture trees in tests scope like the real source tree);
 * every top-level function, class, and method with a stable *qualname*
   (``repro.sim.engine.run``, ``repro.core.secpb.SecPB.accept``);
-* per-module import bindings, including relative imports and one-level
-  re-exports through package ``__init__`` files, resolved lazily by
+* per-module import bindings, including relative imports, with
+  :meth:`ModuleInfo.dotted` as the one name resolver
+  (``np.random.rand`` -> ``numpy.random.rand``) and one-level
+  re-exports through package ``__init__`` files resolved lazily by
   :meth:`ProjectModel.lookup`;
 * the project-internal import graph (which modules each module
   imports).
@@ -28,12 +31,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..base import iter_python_files, module_name_for_path, parse_suppressions
-
-#: binding kinds: ("module", dotted) for ``import m`` /
-#: ``from p import sub`` when sub is a module, and ("symbol", module,
-#: name) for ``from m import n`` when n is a def — disambiguated lazily.
-Binding = Tuple[str, ...]
-
 
 @dataclass
 class FunctionInfo:
@@ -76,11 +73,12 @@ class ModuleInfo:
 
     name: str
     path: str
-    source: str
     tree: ast.Module
     is_package: bool
-    #: local name -> Binding
-    bindings: Dict[str, Binding] = field(default_factory=dict)
+    #: local name -> the dotted name it imports (``np`` -> ``numpy``,
+    #: ``from .x import f`` -> ``pkg.x.f``); module or symbol is decided
+    #: lazily by :meth:`ProjectModel.lookup`
+    bindings: Dict[str, str] = field(default_factory=dict)
     #: names of module-level defs (functions, classes, assignments)
     toplevel: Set[str] = field(default_factory=set)
     line_suppressions: Dict[int, Set[str]] = field(default_factory=dict)
@@ -92,6 +90,24 @@ class ModuleInfo:
         if self.is_package:
             return self.name
         return self.name.rpartition(".")[0]
+
+    def expand(self, chain: Sequence[str]) -> Optional[str]:
+        """``chain`` as a dotted name, its root expanded through this
+        module's top-level definitions and import bindings; None when
+        the root is neither (a local, a parameter, a builtin)."""
+        root = chain[0]
+        if root in self.toplevel:
+            target = f"{self.name}.{root}"
+        elif root in self.bindings:
+            target = self.bindings[root]
+        else:
+            return None
+        return ".".join([target, *chain[1:]])
+
+    def dotted(self, node: ast.AST) -> Optional[str]:
+        """:meth:`expand` for a name or attribute-chain expression."""
+        chain = attribute_chain(node)
+        return None if chain is None else self.expand(chain)
 
 
 def _relative_base(module: ModuleInfo, level: int) -> str:
@@ -107,10 +123,10 @@ def _collect_bindings(module: ModuleInfo) -> None:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
-                    module.bindings[alias.asname] = ("module", alias.name)
+                    module.bindings[alias.asname] = alias.name
                 else:
                     root = alias.name.split(".")[0]
-                    module.bindings[root] = ("module", root)
+                    module.bindings[root] = root
         elif isinstance(node, ast.ImportFrom):
             if node.level:
                 base = _relative_base(module, node.level)
@@ -123,7 +139,7 @@ def _collect_bindings(module: ModuleInfo) -> None:
                 if alias.name == "*":
                     continue
                 local = alias.asname or alias.name
-                module.bindings[local] = ("symbol", source, alias.name)
+                module.bindings[local] = f"{source}.{alias.name}"
 
 
 def _base_expr_text(node: ast.AST) -> Optional[str]:
@@ -139,11 +155,14 @@ class ProjectModel:
     """The parsed project: modules, symbols, and the import graph."""
 
     def __init__(self) -> None:
+        #: every parsed file, in lint order (per-file rules run on these)
+        self.files: List[ModuleInfo] = []
+        #: dotted name -> module; of two files with one name, the last
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        #: files that failed to parse: path -> error text
-        self.parse_errors: Dict[str, str] = {}
+        #: files that failed to parse: path -> the error
+        self.parse_errors: Dict[str, SyntaxError] = {}
         #: module -> project modules it imports (directly)
         self.import_graph: Dict[str, Set[str]] = {}
 
@@ -184,13 +203,12 @@ class ProjectModel:
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            self.parse_errors[path] = str(exc)
+            self.parse_errors[path] = exc
             return
         per_line, per_file = parse_suppressions(source)
         module = ModuleInfo(
             name=name,
             path=path,
-            source=source,
             tree=tree,
             is_package=is_package,
             line_suppressions=per_line,
@@ -198,6 +216,7 @@ class ProjectModel:
         )
         _collect_bindings(module)
         self._collect_defs(module)
+        self.files.append(module)
         self.modules[name] = module
 
     def _collect_defs(self, module: ModuleInfo) -> None:
@@ -258,16 +277,7 @@ class ProjectModel:
         """Post-parse pass: import graph and ``self.x = Cls()`` attr types."""
         for module in self.modules.values():
             imported: Set[str] = set()
-            for binding in module.bindings.values():
-                if binding[0] == "module":
-                    target = binding[1]
-                else:
-                    source, name = binding[1], binding[2]
-                    target = (
-                        f"{source}.{name}"
-                        if f"{source}.{name}" in self.modules
-                        else source
-                    )
+            for target in module.bindings.values():
                 # Credit the deepest project module on the dotted path.
                 parts = target.split(".")
                 for end in range(len(parts), 0, -1):
@@ -300,19 +310,6 @@ class ProjectModel:
     # ------------------------------------------------------------------
     # symbol resolution
 
-    def expand_name(
-        self, module: ModuleInfo, name: str
-    ) -> Optional[str]:
-        """Dotted target a local ``name`` refers to, or None."""
-        if name in module.toplevel:
-            return f"{module.name}.{name}"
-        binding = module.bindings.get(name)
-        if binding is None:
-            return None
-        if binding[0] == "module":
-            return binding[1]
-        return f"{binding[1]}.{binding[2]}"
-
     def lookup(self, dotted: str, _depth: int = 0) -> Optional[str]:
         """Canonical project qualname for ``dotted``, following re-exports.
 
@@ -342,23 +339,18 @@ class ProjectModel:
                 return None
             if prefix not in self.modules:
                 continue
-            module = self.modules[prefix]
-            expanded = self.expand_name(module, rest[0])
+            expanded = self.modules[prefix].expand(rest)
             if expanded is None:
                 return None
-            return self.lookup(
-                ".".join([expanded] + rest[1:]), _depth=_depth + 1
-            )
+            return self.lookup(expanded, _depth=_depth + 1)
         return None
 
     def resolve_chain(
         self, module: ModuleInfo, chain: Sequence[str]
     ) -> Optional[str]:
         """Resolve an attribute chain rooted at a local name."""
-        expanded = self.expand_name(module, chain[0])
-        if expanded is None:
-            return None
-        return self.lookup(".".join([expanded] + list(chain[1:])))
+        expanded = module.expand(chain)
+        return None if expanded is None else self.lookup(expanded)
 
     def resolve_call_to_class(
         self, module: ModuleInfo, call: ast.Call

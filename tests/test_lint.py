@@ -88,6 +88,15 @@ def test_spb101_from_import_alias():
     assert codes(findings) == ["SPB101"]
 
 
+@pytest.mark.parametrize(
+    "module, call",
+    [("uuid", "uuid.uuid4()"), ("os", "os.urandom(8)"), ("secrets", "secrets.token_hex()")],
+)
+def test_spb101_os_entropy(module, call):
+    findings = lint_sim(f"import {module}\n\ndef token():\n    return {call}\n")
+    assert codes(findings) == ["SPB101"]
+
+
 # --- SPB102: wall-clock reads --------------------------------------------
 
 
@@ -130,6 +139,20 @@ def test_spb102_out_of_scope_module_is_clean():
         module=ANALYSIS_MODULE,
     )
     assert findings == []
+
+
+@pytest.mark.parametrize(
+    "module, source, code",
+    [
+        (SIM_MODULE, "import time\n\nSTART = time.time()\n", "SPB102"),
+        (SIM_MODULE, "import time\n\nclass Clock:\n    start = time.time()\n", "SPB102"),
+        (ANALYSIS_MODULE, "class Writer:\n    open(PATH, \"w\")\n", "SPB502"),
+    ],
+    ids=["module-level", "class-body", "class-body-write"],
+)
+def test_per_file_rules_see_code_outside_functions(module, source, code):
+    findings = lint_source(source, "fixture.py", module=module)
+    assert codes(findings) == [code]
 
 
 # --- SPB103: set iteration order -----------------------------------------

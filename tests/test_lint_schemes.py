@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.lint import lint_file, select_rules
+from repro.lint import lint_paths, select_rules
 from repro.lint.scheme_invariants import FIG4_CHAIN, NAME_LETTERS
 
 SCHEME_RULES = ["SPB201", "SPB202", "SPB203", "SPB204"]
@@ -52,7 +52,7 @@ def write_table(tmp_path, body, prelude=TABLE_PRELUDE):
 
 
 def lint_table(path):
-    return lint_file(path, rules=select_rules(select=SCHEME_RULES))
+    return lint_paths([path], rules=select_rules(select=SCHEME_RULES))
 
 
 def codes(findings):
@@ -63,8 +63,8 @@ def test_real_scheme_table_is_clean():
     import repro.core.schemes as schemes_module
     from pathlib import Path
 
-    findings = lint_file(
-        Path(schemes_module.__file__), rules=select_rules(select=SCHEME_RULES)
+    findings = lint_paths(
+        [Path(schemes_module.__file__)], rules=select_rules(select=SCHEME_RULES)
     )
     assert findings == []
 
@@ -204,7 +204,7 @@ def test_spb204_unclassified_step(tmp_path):
 def test_unloadable_table_reports_import_error(tmp_path):
     path = tmp_path / "schemes_table.py"
     path.write_text("import does_not_exist_anywhere\nSCHEMES = {}\n")
-    findings = lint_file(path, rules=select_rules(select=["SPB201"]))
+    findings = lint_paths([path], rules=select_rules(select=["SPB201"]))
     assert len(findings) == 1
     assert "failed to import" in findings[0].message
 
@@ -212,7 +212,7 @@ def test_unloadable_table_reports_import_error(tmp_path):
 def test_non_scheme_files_skip_semantic_rules(tmp_path):
     path = tmp_path / "other.py"
     path.write_text("X = 1\n")
-    assert lint_file(path, rules=select_rules(select=SCHEME_RULES)) == []
+    assert lint_paths([path], rules=select_rules(select=SCHEME_RULES)) == []
 
 
 def test_checker_constants_match_paper_chain():

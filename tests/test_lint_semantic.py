@@ -9,22 +9,29 @@ Pins every layer against committed fixture trees in
   including the acceptance scenario — a two-hop laundered
   ``time.time()`` flagged by SPB701 while the equivalent direct call
   stays SPB102-only (no double-reporting);
-* the CLI surface added with the pass: ``--no-semantic``, ``--select``
-  and the JSON report.
+* the CLI surface: ``--select``, the JSON report, and each fixture
+  tree's JSON report pinned byte for byte;
+* the single parse: per-file rules still run on every parsed file when
+  two files share a dotted module name.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-from repro.lint import analyze_paths, lint_paths, run_project_rules
-from repro.lint.base import select_project_rules
+import pytest
+
+from repro.lint import analyze_paths, lint_paths, run_project_rules, select_rules
 from repro.lint.cli import main as lint_main
 from repro.lint.semantic import SemanticAnalysis
 from repro.lint.semantic.project import ProjectModel
 
-FIXTURES = Path(__file__).resolve().parent / "data" / "semantic"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = REPO_ROOT / "tests" / "data" / "semantic"
 TAINT_TREE = FIXTURES / "taint_tree"
 IO_TREE = FIXTURES / "io_tree"
 EXC_TREE = FIXTURES / "exc_tree"
@@ -32,7 +39,7 @@ EXC_TREE = FIXTURES / "exc_tree"
 
 def semantic_findings(tree, codes=None):
     analysis = analyze_paths([tree])
-    rules = select_project_rules(select=codes)
+    rules = select_rules(select=codes)
     return run_project_rules(analysis, rules=rules)
 
 
@@ -154,6 +161,27 @@ def test_direct_call_is_spb102_only_no_double_report():
     ), "a line flagged by SPB102 must never also be flagged by SPB701"
 
 
+def test_environ_alias_laundered_into_sim_flagged_spb703():
+    project = ProjectModel.from_sources(
+        {
+            "repro.util.env": (
+                "repro/util/env.py",
+                "from os import environ\n\n"
+                "def mode():\n    return environ[\"X\"]\n",
+            ),
+            "repro.sim.use": (
+                "repro/sim/use.py",
+                "from repro.util.env import mode\n\n"
+                "def pick():\n    return mode()\n",
+            ),
+        }
+    )
+    findings = run_project_rules(
+        SemanticAnalysis(project), select_rules(select=["SPB703"])
+    )
+    assert [(f.path, f.line) for f in findings] == [("repro/sim/use.py", 4)]
+
+
 def test_env_and_setorder_taint_flagged():
     codes = {f.code for f in semantic_findings(TAINT_TREE)}
     assert "SPB703" in codes
@@ -227,14 +255,6 @@ def test_logging_handler_is_compliant():
 # CLI composition
 
 
-def test_no_semantic_hides_project_findings(capsys):
-    tree = str(TAINT_TREE)
-    assert lint_main([tree, "--no-semantic"]) == 1
-    out = capsys.readouterr().out
-    assert "SPB102" in out
-    assert "SPB701" not in out
-
-
 def test_json_report_includes_semantic_codes(capsys):
     assert lint_main([str(TAINT_TREE), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
@@ -254,3 +274,43 @@ def test_select_semantic_code_runs_only_that_family(capsys):
     out = capsys.readouterr().out
     assert "SPB701" in out
     assert "SPB102" not in out
+
+
+@pytest.mark.parametrize("tree", ["taint_tree", "io_tree", "exc_tree"])
+def test_fixture_json_report_is_pinned(tree):
+    """``python -m repro.lint <tree> --format json`` from the repo root
+    prints exactly the committed report (tests/data/semantic/*.lint.json)."""
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "repro.lint",
+            f"tests/data/semantic/{tree}",
+            "--format",
+            "json",
+        ],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert proc.stdout == (FIXTURES / f"{tree}.lint.json").read_text()
+
+
+# ----------------------------------------------------------------------
+# one parse for both rule kinds
+
+
+def test_same_named_modules_all_get_per_file_rules():
+    """taint_tree's repro/sim/engine.py and src's share a dotted name;
+    the per-file rules must still see the fixture's direct time.time()."""
+    findings = lint_paths([TAINT_TREE, REPO_ROOT / "src"])
+    assert any(
+        f.code == "SPB102"
+        and f.path.endswith("taint_tree/repro/sim/engine.py")
+        and f.line == 19
+        for f in findings
+    )
