@@ -1,9 +1,11 @@
 """Microbenchmark of the simulator inner loop (perf-regression gate).
 
-Times one full trace-driven simulation per scheme with pytest-benchmark,
-the measurement the ``simloop-*`` workloads of the end-to-end benchmark
-in ``bench/`` make per configuration (see ``bench/README.md``).  The
-hot-path optimization work holds two properties simultaneously:
+Times one full trace-driven simulation per single-core timing model (BBB,
+the six schemes, the SP baseline and strict flush persistency) with
+pytest-benchmark, the measurement the ``simloop-*`` workloads of the
+end-to-end benchmark in ``bench/`` make per configuration (see
+``bench/README.md``).  The hot-path optimization work holds two
+properties simultaneously:
 
 * artifacts stay byte-identical (tests/test_golden_output.py), and
 * single-simulation throughput does not regress (``bench/run.py
@@ -24,8 +26,10 @@ import os
 
 import pytest
 
+from repro.baselines.strict import StrictPersistencySimulator
 from repro.core.schemes import SPECTRUM_ORDER, get_scheme
-from repro.core.simulator import run_scheme
+from repro.core.simulator import SecurePersistencySimulator
+from repro.persistency.flush import FlushBasedSimulator, PersistencyModel
 from repro.workloads.spec import build_trace
 
 pytestmark = pytest.mark.quick
@@ -44,15 +48,23 @@ def trace():
     return built
 
 
-def _run(trace, scheme):
-    return run_scheme(trace, scheme).cycles
-
-
-@pytest.mark.parametrize("name", ["bbb"] + SPECTRUM_ORDER)
-def test_single_simulation_throughput(benchmark, trace, name):
+def _simulator(name):
+    if name == "sp":
+        return StrictPersistencySimulator()
+    if name == "flush":
+        return FlushBasedSimulator(PersistencyModel.STRICT)
     scheme = None if name == "bbb" else get_scheme(name)
-    reference = _run(trace, scheme)
-    cycles = benchmark(_run, trace, scheme)
+    return SecurePersistencySimulator(scheme=scheme)
+
+
+def _run(trace, name):
+    return _simulator(name).run(trace).cycles
+
+
+@pytest.mark.parametrize("name", ["bbb"] + SPECTRUM_ORDER + ["sp", "flush"])
+def test_single_simulation_throughput(benchmark, trace, name):
+    reference = _run(trace, name)
+    cycles = benchmark(_run, trace, name)
     # Determinism inside the timing loop: every iteration simulated the
     # exact same execution.
     assert cycles == reference

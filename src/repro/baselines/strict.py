@@ -15,18 +15,17 @@ vs cm_dbmf vs cm_sbmf) differ only in the mechanisms under study.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from ..core.controller import TimingCalibration
+from ..core.simulator import StorePath, TraceSimulator
 from ..security.metadata_cache import MetadataCaches
 from ..sim.config import SystemConfig
 from ..sim.engine import BoundedPipeline, BusyResource
-from ..sim.hierarchy import MemoryHierarchy
-from ..sim.stats import SimulationResult, StatsCollector
-from ..workloads.trace import Trace
+from ..sim.stats import StatsCollector
 
 
-class StrictPersistencySimulator:
+class StrictPersistencySimulator(TraceSimulator):
     """Trace-driven timing model of PLP-style SP (SPoP at the MC).
 
     Args:
@@ -36,7 +35,7 @@ class StrictPersistencySimulator:
             sp_sbmf); defaults to the full configured height.
     """
 
-    SCHEME_NAME = "sp"
+    scheme_name = "sp"
 
     def __init__(
         self,
@@ -50,30 +49,13 @@ class StrictPersistencySimulator:
         )
         self._bmt_levels_fn = bmt_levels_fn
 
-    def _levels(self, page_index: int) -> int:
-        if self._bmt_levels_fn is not None:
-            return self._bmt_levels_fn(page_index)
-        return self.config.security.bmt_levels
-
-    def run(self, trace: Trace, warmup_frac: float = 0.0) -> SimulationResult:
-        """Simulate one trace under strict persistency.
-
-        ``warmup_frac`` excludes a leading fraction of the trace from the
-        reported cycles/instructions (state still warms up).
-        """
-        if not 0.0 <= warmup_frac < 1.0:
-            raise ValueError("warmup_frac must be in [0, 1)")
+    def _store_path(self, stats: StatsCollector) -> StorePath:
+        """The tuple update at the MC, then the store-buffer push."""
         config = self.config
         cal = self.calibration
-        stats = StatsCollector()
-        hierarchy = MemoryHierarchy(config, stats)
         mdc = MetadataCaches(config, stats)
         mc_engine = BusyResource("mc-tuple-engine")
         store_buffer = BoundedPipeline("store-buffer", config.store_buffer_entries)
-
-        clock = 0.0
-        instructions = 0
-        l1_hit = config.l1.access_cycles
         transit_to_mc = (
             config.l1.access_cycles
             + config.l2.access_cycles
@@ -81,39 +63,17 @@ class StrictPersistencySimulator:
         )
         hash_cycles = config.security.mac_latency_cycles
         aes_cycles = config.security.aes_latency_cycles
+        levels_fn = self._bmt_levels_fn
+        full_levels = config.security.bmt_levels
 
-        warmup_ops = int(len(trace) * warmup_frac)
-        warmup_clock = 0.0
-        warmup_instructions = 0
-        warmup_stats: Dict[str, float] = {}
-        op_index = 0
-
-        for is_store, block_addr, gap in trace.iter_ops():
-            if op_index == warmup_ops and warmup_ops:
-                warmup_clock = clock
-                warmup_instructions = instructions
-                warmup_stats = stats.snapshot()
-            op_index += 1
-            instructions += gap + 1
-            clock += gap * cal.cpi_base
-            byte_addr = block_addr << 6
-
-            if not is_store:
-                latency = hierarchy.load_latency(byte_addr)
-                if latency <= l1_hit:
-                    clock += latency
-                else:
-                    clock += l1_hit + cal.load_blocking_fraction * (latency - l1_hit)
-                continue
-
-            hierarchy.store_access(byte_addr, persist_region=True)
-
+        def store(clock: float, block_addr: int) -> float:
             # Tuple update at the MC, serialized in persist order.  The
             # flush transit and the MAC latency pipeline with younger
             # stores (PLP's persist-level parallelism); the counter access
             # and the single-in-flight BMT update serialize.
-            ctr_latency = mdc.access_counter(block_addr // 64)
-            levels = self._levels(block_addr // 64)
+            page = block_addr // 64
+            ctr_latency = mdc.access_counter(page)
+            levels = levels_fn(page) if levels_fn is not None else full_levels
             service = (
                 ctr_latency
                 + cal.counter_increment_cycles
@@ -126,22 +86,9 @@ class StrictPersistencySimulator:
             stats.add("mac.generations")
 
             stall = store_buffer.push(clock, completion)
-            clock += stall + 1.0
+            return clock + (stall + 1.0)
 
-        if warmup_ops:
-            # Warmup counts (BMT root updates, MAC generations, cache
-            # hits) are excluded so reported ratios cover only the
-            # measured region — mirroring SecurePersistencySimulator.
-            stats.subtract(warmup_stats)
-        stats.set("instructions", instructions - warmup_instructions)
-        result = SimulationResult(
-            scheme=self.SCHEME_NAME,
-            benchmark=trace.name,
-            cycles=clock - warmup_clock,
-            instructions=instructions - warmup_instructions,
-            stats=stats.as_dict(),
-        )
-        return result
+        return StorePath(store, mdc)
 
 
 def run_sp(

@@ -1,4 +1,9 @@
-"""The trace-driven secure-persistency timing simulator.
+"""The single-core trace loop and the secure-persistency timing model.
+
+:class:`TraceSimulator` is the one single-core trace loop; each timing
+model (SecPB here, SP in :mod:`repro.baselines.strict`, flush-based
+persistency in :mod:`repro.persistency.flush`) supplies only its store
+mechanism, as a :class:`StorePath`.
 
 :class:`SecurePersistencySimulator` runs a memory-reference trace through a
 core + SecPB + cache hierarchy + memory-controller model and reports
@@ -30,7 +35,7 @@ same watermarks, no security metadata anywhere.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ..obs.tracing import LANE_DRAIN, LANE_STALLS, LANE_STORES, Tracer
 from ..security.metadata_cache import MetadataCaches
@@ -40,13 +45,152 @@ from ..sim.hierarchy import MemoryHierarchy
 from ..sim.stats import SimulationResult, StatsCollector
 from ..workloads.trace import Trace
 from .controller import SecPBController, TimingCalibration
-from .schemes import ALL_STEPS, Scheme
+from .schemes import ALL_STEPS, COBCM, Scheme
 from .secpb import SecPB
 
 BBB_SCHEME_NAME = "bbb"
 
 
-class SecurePersistencySimulator:
+class StorePath(NamedTuple):
+    """One run's store mechanism, as :meth:`TraceSimulator.run` drives it.
+
+    ``store(clock, block_addr)`` follows each store's L1D access and
+    returns the clock at which the core starts its next op.  ``mdc`` holds
+    the model's metadata caches (``None`` without security metadata); PM
+    loads verify through it when speculative verification is off.
+    ``finish(clock)`` runs after the last op, and ``report()`` builds the
+    result's stats after warmup exclusion (default ``stats.as_dict()``).
+    """
+
+    store: Callable[[float, int], float]
+    mdc: Optional[MetadataCaches] = None
+    finish: Optional[Callable[[float], float]] = None
+    report: Optional[Callable[[], Dict[str, float]]] = None
+
+
+class TraceSimulator:
+    """The single-core trace loop every timing model runs on.
+
+    A subclass sets ``config``, ``calibration`` and ``scheme_name``, and
+    builds a fresh :class:`StorePath` per run in ``_store_path``.  Stores
+    reach the hierarchy with ``persist_region`` (False: volatile caches).
+    """
+
+    config: SystemConfig
+    calibration: TimingCalibration
+    persist_region = True
+
+    @property
+    def scheme_name(self) -> str:
+        raise NotImplementedError
+
+    def _store_path(self, stats: StatsCollector) -> StorePath:
+        raise NotImplementedError
+
+    def run(self, trace: Trace, warmup_frac: float = 0.0) -> SimulationResult:
+        """Simulate one trace; returns timing and statistics.
+
+        Args:
+            trace: the memory-reference trace.
+            warmup_frac: fraction of the trace treated as warmup — state
+                (caches, buffers, metadata caches) is built but its cycles,
+                instructions and counters are excluded from the reported
+                result, mirroring the paper's fast-forward to
+                representative regions.
+        """
+        if not 0.0 <= warmup_frac < 1.0:
+            raise ValueError("warmup_frac must be in [0, 1)")
+        config = self.config
+        cal = self.calibration
+        stats = StatsCollector()
+        hierarchy = MemoryHierarchy(config, stats)
+        path = self._store_path(stats)
+
+        clock = 0.0
+        instructions = 0
+        l1_hit_cycles = config.l1.access_cycles
+        cpi_base = cal.cpi_base
+        blocking = cal.load_blocking_fraction
+        # Speculative integrity verification (Table I / PoisonIvy [33])
+        # hides load-side verification entirely; without it, PM fills of
+        # every model with security metadata pay OTP regeneration + MAC
+        # check before use.
+        mdc = path.mdc
+        if mdc is not None and not config.security.speculative_verification:
+            verify_load_cycles = (
+                config.security.aes_latency_cycles
+                + config.security.mac_latency_cycles
+            )
+        else:
+            verify_load_cycles = 0
+        memory_fill_cycles = config.memory_round_trip_cycles
+        count_load_verification = stats.counter("verify.load_verifications")
+
+        warmup_ops = int(len(trace) * warmup_frac)
+        warmup_clock = 0.0
+        warmup_instructions = 0
+        warmup_stats: Dict[str, float] = {}
+        op_index = 0
+
+        # Hot-loop bindings: the per-op path resolves these names once per
+        # run instead of chasing attributes per op.
+        load_latency = hierarchy.load_latency
+        store_access = hierarchy.store_access
+        persist_region = self.persist_region
+        store = path.store
+        mdc_access_counter = mdc.access_counter if mdc is not None else None
+
+        for is_store, block_addr, gap in trace.iter_ops():
+            if op_index == warmup_ops and warmup_ops:
+                warmup_clock = clock
+                warmup_instructions = instructions
+                warmup_stats = stats.snapshot()
+            op_index += 1
+            instructions += gap + 1
+            clock += gap * cpi_base
+
+            byte_addr = block_addr << 6
+
+            if not is_store:
+                latency = load_latency(byte_addr)
+                if latency >= memory_fill_cycles and verify_load_cycles:
+                    # Non-speculative integrity verification (ablation of
+                    # the Table I assumption): data fetched from PM cannot
+                    # be used until its counter is fetched, the OTP is
+                    # regenerated and the MAC checked.
+                    latency += mdc_access_counter(block_addr // 64)
+                    latency += verify_load_cycles
+                    count_load_verification()
+                if latency <= l1_hit_cycles:
+                    clock += latency
+                else:
+                    clock += l1_hit_cycles + blocking * (latency - l1_hit_cycles)
+                continue
+
+            # Store path: the L1D access, then the model's mechanism.
+            store_access(byte_addr, persist_region)
+            clock = store(clock, block_addr)
+
+        if path.finish is not None:
+            clock = path.finish(clock)
+        if warmup_ops:
+            # Exclude warmup-region counts so every counter — and PPTI /
+            # NWPE / the Fig. 8 update ratios derived from them — covers
+            # only the measured region.  State (caches, buffers, metadata
+            # caches) keeps its warmed contents.
+            stats.subtract(warmup_stats)
+        stats.set("instructions", instructions - warmup_instructions)
+        result_stats = path.report() if path.report is not None else stats.as_dict()
+        return SimulationResult(
+            scheme=self.scheme_name,
+            benchmark=trace.name,
+            cycles=clock - warmup_clock,
+            instructions=instructions - warmup_instructions,
+            stats=result_stats,
+        )
+
+
+class SecurePersistencySimulator(TraceSimulator):
     """One configured (scheme, system) pair, runnable over traces.
 
     Args:
@@ -85,27 +229,14 @@ class SecurePersistencySimulator:
     def scheme_name(self) -> str:
         return self.scheme.name if self.scheme is not None else BBB_SCHEME_NAME
 
-    def run(self, trace: Trace, warmup_frac: float = 0.0) -> SimulationResult:
-        """Simulate one trace; returns timing and statistics.
-
-        Args:
-            trace: the memory-reference trace.
-            warmup_frac: fraction of the trace treated as warmup — state
-                (caches, SecPB, metadata caches) is built but its cycles
-                and instructions are excluded from the reported result,
-                mirroring the paper's fast-forward to representative
-                regions.
-        """
-        if not 0.0 <= warmup_frac < 1.0:
-            raise ValueError("warmup_frac must be in [0, 1)")
+    def _store_path(self, stats: StatsCollector) -> StorePath:
+        """SecPB acceptance, watermark drains and backflow for one run."""
         config = self.config
         cal = self.calibration
-        stats = StatsCollector()
-        hierarchy = MemoryHierarchy(config, stats)
         secure = self.scheme is not None
 
         if secure:
-            mdc = MetadataCaches(config, stats)
+            mdc: Optional[MetadataCaches] = MetadataCaches(config, stats)
             controller = SecPBController(
                 config,
                 self.scheme,
@@ -117,14 +248,12 @@ class SecurePersistencySimulator:
             )
             secpb = SecPB(config.secpb, self.scheme, stats)
         else:
+            mdc = None
             controller = None
-            # The BBB persist buffer has the same geometry, no metadata.
-            from .schemes import COBCM  # structure-only; fields unused
-
+            # The BBB persist buffer has the same geometry, no metadata
+            # (COBCM is structure-only here; its fields go unused).
             secpb = SecPB(config.secpb, COBCM, stats)
 
-        clock = 0.0
-        instructions = 0
         store_buffer = BoundedPipeline("store-buffer", config.store_buffer_entries)
         accept_free_at = 0.0  # SecPB acceptance serialization point
         # In-flight drain completion times, kept as a min-heap: the seed's
@@ -135,32 +264,17 @@ class SecurePersistencySimulator:
         # tests/test_drain_accounting.py against seed-captured values).
         drain_completions: List[float] = []
         capacity = config.secpb.entries
-
-        l1_hit_cycles = config.l1.access_cycles
-        cpi_base = cal.cpi_base
-        blocking = cal.load_blocking_fraction
         drain_transfer = float(cal.drain_transfer_cycles)
-        # Speculative integrity verification (Table I / PoisonIvy [33])
-        # hides load-side verification entirely; without it, PM fills pay
-        # OTP regeneration + MAC check before use.
-        if secure and not config.security.speculative_verification:
-            verify_load_cycles = (
-                config.security.aes_latency_cycles
-                + config.security.mac_latency_cycles
-            )
-        else:
-            verify_load_cycles = 0
-        memory_fill_cycles = config.memory_round_trip_cycles
 
-        # Hot-loop bindings: the per-op path resolves these names once per
-        # run instead of chasing attributes per op.  ``secpb_entries`` is
-        # the buffer's backing table — its length IS secpb.occupancy.
+        # Hot-loop bindings: the per-store path resolves these names once
+        # per run instead of chasing attributes per store.
+        # ``secpb_entries`` is the buffer's backing table — its length IS
+        # secpb.occupancy.
         secpb_entries = secpb._entries
         count_drain_service = stats.counter("drain.services")
         count_forced_drain = stats.counter("secpb.forced_drains")
         count_backflow_stall = stats.counter("secpb.backflow_stalls")
         add_backflow_cycles = stats.counter("secpb.backflow_cycles")
-        count_load_verification = stats.counter("verify.load_verifications")
         drain_oldest_addr = secpb.drain_oldest_addr
         drain_targets = secpb.drain_targets
         price_drain = controller.price_drain if controller is not None else None
@@ -168,6 +282,13 @@ class SecurePersistencySimulator:
         # The drain engine is a single-server FIFO (BusyResource), inlined
         # into the closure below: drains serialize on one free_at point.
         drain_free_at = 0.0
+        peak_effective_occupancy = 0
+        secpb_entries_get = secpb_entries.get
+        secpb_coalesce = secpb.coalesce
+        secpb_allocate = secpb.allocate
+        push_store = store_buffer.push
+        price_new_entry = controller.price_new_entry if secure else None
+        price_coalesced = controller.price_coalesced_store if secure else None
 
         # Optional tracing: bind emit closures once per run; every site
         # below guards on ``hook is not None`` so an untraced run pays
@@ -175,22 +296,15 @@ class SecurePersistencySimulator:
         # back into timing or stats.
         tracer = self.tracer
         if tracer is not None:
-            scheme_obj = self.scheme
-            early_names = [
-                s.value
-                for s in ALL_STEPS
-                if scheme_obj is not None and s in scheme_obj.early_steps
-            ]
-            late_names = [
-                s.value
-                for s in ALL_STEPS
-                if scheme_obj is not None and s in scheme_obj.late_steps
-            ]
-            coalesce_names = [
-                s.value
-                for s in ALL_STEPS
-                if scheme_obj is not None and s in scheme_obj.eager_value_dependent
-            ]
+            scheme = self.scheme
+            step_sets = (
+                (scheme.early_steps, scheme.late_steps, scheme.eager_value_dependent)
+                if scheme is not None
+                else ((), (), ())
+            )
+            early_names, late_names, coalesce_names = (
+                [s.value for s in ALL_STEPS if s in steps] for steps in step_sets
+            )
             trace_accept = tracer.bind_complete("secpb.accept", "secpb", LANE_STORES)
             trace_coalesce = tracer.bind_complete("secpb.coalesce", "secpb", LANE_STORES)
             trace_drain = tracer.bind_complete("secpb.drain", "secpb", LANE_DRAIN)
@@ -232,54 +346,9 @@ class SecurePersistencySimulator:
             for _ in range(drain_targets()):
                 drain_one(now)
 
-        warmup_ops = int(len(trace) * warmup_frac)
-        warmup_clock = 0.0
-        warmup_instructions = 0
-        warmup_stats: Dict[str, float] = {}
-        peak_effective_occupancy = 0
-        op_index = 0
-
-        # More hot-loop bindings (method lookups hoisted out of the loop).
-        load_latency = hierarchy.load_latency
-        store_access = hierarchy.store_access
-        secpb_entries_get = secpb_entries.get
-        secpb_coalesce = secpb.coalesce
-        secpb_allocate = secpb.allocate
-        push_store = store_buffer.push
-        mdc_access_counter = mdc.access_counter if secure else None
-        price_new_entry = controller.price_new_entry if secure else None
-        price_coalesced = controller.price_coalesced_store if secure else None
-
-        for is_store, block_addr, gap in trace.iter_ops():
-            if op_index == warmup_ops and warmup_ops:
-                warmup_clock = clock
-                warmup_instructions = instructions
-                warmup_stats = stats.snapshot()
-            op_index += 1
-            instructions += gap + 1
-            clock += gap * cpi_base
-
-            byte_addr = block_addr << 6
-
-            if not is_store:
-                latency = load_latency(byte_addr)
-                if latency >= memory_fill_cycles and verify_load_cycles:
-                    # Non-speculative integrity verification (ablation of
-                    # the Table I assumption): data fetched from PM cannot
-                    # be used until its counter is fetched, the OTP is
-                    # regenerated and the MAC checked.
-                    latency += mdc_access_counter(block_addr // 64)
-                    latency += verify_load_cycles
-                    count_load_verification()
-                if latency <= l1_hit_cycles:
-                    clock += latency
-                else:
-                    clock += l1_hit_cycles + blocking * (latency - l1_hit_cycles)
-                continue
-
-            # Store path: L1D and SecPB accessed in parallel (Sec. IV-B).
-            store_access(byte_addr, True)
-
+        def store(clock: float, block_addr: int) -> float:
+            """The SecPB write, accepted in parallel with the L1D access."""
+            nonlocal accept_free_at, peak_effective_occupancy
             entry = secpb_entries_get(block_addr)
             if entry is None:
                 # Backflow: a physical slot frees only when its drain
@@ -370,35 +439,28 @@ class SecurePersistencySimulator:
 
             if len(secpb_entries) >= high_watermark_entries:
                 start_drains(clock)
+            return clock
 
-        # Account the final drain tail: execution "ends" when the core is
-        # done; outstanding drains continue on the battery-less normal path
-        # and do not extend execution time.
-        if warmup_ops:
-            # Exclude warmup-region counts so every counter — and PPTI /
-            # NWPE / the Fig. 8 update ratios derived from them — covers
-            # only the measured region.  State (caches, SecPB, metadata
-            # caches) keeps its warmed contents.
-            stats.subtract(warmup_stats)
-        stats.set("instructions", instructions - warmup_instructions)
-        stats.set("secpb.final_occupancy", secpb.occupancy)
-        # Gauge over the whole run (warmup included): structural occupancy
-        # plus slots held by in-flight drains, sampled after each
-        # allocation.  Never exceeds the configured capacity.
-        stats.set("secpb.peak_effective_occupancy", peak_effective_occupancy)
-        # Derived statistics join the snapshot *before* the result is
-        # built — a SimulationResult is an immutable record of the
-        # measured region (secpb-lint SPB302).
-        result_stats = stats.as_dict()
-        result_stats["ppti"] = stats.ppti
-        result_stats["nwpe"] = stats.nwpe
-        return SimulationResult(
-            scheme=self.scheme_name,
-            benchmark=trace.name,
-            cycles=clock - warmup_clock,
-            instructions=instructions - warmup_instructions,
-            stats=result_stats,
-        )
+        def report() -> Dict[str, float]:
+            """Occupancy gauges and PPTI/NWPE over the measured region.
+
+            Execution ends with the core: outstanding drains continue on
+            the battery-less normal path and do not extend it.
+            """
+            stats.set("secpb.final_occupancy", secpb.occupancy)
+            # Gauge over the whole run (warmup included): structural
+            # occupancy plus slots held by in-flight drains, sampled after
+            # each allocation.  Never exceeds the configured capacity.
+            stats.set("secpb.peak_effective_occupancy", peak_effective_occupancy)
+            # Derived statistics join the snapshot *before* the result is
+            # built — a SimulationResult is an immutable record of the
+            # measured region (secpb-lint SPB302).
+            result_stats = stats.as_dict()
+            result_stats["ppti"] = stats.ppti
+            result_stats["nwpe"] = stats.nwpe
+            return result_stats
+
+        return StorePath(store, mdc, report=report)
 
 
 def run_scheme(

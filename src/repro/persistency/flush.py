@@ -24,15 +24,14 @@ under security.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
 from ..core.controller import TimingCalibration
+from ..core.simulator import StorePath, TraceSimulator
 from ..security.metadata_cache import MetadataCaches
 from ..sim.config import SystemConfig
 from ..sim.engine import BusyResource
-from ..sim.hierarchy import MemoryHierarchy
-from ..sim.stats import SimulationResult, StatsCollector
-from ..workloads.trace import Trace
+from ..sim.stats import StatsCollector
 
 
 class PersistencyModel(enum.Enum):
@@ -42,7 +41,7 @@ class PersistencyModel(enum.Enum):
     EPOCH = "epoch"
 
 
-class FlushBasedSimulator:
+class FlushBasedSimulator(TraceSimulator):
     """Trace-driven timing model of clwb/sfence persistency.
 
     Args:
@@ -54,6 +53,9 @@ class FlushBasedSimulator:
         config: Table I system configuration.
         calibration: shared free timing constants.
     """
+
+    # A traditional hierarchy: stores land in volatile caches until flushed.
+    persist_region = False
 
     def __init__(
         self,
@@ -80,58 +82,43 @@ class FlushBasedSimulator:
             return f"flush_strict{suffix}"
         return f"flush_epoch{self.epoch_stores}{suffix}"
 
-    def _flush_service(self, mdc: Optional[MetadataCaches], block_addr: int) -> float:
-        """MC-side service for persisting one flushed line."""
+    def _store_path(self, stats: StatsCollector) -> StorePath:
+        """clwb (+sfence) per store, or epoch bookkeeping and fences."""
         config = self.config
         cal = self.calibration
-        # Writeback occupies the NVM write path via the WPQ.
-        service = float(cal.drain_transfer_cycles)
-        if self.secure and mdc is not None:
-            service += mdc.access_counter(block_addr // 64)
-            service += cal.counter_increment_cycles
-            service += max(
-                config.security.aes_latency_cycles,
-                config.security.bmt_update_cycles,
-            )
-            service += cal.xor_cycles
-            service += config.security.mac_latency_cycles
-        return service
-
-    def run(self, trace: Trace, warmup_frac: float = 0.0) -> SimulationResult:
-        """Simulate one trace under the flush-based discipline."""
-        if not 0.0 <= warmup_frac < 1.0:
-            raise ValueError("warmup_frac must be in [0, 1)")
-        config = self.config
-        cal = self.calibration
-        stats = StatsCollector()
-        hierarchy = MemoryHierarchy(config, stats)
         mdc = MetadataCaches(config, stats) if self.secure else None
+        # Writeback occupies the NVM write path via the WPQ.
+        writeback = float(cal.drain_transfer_cycles)
+        otp_or_bmt = max(
+            config.security.aes_latency_cycles, config.security.bmt_update_cycles
+        )
         mc_engine = BusyResource("flush-mc-engine")
         transit = (
             config.l1.access_cycles
             + config.l2.access_cycles
             + config.l3.access_cycles
         )
-
-        clock = 0.0
-        instructions = 0
-        l1_hit = config.l1.access_cycles
+        strict = self.model is PersistencyModel.STRICT
+        epoch_stores = self.epoch_stores
         epoch_dirty: Set[int] = set()
         epoch_store_count = 0
-        epoch_flush_done = 0.0
 
-        warmup_ops = int(len(trace) * warmup_frac)
-        warmup_clock = 0.0
-        warmup_instructions = 0
-        warmup_stats: Dict[str, float] = {}
-        op_index = 0
+        def flush_service(block_addr: int) -> float:
+            """MC-side service for persisting one flushed line."""
+            service = writeback
+            if mdc is not None:
+                service += mdc.access_counter(block_addr // 64)
+                service += cal.counter_increment_cycles
+                service += otp_or_bmt
+                service += cal.xor_cycles
+                service += config.security.mac_latency_cycles
+            return service
 
         def fence_epoch(now: float) -> float:
             """Flush every epoch-dirty line; return the fence-release time."""
-            nonlocal epoch_flush_done
             done = now
             for block in epoch_dirty:
-                service = self._flush_service(mdc, block)
+                service = flush_service(block)
                 _, completion = mc_engine.request(now, service)
                 done = max(done, completion)
                 stats.add("flush.lines")
@@ -140,54 +127,25 @@ class FlushBasedSimulator:
             # The clwb'd data still has to travel to the MC once.
             return done + transit
 
-        for is_store, block_addr, gap in trace.iter_ops():
-            if op_index == warmup_ops and warmup_ops:
-                warmup_clock = clock
-                warmup_instructions = instructions
-                warmup_stats = stats.snapshot()
-            op_index += 1
-            instructions += gap + 1
-            clock += gap * cal.cpi_base
-            byte_addr = block_addr << 6
-
-            if not is_store:
-                latency = hierarchy.load_latency(byte_addr)
-                if latency <= l1_hit:
-                    clock += latency
-                else:
-                    clock += l1_hit + cal.load_blocking_fraction * (latency - l1_hit)
-                continue
-
-            hierarchy.store_access(byte_addr, persist_region=False)
+        def store(clock: float, block_addr: int) -> float:
+            nonlocal epoch_store_count
             clock += 1.0
-
-            if self.model is PersistencyModel.STRICT:
+            if strict:
                 # clwb + sfence per store: the core waits for the persist.
-                service = self._flush_service(mdc, block_addr)
+                service = flush_service(block_addr)
                 _, completion = mc_engine.request(clock, service)
-                clock = completion + transit
                 stats.add("flush.lines")
                 stats.add("flush.fences")
-            else:
-                epoch_dirty.add(block_addr)
-                epoch_store_count += 1
-                if epoch_store_count >= self.epoch_stores:
-                    clock = fence_epoch(clock)
-                    epoch_store_count = 0
+                return completion + transit
+            epoch_dirty.add(block_addr)
+            epoch_store_count += 1
+            if epoch_store_count >= epoch_stores:
+                epoch_store_count = 0
+                return fence_epoch(clock)
+            return clock
 
-        if self.model is PersistencyModel.EPOCH and epoch_dirty:
-            clock = fence_epoch(clock)
+        def finish(clock: float) -> float:
+            """Fence the last, partial epoch (inside the measured region)."""
+            return fence_epoch(clock) if epoch_dirty else clock
 
-        if warmup_ops:
-            # Warmup counts (flushed lines, fences, cache hits) are
-            # excluded so the stats cover the same measured region as
-            # cycles; the end-of-trace fence above stays in it.
-            stats.subtract(warmup_stats)
-        stats.set("instructions", instructions - warmup_instructions)
-        return SimulationResult(
-            scheme=self.scheme_name,
-            benchmark=trace.name,
-            cycles=clock - warmup_clock,
-            instructions=instructions - warmup_instructions,
-            stats=stats.as_dict(),
-        )
+        return StorePath(store, mdc, finish)

@@ -45,3 +45,10 @@ class TestGoldenEquivalence:
         # counter — the strictest artifact: cycles, PPTI/NWPE, cache and
         # metadata-cache hit/miss counts, drain/backflow accounting.
         assert golden.build_runs() == _golden_bytes("golden_runs.json")
+
+    def test_baselines_match_golden(self):
+        # The same full results for SP (full height and the Fig. 9 BMF
+        # cuts), flush-based persistency (strict and epoch-32, plain and
+        # secure) and non-speculative CM: every single-core timing model
+        # shares the trace loop, so each one is pinned here.
+        assert golden.build_baselines() == _golden_bytes("golden_baselines.json")
