@@ -31,7 +31,8 @@ lint:
 # The CI entry point: static analysis, the tier-1 suite, the benchmark
 # smoke (every bench/ workload at a tiny size), the quick
 # parallel-runner smoke (which includes the observability smoke in
-# benchmarks/test_obs_smoke.py), the fault-campaign smoke, the
+# benchmarks/test_obs_smoke.py, and compares table4's stdout at
+# --jobs 1 and --jobs 2 byte for byte), the fault-campaign smoke, the
 # instrumented-run smoke, the resume smoke (deadline checkpoint ->
 # resume -> byte-identical report), and the chaos smoke (systematic
 # crash-consistency sweep + seeded envfault soak; mirrors
@@ -39,6 +40,10 @@ lint:
 ci: lint test
 	$(PYTHON) -m pytest bench/test_bench.py -q -p no:cacheprovider
 	$(PYTHON) -m pytest benchmarks -m quick -q -p no:cacheprovider
+	work=$$(mktemp -d) && trap 'rm -rf "$$work"' EXIT && \
+	$(PYTHON) -m repro experiment table4 --num-ops 2000 --jobs 1 > "$$work/jobs1.txt" && \
+	$(PYTHON) -m repro experiment table4 --num-ops 2000 --jobs 2 > "$$work/jobs2.txt" && \
+	cmp "$$work/jobs1.txt" "$$work/jobs2.txt"
 	$(PYTHON) -m repro faultcampaign --crash-points 2 --num-stores 40 --jobs 2
 	PYTHON="$(PYTHON)" sh tools/obs_smoke.sh
 	PYTHON="$(PYTHON)" sh tools/resume_smoke.sh

@@ -36,7 +36,9 @@ captured as a picklable :class:`JobFailure` instead of poisoning the
 whole sweep, so callers can distinguish "the simulation says
 unrecoverable" from "the worker blew up" and still salvage every other
 task's result.  A per-task timeout bounds how long the harvest waits on
-any one future.
+any one future.  One outcome rule settles every execution for both
+executors: serial runs retry a task in place, pool runs in a later
+round, and ``on_error="raise"`` records nothing for the task it raises on.
 
 It is also **resumable** (:mod:`repro.durability`): ``completed`` seeds
 the run with journaled results (those tasks are never re-executed),
@@ -59,7 +61,7 @@ import logging
 import time
 import traceback
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -69,6 +71,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..baselines.strict import StrictPersistencySimulator
@@ -271,13 +274,6 @@ def _private_copy(result: SimulationResult) -> SimulationResult:
     return replace(result, stats=dict(result.stats))
 
 
-def _timed_call(fn: Callable[[Any], Any], task: Any) -> Tuple[Any, float]:
-    """Module-level wrapper (picklable) adding wall-clock timing."""
-    start = time.perf_counter()
-    result = fn(task)
-    return result, time.perf_counter() - start
-
-
 def _check_unique_keys(tasks: Sequence[Any]) -> None:
     keys = [task.key for task in tasks]
     if len(set(keys)) != len(keys):
@@ -286,29 +282,6 @@ def _check_unique_keys(tasks: Sequence[Any]) -> None:
         for key in keys:
             (dupes if key in seen else seen).add(key)
         raise ValueError(f"duplicate job keys: {sorted(map(str, dupes))}")
-
-
-def _failure_for(
-    key: JobKey,
-    exc: BaseException,
-    attempts: int,
-    tb: Optional[str] = None,
-) -> JobFailure:
-    """Build a :class:`JobFailure`; ``tb`` carries a worker-side traceback.
-
-    Batched pool execution formats the traceback in the worker (where
-    the frames still exist) and ships the string; the serial path and
-    pool-level failures format the local exception instead.
-    """
-    return JobFailure(
-        key=key,
-        error_type=type(exc).__name__,
-        message=str(exc),
-        traceback=tb if tb is not None else "".join(
-            traceback.format_exception(type(exc), exc, exc.__traceback__)
-        ),
-        attempts=attempts,
-    )
 
 
 def _record(
@@ -341,14 +314,14 @@ def _record(
 class _RunnerObs:
     """Per-run observability sink: metrics registry + optional job trace.
 
-    Built once per :func:`run_tasks` call when the caller passed a
-    ``metrics`` registry and/or a ``tracer``; the harvest paths call its
-    methods per task outcome.  Wall-clock quantities (task seconds, job
-    trace timestamps) are inherently non-deterministic across worker
-    counts, so the histogram is registered ``deterministic=False`` and
-    excluded from reproducible metric snapshots; the event *counters*
-    (completed/failed/retried/...) are deterministic and do compare
-    across ``--jobs`` values.
+    Built on every :func:`run_tasks` call; without a ``metrics``
+    registry or a ``tracer`` its methods do nothing.  The outcome rule
+    (:meth:`_Harvest.settle`) calls its methods per task outcome.
+    Wall-clock quantities (task seconds, job trace timestamps) are
+    inherently non-deterministic across worker counts, so the histogram
+    is registered ``deterministic=False`` and excluded from reproducible
+    metric snapshots; the event *counters* (completed/failed/retried/...)
+    are deterministic and do compare across ``--jobs`` values.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry], tracer: Optional[Tracer]):
@@ -460,55 +433,161 @@ class _RunnerObs:
             ).inc(shm_retries)
 
 
+@dataclass(frozen=True)
+class _TaskError:
+    """One task execution that produced no result.
 
-def _run_tasks_serial(
+    ``exception`` is what the task, or the pool running it, raised;
+    ``traceback`` is formatted where its frames still existed, so a
+    :class:`JobFailure` shows the task's stack, not the runner's
+    plumbing.  ``None`` marks an expired harvest wait (:data:`_TIMED_OUT`).
+    """
+
+    exception: Optional[BaseException]
+    traceback: str = ""
+
+
+_TIMED_OUT = _TaskError(None)
+
+_Outcome = Union[Tuple[Any, float], _TaskError]
+"""One execution's outcome: ``(result, seconds)`` or a :class:`_TaskError`."""
+
+
+def _execute(fn: Callable[[Any], Any], task: Any) -> _Outcome:
+    """Run one task here: ``(result, seconds)``, or the error it raised.
+
+    Serial runs call it directly; pool workers once per task of a batch.
+    """
+    start = time.perf_counter()
+    try:
+        result = fn(task)
+    except Exception as exc:
+        return _TaskError(exc, traceback.format_exc())
+    return result, time.perf_counter() - start
+
+
+@dataclass
+class _Harvest:
+    """One run's results and the outcome rule that settles them.
+
+    Serial and pool executors hand every execution's outcome to
+    :meth:`settle`; they differ only in when a retry runs.
+    """
+
+    total: int
+    on_error: str
+    policy: RetryPolicy
+    timeout: Optional[float]
+    on_result: Optional[Callable[[JobKey, Any], None]]
+    obs: _RunnerObs
+    results: Dict[JobKey, Any]
+    attempts: Dict[JobKey, int] = field(default_factory=dict)
+    settled: int = 0
+
+    def settle(self, task: Any, outcome: _Outcome) -> bool:
+        """Account one execution of ``task``; True when it must run again.
+
+        A task exception (the task's own, or the pool's for each task of
+        its batch) is retried while :attr:`policy` allows; an expired
+        wait never is, as the worker may still be running.  A final
+        failure raises under ``on_error="raise"`` before anything is
+        recorded; under ``"record"`` it lands as a :class:`JobFailure`.
+        Progress reads ``[execution/executions known]``; a retry adds one.
+        """
+        key = task.key
+        attempts = self.attempts[key] = self.attempts.get(key, 0) + 1
+        self.settled += 1
+        if not isinstance(outcome, _TaskError):
+            result, elapsed = outcome
+            _record(self.results, key, result, self.on_result)
+            self.obs.task_done(key, elapsed)
+            self._progress(key, ": done in %.2fs", elapsed)
+            return False
+        exc = outcome.exception
+        if exc is not None and self.policy.allows_retry(attempts):
+            self.total += 1
+            self.obs.task_retried()
+            self._progress(key, " failed (%s), retrying", type(exc).__name__)
+            return True
+        if self.on_error == "raise":
+            if exc is None:
+                exc = TimeoutError(
+                    f"job {key!r} produced no result within {self.timeout}s"
+                )
+            raise exc
+        if exc is None:
+            failure = JobFailure(
+                key=key,
+                error_type="TimeoutError",
+                message=f"no result within {self.timeout}s; worker abandoned",
+                traceback="",
+                attempts=attempts,
+                timed_out=True,
+            )
+            _record(self.results, key, failure, self.on_result)
+            self.obs.task_timeout()
+            self._progress(key, ": TIMED OUT after %.1fs", self.timeout)
+        else:
+            failure = JobFailure(
+                key=key,
+                error_type=type(exc).__name__,
+                message=str(exc),
+                traceback=outcome.traceback,
+                attempts=attempts,
+            )
+            _record(self.results, key, failure, self.on_result)
+            self.obs.task_failed()
+            self._progress(key, ": FAILED after %d attempt(s)", attempts)
+        return False
+
+    def _progress(self, key: JobKey, event: str, *args: Any) -> None:
+        logger.info("[%d/%d] %s" + event, self.settled, self.total, key, *args)
+
+    def salvage(self, remaining: Sequence[Tuple[Sequence[Any], Any]]) -> None:
+        """At interrupt: cancel what never started, keep what finished anyway.
+
+        In-flight batch futures get a shared :data:`_SALVAGE_GRACE`
+        budget to deliver — work a worker already paid for should reach
+        the journal, not be thrown away.  Every completed outcome of a
+        delivered batch is salvaged; anything still running after the
+        grace is abandoned (it re-runs on ``--resume``).
+        """
+        # Cancel everything still queued in ONE pass before waiting on
+        # anything — otherwise freed workers keep picking up queued
+        # futures while we salvage, and "stop submitting" never stops.
+        in_flight = [
+            (batch, future) for batch, future in remaining if not future.cancel()
+        ]
+        deadline = time.monotonic() + _SALVAGE_GRACE
+        for batch, future in in_flight:
+            grace = max(0.0, deadline - time.monotonic())
+            try:
+                outcomes, _built, _attached, _retries = future.result(
+                    timeout=grace
+                )
+            except Exception:  # still running, or failed in flight:
+                continue  # either way the resume redoes it
+            for task, outcome in zip(batch, outcomes):
+                if isinstance(outcome, _TaskError):
+                    continue  # failed in flight; the resume will retry it
+                result, _elapsed = outcome
+                _record(self.results, task.key, result, self.on_result)
+                self.obs.task_salvaged()
+                logger.info("%s: salvaged at interrupt", task.key)
+
+
+def _run_serial(
     tasks: Sequence[Any],
     fn: Callable[[Any], Any],
-    on_error: str,
-    retry_policy: RetryPolicy,
+    harvest: _Harvest,
     stop: Optional[StopToken],
-    on_result: Optional[Callable[[JobKey, Any], None]],
-    obs: Optional[_RunnerObs] = None,
-) -> Dict[JobKey, Any]:
-    total = len(tasks)
-    results: Dict[JobKey, Any] = {}
-    for index, task in enumerate(tasks, start=1):
+) -> None:
+    """Run ``tasks`` in-process, retrying each before starting the next."""
+    for task in tasks:
         if stop is not None and stop.check():
-            raise RunInterrupted(stop.reason, results)
-        # The policy's attempt iterator owns the retry budget and any
-        # inter-attempt backoff (zero-delay for the runner's default
-        # policy, so this is byte-identical to the pre-resilience loop).
-        for attempt in retry_policy.attempts_iter(str(task.key)):
-            try:
-                result, elapsed = _timed_call(fn, task)
-            except Exception as exc:
-                if retry_policy.allows_retry(attempt):
-                    if obs is not None:
-                        obs.task_retried()
-                    logger.info(
-                        "[%d/%d] %s failed (%s), retrying",
-                        index, total, task.key, type(exc).__name__,
-                    )
-                    continue
-                if on_error == "raise":
-                    raise
-                _record(
-                    results, task.key,
-                    _failure_for(task.key, exc, attempt), on_result,
-                )
-                if obs is not None:
-                    obs.task_failed()
-                logger.info("[%d/%d] %s: FAILED after %d attempt(s)",
-                            index, total, task.key, attempt)
-                break
-            _record(results, task.key, result, on_result)
-            if obs is not None:
-                obs.task_done(task.key, elapsed)
-            logger.info(
-                "[%d/%d] %s: done in %.2fs", index, total, task.key, elapsed
-            )
-            break
-    return results
+            raise RunInterrupted(stop.reason, harvest.results)
+        while harvest.settle(task, _execute(fn, task)):
+            pass
 
 
 class _StopRequested(Exception):
@@ -544,38 +623,20 @@ def _wait_result(
             waited += chunk
 
 
-@dataclass(frozen=True)
-class _BatchError:
-    """One task's failure inside a batch, formatted worker-side.
-
-    Carries both the exception object (re-raised under
-    ``on_error="raise"``) and the traceback string formatted where the
-    frames still existed, so a recorded :class:`JobFailure` shows the
-    worker stack — not the batch plumbing.
-    """
-
-    exception: BaseException
-    error_type: str
-    traceback: str
-
-
-_BatchOutcome = Any  # Tuple[result, elapsed] | _BatchError
-
-
 def _run_batch(
     fn: Callable[[Any], Any],
     tasks: Sequence[Any],
     setup: Optional[Callable[[], None]],
-) -> Tuple[List[_BatchOutcome], int, int, int]:
+) -> Tuple[List[_Outcome], int, int, int]:
     """Worker-side: run one batch of tasks sequentially, one IPC round-trip.
 
     ``setup`` (when present) re-announces the owner's shared-memory
     manifest before the first task, so a warm pool's workers see traces
     published after they were forked; a setup failure only disables the
     zero-copy path (tasks fall back to local regeneration).  Returns the
-    per-task outcomes in task order plus the batch's trace-store deltas
-    ``(built, attach_hits, shm_retries)`` for the runner's observability
-    counters.
+    per-task :func:`_execute` outcomes in task order plus the batch's
+    trace-store deltas ``(built, attach_hits, shm_retries)`` for the
+    runner's observability counters.
 
     When the fault plane is armed (:mod:`repro.envfault`), each task
     boundary is a ``worker.task`` injection site — a due
@@ -590,23 +651,11 @@ def _run_batch(
             logger.exception("batch setup failed; traces rebuilt locally")
     built_before, attached_before = store_counters()
     retries_before = attach_retries()
-    outcomes: List[_BatchOutcome] = []
+    outcomes: List[_Outcome] = []
     for task in tasks:
         if _envfault.CURRENT is not None:
             _procfault.maybe_kill_worker("worker.task", _envfault.CURRENT)
-        start = time.perf_counter()
-        try:
-            result = fn(task)
-        except Exception as exc:
-            outcomes.append(
-                _BatchError(
-                    exception=exc,
-                    error_type=type(exc).__name__,
-                    traceback=traceback.format_exc(),
-                )
-            )
-        else:
-            outcomes.append((result, time.perf_counter() - start))
+        outcomes.append(_execute(fn, task))
     built_after, attached_after = store_counters()
     return (
         outcomes,
@@ -631,69 +680,21 @@ def _batch_size(total: int, workers: int, timeout: Optional[float]) -> int:
     return max(1, min(32, -(-total // (workers * 4))))
 
 
-def _salvage_in_flight(
-    remaining: Sequence[Tuple[Sequence[Any], Any]],
-    results: Dict[JobKey, Any],
-    on_result: Optional[Callable[[JobKey, Any], None]],
-    obs: Optional[_RunnerObs] = None,
-) -> None:
-    """At interrupt: cancel what never started, keep what finished anyway.
-
-    In-flight batch futures get a shared :data:`_SALVAGE_GRACE` budget
-    to deliver — work a worker already paid for should reach the
-    journal, not be thrown away.  Every completed outcome of a delivered
-    batch is salvaged; anything still running after the grace is
-    abandoned (it re-runs on ``--resume``).
-    """
-    # Cancel everything still queued in ONE pass before waiting on
-    # anything — otherwise freed workers keep picking up queued futures
-    # while we salvage, and "stop submitting" never actually stops.
-    in_flight = [
-        (batch, future) for batch, future in remaining if not future.cancel()
-    ]
-    deadline = time.monotonic() + _SALVAGE_GRACE
-    for batch, future in in_flight:
-        grace = max(0.0, deadline - time.monotonic())
-        try:
-            outcomes, _built, _attached, _retries = future.result(
-                timeout=grace
-            )
-        except FutureTimeoutError:
-            continue  # still running; abandoned for the resume to redo
-        except Exception:
-            continue  # failed in flight; the resume will retry it
-        for task, outcome in zip(batch, outcomes):
-            if isinstance(outcome, _BatchError):
-                continue  # failed in flight; the resume will retry it
-            result, _elapsed = outcome
-            _record(results, task.key, result, on_result)
-            if obs is not None:
-                obs.task_salvaged()
-            logger.info("%s: salvaged at interrupt", task.key)
-
-
-def _run_tasks_pool(
+def _run_pool(
     tasks: Sequence[Any],
     fn: Callable[[Any], Any],
     workers: int,
-    on_error: str,
-    retry_policy: RetryPolicy,
-    timeout: Optional[float],
+    harvest: _Harvest,
     stop: Optional[StopToken],
-    on_result: Optional[Callable[[JobKey, Any], None]],
-    obs: Optional[_RunnerObs] = None,
-    setup: Optional[Callable[[], None]] = None,
-) -> Dict[JobKey, Any]:
-    results: Dict[JobKey, Any] = {}
-    #: key -> prior execution attempts (for retry accounting)
-    attempts: Dict[JobKey, int] = {task.key: 0 for task in tasks}
+    setup: Optional[Callable[[], None]],
+) -> None:
+    """Run ``tasks`` in batches on the warm pool; retries run in rounds."""
     completed_normally = False
     # Called through the module global, so a wrapper installed on
     # ``runner.get_shared_pool`` sees every acquisition.
     pool = get_shared_pool(workers)
-    batch_size = _batch_size(len(tasks), workers, timeout)
-    if obs is not None:
-        obs.pool_acquired(pool)
+    batch_size = _batch_size(len(tasks), workers, harvest.timeout)
+    harvest.obs.pool_acquired(pool)
     try:
         pending = list(tasks)
         while pending:
@@ -703,21 +704,17 @@ def _run_tasks_pool(
                 # cannot poison every subsequent attempt.
                 discard_shared_pool(pool)
                 pool = get_shared_pool(workers)
-                if obs is not None:
-                    obs.pool_acquired(pool)
-            round_total = len(pending)
+                harvest.obs.pool_acquired(pool)
             batches = [
                 pending[start:start + batch_size]
-                for start in range(0, round_total, batch_size)
+                for start in range(0, len(pending), batch_size)
             ]
             futures = [
                 (batch, pool.submit(_run_batch, fn, batch, setup))
                 for batch in batches
             ]
-            if obs is not None:
-                obs.batches_submitted(len(futures))
+            harvest.obs.batches_submitted(len(futures))
             retry: List[Any] = []
-            index = 0
             for batch_index, (batch, future) in enumerate(futures):
                 try:
                     if _envfault.CURRENT is not None:
@@ -734,124 +731,32 @@ def _run_tasks_pool(
                     # set), so a task never gets *less* than `timeout`
                     # seconds of wall clock.
                     outcomes, built, attached, shm_retries = _wait_result(
-                        future, timeout, stop
+                        future, harvest.timeout, stop
                     )
                 except _StopRequested:
-                    _salvage_in_flight(
-                        futures[batch_index:], results, on_result, obs
-                    )
+                    harvest.salvage(futures[batch_index:])
                     assert stop is not None
-                    raise RunInterrupted(stop.reason, results)
+                    raise RunInterrupted(stop.reason, harvest.results)
                 except FutureTimeoutError:
-                    # The worker may be wedged; record and move on — the
+                    # The worker may be wedged; settle and move on — the
                     # remaining futures are still harvested (salvage),
                     # but the pool is never reused after this run.
                     pool.mark_unhealthy()
-                    for task in batch:
-                        key = task.key
-                        attempts[key] += 1
-                        index += 1
-                        if obs is not None:
-                            obs.task_timeout()
-                        _record(
-                            results, key,
-                            JobFailure(
-                                key=key,
-                                error_type="TimeoutError",
-                                message=(
-                                    f"no result within {timeout}s; "
-                                    "worker abandoned"
-                                ),
-                                traceback="",
-                                attempts=attempts[key],
-                                timed_out=True,
-                            ),
-                            on_result,
-                        )
-                        logger.info(
-                            "[%d/%d] %s: TIMED OUT after %.1fs",
-                            index, round_total, key, timeout,
-                        )
-                        if on_error == "raise":
-                            raise TimeoutError(
-                                f"job {key!r} produced no result within "
-                                f"{timeout}s"
-                            )
-                    continue
+                    outcomes = [_TIMED_OUT] * len(batch)
                 except Exception as exc:
                     # Pool-level failure (a crashed worker raises
                     # BrokenProcessPool on every outstanding future): no
-                    # task in this batch produced an outcome.  Mark the
-                    # pool for recycling and put the tasks through the
-                    # normal retry/record/raise accounting.
+                    # task in this batch produced an outcome, so each
+                    # settles as the pool's exception.  Mark the pool
+                    # for recycling.
                     pool.mark_unhealthy()
-                    for task in batch:
-                        key = task.key
-                        attempts[key] += 1
-                        index += 1
-                        if retry_policy.allows_retry(attempts[key]):
-                            retry.append(task)
-                            if obs is not None:
-                                obs.task_retried()
-                            logger.info(
-                                "[%d/%d] %s failed (%s), retrying",
-                                index, round_total, key, type(exc).__name__,
-                            )
-                            continue
-                        if on_error == "raise":
-                            raise
-                        _record(
-                            results, key,
-                            _failure_for(key, exc, attempts[key]), on_result,
-                        )
-                        if obs is not None:
-                            obs.task_failed()
-                        logger.info(
-                            "[%d/%d] %s: FAILED after %d attempt(s)",
-                            index, round_total, key, attempts[key],
-                        )
-                    continue
-                if obs is not None:
-                    obs.worker_store_stats(built, attached, shm_retries)
+                    error = _TaskError(exc, traceback.format_exc())
+                    outcomes = [error] * len(batch)
+                else:
+                    harvest.obs.worker_store_stats(built, attached, shm_retries)
                 for task, outcome in zip(batch, outcomes):
-                    key = task.key
-                    attempts[key] += 1
-                    index += 1
-                    if isinstance(outcome, _BatchError):
-                        if retry_policy.allows_retry(attempts[key]):
-                            retry.append(task)
-                            if obs is not None:
-                                obs.task_retried()
-                            logger.info(
-                                "[%d/%d] %s failed (%s), retrying",
-                                index, round_total, key, outcome.error_type,
-                            )
-                            continue
-                        if on_error == "raise":
-                            raise outcome.exception
-                        _record(
-                            results, key,
-                            _failure_for(
-                                key, outcome.exception, attempts[key],
-                                tb=outcome.traceback,
-                            ),
-                            on_result,
-                        )
-                        if obs is not None:
-                            obs.task_failed()
-                        logger.info(
-                            "[%d/%d] %s: FAILED after %d attempt(s)",
-                            index, round_total, key, attempts[key],
-                        )
-                        continue
-                    result, elapsed = outcome
-                    _record(results, key, result, on_result)
-                    if obs is not None:
-                        obs.task_done(key, elapsed)
-                    logger.info(
-                        "[%d/%d] %s: done in %.2fs",
-                        index, round_total, key, elapsed,
-                    )
+                    if harvest.settle(task, outcome):
+                        retry.append(task)
             pending = retry
         completed_normally = True
     finally:
@@ -861,7 +766,6 @@ def _run_tasks_pool(
         # — to the next run.  A healthy pool stays warm for the next run.
         if not (completed_normally and pool.healthy):
             discard_shared_pool(pool)
-    return results
 
 
 def run_tasks(
@@ -885,6 +789,14 @@ def run_tasks(
     unique ``.key`` attribute; ``fn`` is a module-level (picklable)
     function mapping one task to its result.
 
+    Every execution settles through one outcome rule whatever
+    ``workers`` is, so results, :class:`JobFailure` records, retry
+    counts and metrics do not depend on the worker count.  Only the
+    retry timing differs: a serial run retries a failed task in place
+    before starting the next one, while a pool run retries failed tasks
+    together in a fresh round after the harvest — ``on_result`` fires
+    in that order.
+
     Args:
         tasks: the work items, in the order results should be keyed.
         fn: ``task -> result``; must be picklable for ``workers > 1``.
@@ -895,8 +807,10 @@ def run_tasks(
             counts, and a per-task ``timeout`` forces 1 so the timeout
             budget stays per task.  Batching never changes results —
             the harvest stays in submission order.
-        on_error: ``"raise"`` propagates the first task exception (after
-            retries) — the legacy, fail-fast behavior; ``"record"``
+        on_error: ``"raise"`` (legacy, fail-fast) propagates the first
+            final failure, after retries: the task's exception, or
+            ``TimeoutError`` for an expired wait.  Nothing is recorded
+            for that task, so ``on_result`` never sees it.  ``"record"``
             stores a :class:`JobFailure` under the task's key instead,
             so one poisoned task cannot take down the sweep and every
             other task's result is salvaged.
@@ -906,7 +820,8 @@ def run_tasks(
         timeout: per-task harvest timeout in seconds (pool mode only —
             a serial run cannot preempt the task).  An expired task is
             recorded as a timed-out :class:`JobFailure` under
-            ``on_error="record"``.
+            ``on_error="record"`` and raises ``TimeoutError`` under
+            ``"raise"``.
         completed: results already known (a resumed journal) — those
             tasks are *not* re-executed; their values appear in the
             returned mapping at the usual positions, and ``on_result``
@@ -945,49 +860,37 @@ def run_tasks(
     """
     if on_error not in ("raise", "record"):
         raise ValueError(f"unknown on_error mode {on_error!r}")
-    # The public knob stays an integer retry count; internally it is a
-    # zero-backoff resilience policy so serial and pool paths share one
-    # retry-budget accounting (`allows_retry`) instead of four inline
-    # comparisons.  base_delay=0 never consults the clock, keeping the
-    # retry round byte-identical to the pre-policy behavior.
-    retry_policy = RetryPolicy(attempts=max(1, retries + 1), base_delay=0.0)
     tasks = list(tasks)
     _check_unique_keys(tasks)
     if not tasks:
         return {}
+    # Journaled results seed the mapping, so a RunInterrupted raised
+    # mid-run carries them and the caller's checkpoint sees it all.
     done: Dict[JobKey, Any] = dict(completed) if completed else {}
     todo = [task for task in tasks if task.key not in done]
-    obs = (
-        _RunnerObs(metrics, tracer)
-        if metrics is not None or tracer is not None
-        else None
-    )
-    if obs is not None:
-        obs.run_started(len(tasks), len(tasks) - len(todo))
+    obs = _RunnerObs(metrics, tracer)
+    obs.run_started(len(tasks), len(tasks) - len(todo))
     if done:
         logger.info(
             "resuming: %d/%d task(s) already journaled, %d to run",
             len(tasks) - len(todo), len(tasks), len(todo),
         )
-    try:
-        if not todo:
-            fresh: Dict[JobKey, Any] = {}
-        elif workers <= 1 or len(todo) <= 1:
-            fresh = _run_tasks_serial(
-                todo, fn, on_error, retry_policy, stop, on_result, obs
-            )
-        else:
-            fresh = _run_tasks_pool(
-                todo, fn, workers, on_error, retry_policy, timeout, stop,
-                on_result, obs, setup=setup,
-            )
-    except RunInterrupted as exc:
-        # Re-raise with the journaled prefix merged in, so the caller's
-        # checkpoint sees the complete picture.
-        merged = dict(done)
-        merged.update(exc.completed)
-        raise RunInterrupted(exc.reason, merged) from None
-    done.update(fresh)
+    harvest = _Harvest(
+        total=len(todo),
+        on_error=on_error,
+        # The public knob stays an integer retry count; internally it is
+        # a zero-backoff resilience policy whose `allows_retry` is the
+        # one retry-budget test.  base_delay=0 never consults the clock.
+        policy=RetryPolicy(attempts=max(1, retries + 1), base_delay=0.0),
+        timeout=timeout,
+        on_result=on_result,
+        obs=obs,
+        results=done,
+    )
+    if workers <= 1 or len(todo) <= 1:
+        _run_serial(todo, fn, harvest, stop)
+    else:
+        _run_pool(todo, fn, workers, harvest, stop, setup)
     return {task.key: done[task.key] for task in tasks}
 
 
@@ -1017,11 +920,9 @@ def _publish_job_traces(
             trace = DEFAULT_STORE.get(*trace_key)
         except Exception:
             continue
+        # The default store is unbounded and records a digest per get.
         digest = DEFAULT_STORE.checksum(*trace_key)
-        if digest is None:  # evicted from a bounded store; re-fingerprint
-            from ..workloads.store import trace_digest
-
-            digest = trace_digest(trace)
+        assert digest is not None
         registry.publish(trace_key, trace, digest)
     if metrics is not None:
         stats = registry.stats()
@@ -1102,8 +1003,7 @@ def run_jobs(
             content_of[job.key] = content
         dispatch.append(job)
     memoized = len(jobs) - len(dispatch)
-    if metrics is not None:
-        _RunnerObs(metrics, None).tasks_memoized(memoized)
+    _RunnerObs(metrics, None).tasks_memoized(memoized)
     if memoized:
         logger.info(
             "%d/%d job(s) answered from the result memo", memoized, len(jobs)
@@ -1119,7 +1019,7 @@ def run_jobs(
     setup: Optional[TraceAttachSetup] = None
     if workers > 1 and len(dispatch) > 1:
         setup = _publish_job_traces(dispatch, completed, metrics)
-    answered: Dict[JobKey, Any] = {}
+    answered: Dict[JobKey, Any] = dict(journaled)
     try:
         for key, value in hits:
             _record(answered, key, value, on_result)
@@ -1138,10 +1038,8 @@ def run_jobs(
             setup=setup,
         )
     except RunInterrupted as exc:
-        merged = dict(journaled)
-        merged.update(answered)
-        merged.update(exc.completed)
-        raise RunInterrupted(exc.reason, merged) from None
+        answered.update(exc.completed)
+        raise RunInterrupted(exc.reason, answered) from None
     answered.update(fresh)
     return {job.key: answered[job.key] for job in jobs}
 

@@ -54,7 +54,6 @@ from .durability import (
     EXIT_RESUMABLE,
     DeadlineToken,
     JournalError,
-    JournalWriter,
     RunInterrupted,
     StopToken,
     graceful_shutdown,
@@ -157,23 +156,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             "num_ops": args.num_ops,
             "seed": args.seed,
         }
-        if resuming:
-            try:
-                writer, payloads = open_journal(
-                    journal, EXPERIMENT_JOURNAL_KIND, spec_payload
-                )
-            except JournalError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            completed = {
-                key: simulation_result_from_payload(payload)
-                for key, payload in payloads.items()
-            }
-        else:
-            writer = JournalWriter.create(
-                journal, EXPERIMENT_JOURNAL_KIND, spec_payload
+        try:
+            writer, payloads = open_journal(
+                journal, EXPERIMENT_JOURNAL_KIND, spec_payload, resume=resuming
             )
-            completed = {}
+        except JournalError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        completed = {
+            key: simulation_result_from_payload(payload)
+            for key, payload in payloads.items()
+        }
 
         def on_result(key: Any, result: Any) -> None:
             writer.append(key, simulation_result_to_payload(result))

@@ -15,8 +15,8 @@ loss mid-campaign loses at most the jobs that were in flight:
   (SIGINT/SIGTERM, wall-clock deadlines), the
   :class:`~repro.durability.interrupt.RunInterrupted` checkpoint
   exception, and the resumable exit code (75, ``EX_TEMPFAIL``);
-* :mod:`~repro.durability.resume` — the journal-open/validate/partition
-  glue shared by the fault campaign and the experiment runner.
+* :mod:`~repro.durability.resume` — the journal-open/validate glue
+  shared by the fault campaign and the experiment runner.
 
 Layering: this package imports nothing from the rest of ``repro``
 except the stdlib-only fault-injection leaves
@@ -57,7 +57,7 @@ from .journal import (
     fingerprint,
     read_journal,
 )
-from .resume import open_journal, partition_tasks
+from .resume import open_journal
 
 __all__ = [
     "EXIT_RESUMABLE",
@@ -79,7 +79,6 @@ __all__ = [
     "graceful_shutdown",
     "manifest_path",
     "open_journal",
-    "partition_tasks",
     "quarantine_artifact",
     "read_journal",
     "read_verified",

@@ -25,7 +25,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, IO, List, Optional, Union
+from typing import Any, Dict, IO, Optional, Union
 
 from ..envfault import context as _envfault
 from ..envfault import fsfault as _fsfault
@@ -274,8 +274,3 @@ class JournalWriter:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-def journal_keys(path: Union[str, Path]) -> List[Any]:
-    """The decoded keys recorded in a journal, in first-seen order."""
-    return list(read_journal(path).entries)

@@ -1,22 +1,20 @@
-"""Journal open/validate/partition glue shared by campaign and runner.
+"""Journal open/validate glue shared by campaign and runner.
 
-Both resumable front ends (``repro faultcampaign`` and the experiment
-runner) follow the same protocol:
-
-1. :func:`open_journal` — if the journal file exists, validate it
-   against the *current* spec (kind and fingerprint must match, else
-   :class:`~repro.durability.journal.StaleJournalError`) and reopen it
-   for append; otherwise create it fresh with a header.  Returns the
-   writer plus the payloads already recorded.
-2. :func:`partition_tasks` — split the task list into already-journaled
-   and still-to-run, preserving task order so the final report is
-   assembled identically to an uninterrupted run.
+Both resumable front ends (``repro faultcampaign`` and ``repro
+experiment``) open their journal with one call, :func:`open_journal`:
+on resume, if the journal file exists, it is validated against the
+*current* spec (kind and fingerprint must match, else
+:class:`~repro.durability.journal.StaleJournalError`) and reopened for
+append; otherwise it is created fresh with a header.  It returns the
+writer plus the payloads already recorded, which the runner
+(``run_tasks(completed=...)``) skips while keeping task order, so the
+final report is assembled identically to an uninterrupted run.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 from .journal import (
     JournalWriter,
@@ -30,12 +28,14 @@ def open_journal(
     path: Union[str, Path],
     kind: str,
     spec: Dict[str, Any],
+    resume: bool = True,
 ) -> Tuple[JournalWriter, Dict[Any, Dict[str, Any]]]:
     """Open ``path`` for journaling jobs of ``kind`` under ``spec``.
 
     Returns ``(writer, completed)`` where ``completed`` maps each
     already-journaled job key to its recorded payload (empty for a fresh
-    journal).
+    journal).  With ``resume`` false, or when ``path`` does not exist,
+    the journal starts fresh, truncating any existing file.
 
     Raises:
         StaleJournalError: the journal exists but was written for a
@@ -44,7 +44,7 @@ def open_journal(
             header or mid-file corruption).
     """
     path = Path(path)
-    if not path.is_file():
+    if not resume or not path.is_file():
         return JournalWriter.create(path, kind, spec), {}
     journal = read_journal(path)
     if journal.kind != kind:
@@ -59,20 +59,3 @@ def open_journal(
             f"{current[:12]}…) — rerun without --resume or delete it"
         )
     return JournalWriter.append_to(path), dict(journal.entries)
-
-
-def partition_tasks(
-    keys: Iterable[Any],
-    completed: Dict[Any, Any],
-) -> Tuple[List[Any], List[Any]]:
-    """Split ``keys`` into ``(done, remaining)``, preserving order.
-
-    ``done`` are keys with a journaled payload; ``remaining`` still need
-    to run.  Journal entries for keys not in ``keys`` are ignored (the
-    fingerprint check makes that case unreachable in practice).
-    """
-    done: List[Any] = []
-    remaining: List[Any] = []
-    for key in keys:
-        (done if key in completed else remaining).append(key)
-    return done, remaining

@@ -549,18 +549,13 @@ def run_campaign(
     completed: Dict[Any, Any] = {}
     journal_append = None
     if journal is not None:
-        if resume:
-            writer, payloads = open_journal(
-                journal, JOURNAL_KIND, spec_payload(spec)
-            )
-            completed = {
-                key: outcome_from_payload(payload)
-                for key, payload in payloads.items()
-            }
-        else:
-            writer = JournalWriter.create(
-                journal, JOURNAL_KIND, spec_payload(spec)
-            )
+        writer, payloads = open_journal(
+            journal, JOURNAL_KIND, spec_payload(spec), resume=resume
+        )
+        completed = {
+            key: outcome_from_payload(payload)
+            for key, payload in payloads.items()
+        }
 
         def journal_append(key: Any, outcome: Any) -> None:
             assert writer is not None

@@ -30,7 +30,6 @@ from repro.durability import (
     graceful_shutdown,
     manifest_path,
     open_journal,
-    partition_tasks,
     quarantine_artifact,
     read_journal,
     read_verified,
@@ -308,12 +307,17 @@ class TestOpenJournal:
         with pytest.raises(StaleJournalError, match="different spec"):
             open_journal(path, "k", {"campaign": "x", "seed": 8})
 
-    def test_partition_preserves_order(self):
-        done, remaining = partition_tasks(
-            ["a", "b", "c", "d"], {"b": 1, "d": 2}
-        )
-        assert done == ["b", "d"]
-        assert remaining == ["a", "c"]
+    def test_fresh_start_truncates_without_resume(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with JournalWriter.create(path, "campaign", self.SPEC) as writer:
+            writer.append(("a",), {"v": 1})
+        other = {"campaign": "x", "seed": 8}
+        writer, completed = open_journal(path, "k", other, resume=False)
+        writer.close()
+        assert completed == {}
+        journal = read_journal(path)
+        assert (journal.kind, journal.entries) == ("k", {})
+        assert journal.fingerprint == fingerprint(other)
 
 
 class TestInterrupt:

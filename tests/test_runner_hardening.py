@@ -20,6 +20,7 @@ from repro.analysis.runner import (
     run_jobs,
     run_tasks,
 )
+from repro.obs import MetricsRegistry
 from repro.runtime.pool import pool_stats
 
 
@@ -48,6 +49,24 @@ def _fail_until_marker(task: Task) -> int:
         marker.write_text("tried")
         raise RuntimeError("transient failure")
     return task.value
+
+
+@dataclass(frozen=True)
+class FlakyTask:
+    key: str
+    marker: str = ""
+
+
+def _ok_flaky_or_boom(task: FlakyTask) -> int:
+    """Always raises for "boom"; fails once per marker file otherwise."""
+    from pathlib import Path
+
+    if task.key == "boom":
+        raise RuntimeError("poisoned task")
+    if task.marker and not Path(task.marker).exists():
+        Path(task.marker).write_text("tried")
+        raise RuntimeError("transient failure")
+    return len(task.key)
 
 
 def _sleep_forever(task: Task) -> int:
@@ -135,6 +154,52 @@ class TestFailureCapture:
         )["boom"]
         assert failure.attempts == 2
 
+    def test_serial_and_pool_account_identically(self, tmp_path):
+        # A success, a task that fails once then succeeds, and one that
+        # always raises: both executors must settle them the same way.
+        def run(workers):
+            tasks = [
+                FlakyTask("ok"),
+                FlakyTask("flaky", marker=str(tmp_path / f"marker-{workers}")),
+                FlakyTask("boom"),
+            ]
+            registry = MetricsRegistry()
+            seen = []
+            results = run_tasks(
+                tasks,
+                _ok_flaky_or_boom,
+                workers=workers,
+                on_error="record",
+                retries=1,
+                metrics=registry,
+                on_result=lambda key, value: seen.append(key),
+            )
+            return results, sorted(seen), registry.snapshot()
+
+        def comparable(value):
+            if isinstance(value, JobFailure):
+                return (
+                    value.key, value.error_type, value.message,
+                    value.attempts, value.timed_out,
+                )
+            return value
+
+        serial, serial_seen, serial_metrics = run(1)
+        pool, pool_seen, pool_metrics = run(2)
+        assert list(serial) == list(pool) == ["ok", "flaky", "boom"]
+        assert {k: comparable(v) for k, v in serial.items()} == {
+            k: comparable(v) for k, v in pool.items()
+        }
+        assert serial["flaky"] == 5
+        assert comparable(serial["boom"]) == (
+            "boom", "RuntimeError", "poisoned task", 2, False
+        )
+        assert serial_seen == pool_seen == ["boom", "flaky", "ok"]
+        assert serial_metrics == pool_metrics
+        assert serial_metrics["runner.tasks_completed"]["value"] == 2
+        assert serial_metrics["runner.tasks_retried"]["value"] == 2
+        assert serial_metrics["runner.tasks_failed"]["value"] == 1
+
 
 class TestPoisonedSweepSalvage:
     """The acceptance scenario, on real SimJobs at --jobs 4."""
@@ -203,3 +268,18 @@ class TestTimeout:
             run_tasks(
                 tasks, _sleep_forever, workers=2, on_error="raise", timeout=2.0
             )
+
+    def test_timeout_raise_mode_journals_no_failure(self):
+        # Raise mode records nothing for the task it raises on, so a
+        # journal never holds a JobFailure that a resume cannot load.
+        seen = []
+        with pytest.raises(TimeoutError, match="wedge"):
+            run_tasks(
+                [Task("wedge"), Task("ok", 1)],
+                _sleep_forever,
+                workers=2,
+                on_error="raise",
+                timeout=1.0,
+                on_result=lambda key, value: seen.append((key, value)),
+            )
+        assert not [v for _, v in seen if isinstance(v, JobFailure)]
