@@ -7,8 +7,6 @@ checks that the scheme *ordering* and the BCM->CM cliff survive every
 setting, even though absolute overheads move.
 """
 
-import dataclasses
-
 from repro.analysis.report import format_table
 from repro.core.controller import TimingCalibration
 from repro.core.schemes import SPECTRUM_ORDER, get_scheme

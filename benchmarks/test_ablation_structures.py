@@ -9,7 +9,6 @@ both under the CM model.
 import dataclasses
 
 from repro.analysis.report import format_table
-from repro.core.controller import TimingCalibration
 from repro.core.schemes import get_scheme
 from repro.core.simulator import SecurePersistencySimulator
 from repro.sim.config import SystemConfig

@@ -13,15 +13,7 @@ import json
 from typing import Any, Dict
 
 from ..durability import ArtifactError, ArtifactStatus, verify_artifact, write_artifact
-from ..energy.battery import BatteryEstimate
 from ..sim.stats import SimulationResult
-from .experiments import (
-    BatteryTable,
-    BmtUpdatesResult,
-    SchemeOverheads,
-    SizeBatteryTable,
-    SizeSweepResult,
-)
 
 
 def to_jsonable(obj: Any) -> Any:

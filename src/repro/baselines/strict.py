@@ -22,7 +22,8 @@ from ..core.simulator import StorePath, TraceSimulator
 from ..security.metadata_cache import MetadataCaches
 from ..sim.config import SystemConfig
 from ..sim.engine import BoundedPipeline, BusyResource
-from ..sim.stats import StatsCollector
+from ..sim.stats import SimulationResult, StatsCollector
+from ..workloads.trace import Trace
 
 
 class StrictPersistencySimulator(TraceSimulator):

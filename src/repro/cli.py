@@ -38,6 +38,7 @@ to call ``logging.basicConfig``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -70,6 +71,26 @@ TIMING_EXPERIMENTS = ("table4", "fig6", "fig7", "fig8", "fig9")
 
 EXPERIMENT_JOURNAL_KIND = "experiment"
 """Journal ``kind`` tag for ``repro experiment`` journals."""
+
+_OUTPUT_FLAGS = ("save", "metrics", "trace", "journal", "out", "jsonl")
+"""Destinations of every flag that names a file the command writes."""
+
+
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Reject an output path whose directory does not exist, before any work.
+
+    Otherwise the mistake would surface only after the whole simulation or
+    campaign, as a traceback from the artifact writer.
+    """
+    for dest in _OUTPUT_FLAGS:
+        path = getattr(args, dest, None)
+        if path is None:
+            continue
+        directory = os.path.dirname(path)
+        if directory and not os.path.isdir(directory):
+            raise SystemExit(
+                f"error: --{dest} {path}: directory {directory} does not exist"
+            )
 
 
 def _resolve_journal(args: argparse.Namespace) -> Tuple[Optional[str], bool]:
@@ -391,8 +412,6 @@ def _cmd_faultcampaign(args: argparse.Namespace) -> int:
         write_artifact(args.save, report.to_json() + "\n")
         print(f"report saved to {args.save}", file=sys.stderr)
     if args.repro_dir and report.reproducers:
-        import os
-
         os.makedirs(args.repro_dir, exist_ok=True)
         for repro in report.reproducers:
             name = repro.case_id.replace("/", "_") + ".json"
@@ -866,6 +885,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .lint.cli import main as lint_main
 
         return lint_main(extras)
+    _check_output_paths(args)
     return args.func(args)
 
 

@@ -220,11 +220,6 @@ class SecPBController:
 
     # Eager path ---------------------------------------------------------
 
-    def _bmt_levels(self, page_index: int) -> int:
-        if self._bmt_levels_fn is not None:
-            return self._bmt_levels_fn(page_index)
-        return self.config.security.bmt_levels
-
     def price_new_entry(self, now: float, block_addr: int, entry: SecPBEntry) -> StoreTiming:
         """Latency until the SecPB unblocks after allocating a new entry.
 

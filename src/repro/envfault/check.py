@@ -60,7 +60,7 @@ from ..fault.campaign import CampaignSpec, run_campaign
 from ..fault.minimize import _MAX_SHRINK_ATTEMPTS
 from ..runtime.pool import shutdown_shared_pool
 from ..runtime.shm import segment_prefix
-from .context import EnvFaultContext, injected
+from .context import injected
 from .plan import ALL_KINDS, FaultPlan, FaultSpec, PlanError, random_plan
 
 logger = logging.getLogger(__name__)

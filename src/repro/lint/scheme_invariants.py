@@ -65,10 +65,6 @@ def _step_value(step: Any) -> str:
     return getattr(step, "value", str(step))
 
 
-def _step_values(steps: Any) -> List[str]:
-    return sorted(_step_value(s) for s in steps)
-
-
 _TABLE_CACHE: Dict[Tuple[str, float], Tuple[Optional[Any], Optional[str]]] = {}
 
 

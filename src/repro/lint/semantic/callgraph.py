@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from .project import (
     ClassInfo,
@@ -337,24 +337,6 @@ class CallGraph:
 
     def call_sites(self, caller: str) -> List[CallSite]:
         return self.edges.get(caller, [])
-
-    def iter_sites(self) -> Iterator[CallSite]:
-        for sites in self.edges.values():
-            yield from sites
-
-    def reachable_from(self, roots: Set[str]) -> Set[str]:
-        """Forward closure over resolved edges."""
-        seen: Set[str] = set()
-        stack = [r for r in roots]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for site in self.edges.get(current, ()):
-                if site.callee not in seen:
-                    stack.append(site.callee)
-        return seen
 
     def callers_of(self, callee: str) -> Set[str]:
         return self.callers.get(callee, set())

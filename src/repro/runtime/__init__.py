@@ -11,7 +11,9 @@ Two cooperating pieces take sweep orchestration off the critical path:
   :class:`~repro.runtime.pool.WorkerPool` shared by ``run_tasks``,
   ``run_campaign``, and every ``run_experiment`` entry point, with
   health-checked recycling (wedged-worker timeouts, crashed workers,
-  interrupts) and manifest-announcing initializers.
+  interrupts).  Workers learn the trace manifest from one channel: the
+  :class:`~repro.runtime.shm.TraceAttachSetup` each batch runs before
+  its first task.
 
 Every parallel sweep takes this path; there is no other pool or trace
 transport to select.

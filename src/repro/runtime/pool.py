@@ -18,10 +18,9 @@ semantics layered on the runner:
   cold pool;
 * an **interrupt** (stop token) also retires the pool after salvage, so
   a checkpointed ``--resume`` starts from a clean generation;
-* worker initializers pre-attach the zero-copy trace manifest
-  (:mod:`repro.runtime.shm`) published so far, and every batch
-  re-announces the latest manifest, so a warm pool never serves stale
-  attachments.
+* every batch announces the owner's current zero-copy trace manifest
+  (:mod:`repro.runtime.shm`) before its first task, so a warm pool
+  never serves stale attachments.
 
 All pool construction in the tree lives in this module (and all
 segment creation in :mod:`.shm`) — lint rule SPB404 enforces it.
@@ -32,16 +31,9 @@ from __future__ import annotations
 import atexit
 import logging
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Callable, Dict, Optional, Tuple
-
-from . import shm
+from typing import Any, Callable, Dict, Optional
 
 logger = logging.getLogger(__name__)
-
-
-def _worker_init(manifest: Tuple[shm.TraceSegmentInfo, ...]) -> None:
-    """Pool-worker initializer: pre-attach the shared trace registry."""
-    shm.announce(manifest)
 
 
 #: Pools constructed since process start (generation counter; tests use
@@ -76,11 +68,7 @@ class WorkerPool:
             resource_tracker.ensure_running()
         except Exception:  # pragma: no cover - platform without tracker
             pass
-        self._executor = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(shm.shared_registry().manifest(),),
-        )
+        self._executor = ProcessPoolExecutor(max_workers=workers)
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
         return self._executor.submit(fn, *args)

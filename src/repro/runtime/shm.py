@@ -25,8 +25,8 @@ Roles and lifecycle (who creates, who unlinks):
   (``secpb_shm_<pid>_...``) so tests and operators can audit residue
   per process.
 * **attachers** (pool workers) learn the published manifest via
-  :func:`announce` — the pool's worker initializer and the per-batch
-  setup hook both deliver it — and :func:`attach_trace` maps a segment
+  :func:`announce`, which each batch's :class:`TraceAttachSetup` calls
+  before its first task, and :func:`attach_trace` maps a segment
   into a :class:`~repro.workloads.trace.Trace` of read-only views, after
   re-hashing the mapped bytes against the published digest.  Attachers
   **never** ``close()`` or ``unlink()``: live NumPy views pin the
@@ -294,9 +294,9 @@ def attach_retries() -> int:
 def announce(manifest: Sequence[TraceSegmentInfo]) -> None:
     """Record published segments so :func:`attach_trace` can find them.
 
-    Delivered to workers by the pool initializer and again by each
-    batch's setup hook (a warm pool outlives any one manifest).
-    Idempotent; newer descriptors for a key replace older ones.
+    Delivered to workers by each batch's setup hook (a warm pool
+    outlives any one manifest).  Idempotent; newer descriptors for a key
+    replace older ones.
     """
     for info in manifest:
         _ANNOUNCED[info.key] = info
@@ -428,9 +428,9 @@ def attach_trace(key: TraceKey) -> Optional[Tuple[Trace, str]]:
 class TraceAttachSetup:
     """Picklable per-batch worker setup: announce the owner's manifest.
 
-    The runner ships one of these with every batch so workers of a warm
-    pool learn about traces published *after* the pool was created —
-    the initializer's manifest is only a snapshot.
+    The runner ships one of these with every batch; it is the only way
+    a worker learns the manifest, so workers of a warm pool also see
+    traces published *after* the pool was created.
     """
 
     manifest: Tuple[TraceSegmentInfo, ...]

@@ -111,7 +111,6 @@ class BonsaiMerkleTree:
         """
         path = self.path_of(leaf_index)
         self._nodes[(0, leaf_index)] = self._leaf_digest(leaf_payload)
-        child_index = leaf_index
         for node in path:
             base = node.index * self.arity
             children = [
@@ -122,7 +121,6 @@ class BonsaiMerkleTree:
                 self._key, node.level, node.index, children
             )
             self.node_hashes += 1
-            child_index = node.index
         self._root = self._nodes[(self.height, 0)]
         self.leaf_updates += 1
         return path

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .config import CacheConfig
 from .stats import StatsCollector
@@ -64,11 +64,6 @@ class CacheBlock:
     @property
     def dirty(self) -> bool:
         return self.state in DIRTY_STATES
-
-    @property
-    def needs_writeback(self) -> bool:
-        """Only plain MODIFIED blocks write back; PERSIST_DIRTY is discarded."""
-        return self.state is BlockState.MODIFIED
 
 
 class AccessOutcome(enum.Enum):

@@ -75,10 +75,6 @@ class BankedNVM:
         if len(alive) != len(self._write_completions):
             self._write_completions[:] = alive
 
-    @property
-    def write_queue_occupancy(self) -> int:
-        return len(self._write_completions)
-
     def _write_pressure(self, now: float) -> bool:
         """True when writes must drain ahead of reads."""
         self._prune(now)

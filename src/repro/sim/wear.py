@@ -101,16 +101,6 @@ class StartGapWearLeveler:
             return 1.0
         return self.max_line_writes / mean
 
-    def endurance_lifetime_fraction(self, skewless_baseline: "StartGapWearLeveler") -> float:
-        """Lifetime vs an unleveled region under the same stream.
-
-        Lifetime is limited by the most-written line; the ratio of the
-        baselines' max wear to ours approximates the lifetime gain.
-        """
-        if self.max_line_writes == 0:
-            return 1.0
-        return skewless_baseline.max_line_writes / self.max_line_writes
-
 
 def simulate_wear(
     write_stream: List[int],

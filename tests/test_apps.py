@@ -8,7 +8,7 @@ from repro.apps.hashmap import PersistentHashMap
 from repro.apps.log import PersistentLog
 from repro.apps.queue import PersistentQueue
 from repro.core.crash import SecurePersistentSystem
-from repro.core.schemes import SPECTRUM_ORDER, get_scheme
+from repro.core.schemes import get_scheme
 
 
 class TestPersistentLog:

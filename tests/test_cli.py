@@ -173,6 +173,50 @@ class TestOneLintParser:
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
+class TestOutputPaths:
+    """Every output-path flag is checked before the command does any work."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["experiment", "table5"], "--save"),
+            (["experiment", "table4", "--num-ops", "500"], "--metrics"),
+            (["experiment", "table4", "--num-ops", "500"], "--trace"),
+            (["experiment", "table4", "--num-ops", "500"], "--journal"),
+            (
+                [
+                    "faultcampaign", "--schemes", "cobcm",
+                    "--crash-points", "1", "--num-stores", "10",
+                ],
+                "--save",
+            ),
+            (["chaos", "--systematic"], "--save"),
+            (["trace", "--num-ops", "200"], "--out"),
+            (["trace", "--num-ops", "200", "--out", "t.json"], "--jsonl"),
+            (["trace", "--num-ops", "200", "--out", "t.json"], "--metrics"),
+        ],
+    )
+    def test_missing_directory_rejected_up_front(
+        self, capsys, tmp_path, monkeypatch, command, flag
+    ):
+        monkeypatch.chdir(tmp_path)
+        missing = tmp_path / "missing" / "dir"
+        path = missing / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(command + [flag, str(path)])
+        assert str(exc.value) == (
+            f"error: {flag} {path}: directory {missing} does not exist"
+        )
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bare_file_name_is_accepted(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "table5", "--save", "t5.json"]) == 0
+        assert "s_eadr" in capsys.readouterr().out
+        assert (tmp_path / "t5.json").is_file()
+
+
 class TestFaultCampaignCommand:
     def test_small_campaign_passes(self, capsys):
         code = main(

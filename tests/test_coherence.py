@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.coherence import CoherenceError, SecPBDirectory
-from repro.core.schemes import COBCM, NOGAP, MetadataStep, get_scheme
+from repro.core.schemes import COBCM, NOGAP, MetadataStep
 from repro.core.secpb import SecPB
 from repro.sim.config import SecPBConfig
 

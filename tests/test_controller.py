@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.controller import SecPBController, TimingCalibration
-from repro.core.schemes import SCHEMES, SPECTRUM_ORDER, get_scheme
+from repro.core.schemes import SPECTRUM_ORDER, get_scheme
 from repro.core.secpb import SecPBEntry
 from repro.security.metadata_cache import MetadataCaches
 from repro.sim.config import SystemConfig

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.schemes import (
-    ALL_STEPS,
     SCHEMES,
     STEP_DEPENDENCIES,
     MetadataStep,

@@ -19,13 +19,11 @@ Acceptance anchors (ISSUE 9):
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
 
 from repro.envfault import (
-    ALL_KINDS,
     DEFAULT_HORIZON,
     EnvFaultContext,
     FaultPlan,

@@ -7,7 +7,6 @@ must produce the same *structural* behaviour (allocations, coalescing),
 even though one computes real crypto and the other prices cycles.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.crash import SecurePersistentSystem

@@ -71,7 +71,6 @@ class TestPadFreshness:
     def test_no_nonce_reuse_over_many_writes(self):
         """Every OTP generation across a busy page uses a fresh nonce."""
         memory = SecureMemory(atomic=True)
-        seen = set()
         generate = memory.engine.otp.generate
         pads = []
 

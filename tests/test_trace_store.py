@@ -54,28 +54,6 @@ class TestTraceStore:
             store.get("not-a-benchmark", 100)
         assert len(store) == 0
 
-    def test_lru_eviction_respects_bound(self):
-        store = TraceStore(max_traces=2)
-        first = store.get("gamess", 500)
-        store.get("povray", 500)
-        store.get("hmmer", 500)  # evicts gamess (least recently used)
-        assert len(store) == 2
-        refetched = store.get("gamess", 500)
-        assert refetched is not first
-        assert store.misses == 4
-
-    def test_lru_touch_on_hit_protects_entry(self):
-        store = TraceStore(max_traces=2)
-        first = store.get("gamess", 500)
-        store.get("povray", 500)
-        assert store.get("gamess", 500) is first  # moves gamess to MRU
-        store.get("hmmer", 500)  # evicts povray, not gamess
-        assert store.get("gamess", 500) is first
-
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(ValueError, match="max_traces"):
-            TraceStore(max_traces=0)
-
     def test_clear_resets_contents_and_counters(self):
         store = TraceStore()
         store.get("gamess", 500)
@@ -97,7 +75,7 @@ class TestDefaultStore:
 
 
 class TestTraceIntegrity:
-    """ISSUE 5 satellite: checksummed memoization + verified disk cache."""
+    """Per-trace SHA-256 checksums recorded by the memo."""
 
     def test_checksum_recorded_on_build(self):
         from repro.workloads.store import trace_digest
@@ -118,13 +96,6 @@ class TestTraceIntegrity:
     def test_verify_false_for_absent_trace(self):
         assert not TraceStore().verify("gamess", 500)
 
-    def test_checksum_evicted_with_trace(self):
-        store = TraceStore(max_traces=1)
-        store.get("gamess", 500)
-        store.get("povray", 500)  # evicts gamess
-        assert store.checksum("gamess", 500) is None
-        assert store.checksum("povray", 500) is not None
-
     def test_digest_depends_on_columns_and_name(self):
         from repro.workloads.store import trace_digest
 
@@ -132,78 +103,6 @@ class TestTraceIntegrity:
         b = build_trace("gamess", 500, 2)
         assert trace_digest(a) != trace_digest(b)
         assert trace_digest(a) == trace_digest(build_trace("gamess", 500, 1))
-
-
-class TestDiskCache:
-    def test_miss_populates_manifested_npz(self, tmp_path):
-        store = TraceStore(cache_dir=tmp_path)
-        store.get("gamess", 500)
-        cached = tmp_path / "gamess-n500-s1.npz"
-        assert cached.is_file()
-        assert (tmp_path / "gamess-n500-s1.npz.sha256").is_file()
-
-    def test_second_store_loads_from_disk(self, tmp_path):
-        TraceStore(cache_dir=tmp_path).get("gamess", 500)
-        fresh = TraceStore(cache_dir=tmp_path)
-        trace = fresh.get("gamess", 500)
-        direct = build_trace("gamess", 500, 1)
-        assert np.array_equal(trace.is_store, direct.is_store)
-        assert np.array_equal(trace.block_addr, direct.block_addr)
-        assert np.array_equal(trace.gap, direct.gap)
-        assert fresh.regenerated == 0
-
-    def test_truncated_cache_entry_quarantined_and_regenerated(
-        self, tmp_path, caplog
-    ):
-        import logging
-
-        TraceStore(cache_dir=tmp_path).get("gamess", 500)
-        cached = tmp_path / "gamess-n500-s1.npz"
-        with open(cached, "r+b") as handle:
-            handle.truncate(10)
-        fresh = TraceStore(cache_dir=tmp_path)
-        with caplog.at_level(logging.WARNING, logger="repro.workloads.store"):
-            trace = fresh.get("gamess", 500)
-        # Never deserialized: quarantined, warned, rebuilt from spec.
-        assert fresh.regenerated == 1
-        assert any("failed verification" in r.message for r in caplog.records)
-        assert (tmp_path / "gamess-n500-s1.npz.quarantined").is_file()
-        direct = build_trace("gamess", 500, 1)
-        assert np.array_equal(trace.block_addr, direct.block_addr)
-
-    def test_bit_flipped_cache_entry_regenerated(self, tmp_path):
-        TraceStore(cache_dir=tmp_path).get("povray", 400)
-        cached = tmp_path / "povray-n400-s1.npz"
-        raw = bytearray(cached.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        cached.write_bytes(bytes(raw))
-        fresh = TraceStore(cache_dir=tmp_path)
-        trace = fresh.get("povray", 400)
-        assert fresh.regenerated == 1
-        direct = build_trace("povray", 400, 1)
-        assert np.array_equal(trace.block_addr, direct.block_addr)
-
-    def test_manifestless_leftover_not_trusted(self, tmp_path):
-        TraceStore(cache_dir=tmp_path).get("gamess", 500)
-        (tmp_path / "gamess-n500-s1.npz.sha256").unlink()
-        fresh = TraceStore(cache_dir=tmp_path)
-        fresh.get("gamess", 500)
-        assert fresh.regenerated == 1
-
-    def test_env_var_enables_cache(self, tmp_path, monkeypatch):
-        from repro.workloads.store import CACHE_DIR_ENV
-
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        store = TraceStore()
-        assert store.cache_dir == tmp_path
-        store.get("gamess", 300)
-        assert (tmp_path / "gamess-n300-s1.npz").is_file()
-
-    def test_no_cache_dir_means_no_disk_io(self, monkeypatch):
-        from repro.workloads.store import CACHE_DIR_ENV
-
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-        assert TraceStore().cache_dir is None
 
 
 class TestShmAttachIntegration:
