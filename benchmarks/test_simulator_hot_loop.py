@@ -4,7 +4,11 @@ Times one full trace-driven simulation per single-core timing model (BBB,
 the six schemes, the SP baseline and strict flush persistency) with
 pytest-benchmark, the measurement the ``simloop-*`` workloads of the
 end-to-end benchmark in ``bench/`` make per configuration (see
-``bench/README.md``).  The hot-path optimization work holds two
+``bench/README.md``).  These loop cases time the warm loop: the
+hierarchy front end (:func:`repro.sim.hierarchy.front_end`) is memoized
+on the fixture's trace, so only the reference run before each
+measurement replays the cache stack.  A separate case times that replay
+on a fresh trace per round.  The hot-path optimization work holds two
 properties simultaneously:
 
 * artifacts stay byte-identical (tests/test_golden_output.py), and
@@ -30,7 +34,10 @@ from repro.baselines.strict import StrictPersistencySimulator
 from repro.core.schemes import SPECTRUM_ORDER, get_scheme
 from repro.core.simulator import SecurePersistencySimulator
 from repro.persistency.flush import FlushBasedSimulator, PersistencyModel
+from repro.sim.config import SystemConfig
+from repro.sim.hierarchy import front_end
 from repro.workloads.spec import build_trace
+from repro.workloads.trace import Trace
 
 pytestmark = pytest.mark.quick
 
@@ -69,3 +76,22 @@ def test_single_simulation_throughput(benchmark, trace, name):
     # exact same execution.
     assert cycles == reference
     assert cycles > 0
+
+
+def test_front_end_replay_throughput(benchmark, trace):
+    """One hierarchy replay per round, each on a fresh trace with no memo."""
+    builds = []
+
+    def fresh_trace():
+        return (Trace(trace.name, trace.is_store, trace.block_addr, trace.gap),), {}
+
+    def build(fresh):
+        front = front_end(fresh, SystemConfig(), True, 0)
+        builds.append((front.load_latency, front.stats.as_dict()))
+
+    build(*fresh_trace()[0])
+    benchmark.pedantic(build, setup=fresh_trace, rounds=3)
+    # Determinism across replays: every round rebuilt the same front end.
+    assert len(builds) > 1
+    assert all(later == builds[0] for later in builds[1:])
+    assert len(builds[0][0]) == len(trace)

@@ -1,6 +1,9 @@
 """Profiling harness for the simulator inner loop (``repro profile``).
 
-Two complementary views of one simulation run:
+Two complementary views of one simulation run, after the trace's cache
+hierarchy front end (:func:`repro.sim.hierarchy.front_end`) is built and
+timed on its own line: every run of a trace shares that replay, so the
+views below cover what each further run costs.
 
 * **Host-time profile** — a :mod:`cProfile` capture of the Python-level
   cost of the run, aggregated per simulator component (cache model,
@@ -26,8 +29,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.schemes import Scheme
-from ..core.simulator import run_scheme
+from ..core.simulator import SecurePersistencySimulator
 from ..sim.config import SystemConfig
+from ..sim.hierarchy import front_end
 from ..sim.stats import SimulationResult
 
 # Map source-path fragments to the component names reported in the
@@ -73,6 +77,7 @@ class ProfileReport:
     num_ops: int
     elapsed_seconds: float
     ops_per_second: float
+    front_end_seconds: float
     component_seconds: Dict[str, float] = field(default_factory=dict)
     hottest: List[FunctionCost] = field(default_factory=list)
     cycle_breakdown: Dict[str, float] = field(default_factory=dict)
@@ -83,6 +88,8 @@ class ProfileReport:
             f"profile: {self.scheme} on {self.benchmark} "
             f"({self.num_ops} refs, {self.elapsed_seconds:.3f}s profiled, "
             f"{self.ops_per_second:,.0f} ops/s un-instrumented)",
+            f"hierarchy front end: {self.front_end_seconds:.3f}s, built once "
+            "per trace and shared by every run below",
             "",
             "host time per component (cProfile tottime):",
         ]
@@ -137,27 +144,37 @@ def profile_simulation(
 ) -> ProfileReport:
     """Profile one trace-driven simulation end to end.
 
-    Runs the simulation twice: once un-instrumented with
-    :func:`time.perf_counter` for an honest throughput figure (cProfile
-    inflates per-call costs several-fold), then once under cProfile for
-    the attribution.  Both runs produce byte-identical artifacts, so the
-    returned :class:`~repro.sim.stats.SimulationResult` is from the
-    profiled run without loss.
+    First builds the trace's hierarchy front end, timed on its own.  Then
+    runs the simulation twice, both warm (front end and trace columns
+    built): once un-instrumented with :func:`time.perf_counter` for an
+    honest throughput figure (cProfile inflates per-call costs
+    several-fold), then once under cProfile for the attribution.  Both
+    runs produce byte-identical artifacts, so the returned
+    :class:`~repro.sim.stats.SimulationResult` is from the profiled run
+    without loss.
     """
     from ..workloads.spec import build_trace
 
     trace = build_trace(benchmark, num_ops, seed)
-    scheme_name = scheme.name if scheme is not None else "bbb"
+    simulator = SecurePersistencySimulator(config=config, scheme=scheme)
 
-    # Un-instrumented timing (also warms trace/allocator caches).
     start = time.perf_counter()
-    run_scheme(trace, scheme, config=config, warmup_frac=warmup_frac)
+    front_end(
+        trace,
+        simulator.config,
+        simulator.persist_region,
+        int(len(trace) * warmup_frac),
+    )
+    front_end_elapsed = time.perf_counter() - start
+
+    start = time.perf_counter()
+    simulator.run(trace, warmup_frac)
     plain_elapsed = time.perf_counter() - start
 
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    result = run_scheme(trace, scheme, config=config, warmup_frac=warmup_frac)
+    result = simulator.run(trace, warmup_frac)
     profiler.disable()
     profiled_elapsed = time.perf_counter() - start
 
@@ -181,10 +198,11 @@ def profile_simulation(
 
     return ProfileReport(
         benchmark=benchmark,
-        scheme=scheme_name,
+        scheme=simulator.scheme_name,
         num_ops=num_ops,
         elapsed_seconds=profiled_elapsed,
         ops_per_second=num_ops / plain_elapsed if plain_elapsed else 0.0,
+        front_end_seconds=front_end_elapsed,
         component_seconds=component_seconds,
         hottest=functions[:top],
         cycle_breakdown=_cycle_breakdown(result),

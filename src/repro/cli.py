@@ -40,7 +40,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .analysis.experiments import DEFAULT_WARMUP, EXPERIMENTS, run_experiment
 from .analysis.serialize import (
@@ -74,6 +74,32 @@ EXPERIMENT_JOURNAL_KIND = "experiment"
 
 _OUTPUT_FLAGS = ("save", "metrics", "trace", "journal", "out", "jsonl")
 """Destinations of every flag that names a file the command writes."""
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _warmup_fraction(text: str) -> float:
+    """An argparse ``type``: a warmup fraction in [0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
+    return value
 
 
 def _check_output_paths(args: argparse.Namespace) -> None:
@@ -559,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_control = argparse.ArgumentParser(add_help=False)
     run_control.add_argument(
         "--jobs",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         help="worker processes for the sweep (default: serial)",
     )
@@ -609,9 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate a paper artifact",
     )
     experiment.add_argument("id", choices=sorted(EXPERIMENTS))
-    experiment.add_argument("--num-ops", type=int, default=20_000)
+    experiment.add_argument("--num-ops", type=_int_at_least(1), default=20_000)
     experiment.add_argument(
-        "--seed", type=int, default=1, help="trace-generation seed"
+        "--seed", type=_int_at_least(0), default=1, help="trace-generation seed"
     )
     experiment.set_defaults(func=_cmd_experiment)
 
@@ -622,11 +648,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--scheme", default="all", choices=["all"] + SPECTRUM_ORDER
     )
-    simulate.add_argument("--num-ops", type=int, default=20_000)
-    simulate.add_argument("--seed", type=int, default=1)
+    simulate.add_argument("--num-ops", type=_int_at_least(1), default=20_000)
+    simulate.add_argument("--seed", type=_int_at_least(0), default=1)
     simulate.add_argument(
         "--warmup",
-        type=float,
+        type=_warmup_fraction,
         default=DEFAULT_WARMUP,
         help="leading trace fraction excluded from timing "
         "(matches the experiment harness default)",
@@ -659,12 +685,12 @@ def build_parser() -> argparse.ArgumentParser:
         "multicore", parents=[common], help="multi-core scaling study"
     )
     multicore.add_argument("--scheme", default="cm", choices=SPECTRUM_ORDER)
-    multicore.add_argument("--num-ops", type=int, default=4000)
+    multicore.add_argument("--num-ops", type=_int_at_least(1), default=4000)
     multicore.add_argument("--share", type=float, default=0.15)
-    multicore.add_argument("--seed", type=int, default=1)
+    multicore.add_argument("--seed", type=_int_at_least(0), default=1)
     multicore.add_argument(
         "--warmup",
-        type=float,
+        type=_warmup_fraction,
         default=0.0,
         help="leading fraction of the lockstep rounds excluded from "
         "timing (same snapshot/subtract protocol as single-core)",
@@ -680,8 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
     workloads = sub.add_parser(
         "workloads", parents=[common], help="profile characterization"
     )
-    workloads.add_argument("--num-ops", type=int, default=20_000)
-    workloads.add_argument("--seed", type=int, default=1)
+    workloads.add_argument("--num-ops", type=_int_at_least(1), default=20_000)
+    workloads.add_argument("--seed", type=_int_at_least(0), default=1)
     workloads.set_defaults(func=_cmd_workloads)
 
     profile = sub.add_parser(
@@ -694,8 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--scheme", default="cobcm", choices=["bbb"] + SPECTRUM_ORDER
     )
-    profile.add_argument("--num-ops", type=int, default=40_000)
-    profile.add_argument("--seed", type=int, default=1)
+    profile.add_argument("--num-ops", type=_int_at_least(1), default=40_000)
+    profile.add_argument("--seed", type=_int_at_least(0), default=1)
     profile.add_argument(
         "--top", type=int, default=12, help="hottest functions to list"
     )
@@ -831,11 +857,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument(
         "--scheme", default="m", choices=["bbb"] + SPECTRUM_ORDER
     )
-    trace_cmd.add_argument("--num-ops", type=int, default=4000)
-    trace_cmd.add_argument("--seed", type=int, default=1)
+    trace_cmd.add_argument("--num-ops", type=_int_at_least(1), default=4000)
+    trace_cmd.add_argument("--seed", type=_int_at_least(0), default=1)
     trace_cmd.add_argument(
         "--warmup",
-        type=float,
+        type=_warmup_fraction,
         default=0.0,
         help="warmup fraction (events are emitted for the whole run; "
         "warmup only affects the reported stats)",

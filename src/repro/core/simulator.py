@@ -41,7 +41,7 @@ from ..obs.tracing import LANE_DRAIN, LANE_STALLS, LANE_STORES, Tracer
 from ..security.metadata_cache import MetadataCaches
 from ..sim.config import SystemConfig
 from ..sim.engine import BoundedPipeline
-from ..sim.hierarchy import MemoryHierarchy
+from ..sim.hierarchy import front_end
 from ..sim.stats import SimulationResult, StatsCollector
 from ..workloads.trace import Trace
 from .controller import SecPBController, TimingCalibration
@@ -54,10 +54,12 @@ BBB_SCHEME_NAME = "bbb"
 class StorePath(NamedTuple):
     """One run's store mechanism, as :meth:`TraceSimulator.run` drives it.
 
-    ``store(clock, block_addr)`` follows each store's L1D access and
-    returns the clock at which the core starts its next op.  ``mdc`` holds
-    the model's metadata caches (``None`` without security metadata); PM
-    loads verify through it when speculative verification is off.
+    ``store(clock, block_addr)`` prices each store and returns the clock
+    at which the core starts its next op.  The store's L1D access is made
+    by the trace's hierarchy front end, and the store never waits for its
+    latency.  ``mdc`` holds the model's metadata caches (``None`` without
+    security metadata); PM loads verify through it when speculative
+    verification is off.
     ``finish(clock)`` runs after the last op, and ``report()`` builds the
     result's stats after warmup exclusion (default ``stats.as_dict()``).
     """
@@ -72,8 +74,11 @@ class TraceSimulator:
     """The single-core trace loop every timing model runs on.
 
     A subclass sets ``config``, ``calibration`` and ``scheme_name``, and
-    builds a fresh :class:`StorePath` per run in ``_store_path``.  Stores
-    reach the hierarchy with ``persist_region`` (False: volatile caches).
+    builds a fresh :class:`StorePath` per run in ``_store_path``.  The
+    cache hierarchy is not part of a run: loads read their latency from
+    the trace's :func:`~repro.sim.hierarchy.front_end`, replayed with
+    ``persist_region`` (False: volatile caches) and shared by every run
+    of the same trace, geometry and warmup.
     """
 
     config: SystemConfig
@@ -90,6 +95,10 @@ class TraceSimulator:
     def run(self, trace: Trace, warmup_frac: float = 0.0) -> SimulationResult:
         """Simulate one trace; returns timing and statistics.
 
+        The hierarchy's counters come from the trace's front end (built
+        on first use), merged after the warmup exclusion; every other
+        counter is this run's own.
+
         Args:
             trace: the memory-reference trace.
             warmup_frac: fraction of the trace treated as warmup — state
@@ -102,8 +111,9 @@ class TraceSimulator:
             raise ValueError("warmup_frac must be in [0, 1)")
         config = self.config
         cal = self.calibration
+        warmup_ops = int(len(trace) * warmup_frac)
+        front = front_end(trace, config, self.persist_region, warmup_ops)
         stats = StatsCollector()
-        hierarchy = MemoryHierarchy(config, stats)
         path = self._store_path(stats)
 
         clock = 0.0
@@ -126,7 +136,6 @@ class TraceSimulator:
         memory_fill_cycles = config.memory_round_trip_cycles
         count_load_verification = stats.counter("verify.load_verifications")
 
-        warmup_ops = int(len(trace) * warmup_frac)
         warmup_clock = 0.0
         warmup_instructions = 0
         warmup_stats: Dict[str, float] = {}
@@ -134,13 +143,12 @@ class TraceSimulator:
 
         # Hot-loop bindings: the per-op path resolves these names once per
         # run instead of chasing attributes per op.
-        load_latency = hierarchy.load_latency
-        store_access = hierarchy.store_access
-        persist_region = self.persist_region
         store = path.store
         mdc_access_counter = mdc.access_counter if mdc is not None else None
 
-        for is_store, block_addr, gap in trace.iter_ops():
+        for (is_store, block_addr, gap), latency in zip(
+            trace.iter_ops(), front.load_latency
+        ):
             if op_index == warmup_ops and warmup_ops:
                 warmup_clock = clock
                 warmup_instructions = instructions
@@ -149,10 +157,7 @@ class TraceSimulator:
             instructions += gap + 1
             clock += gap * cpi_base
 
-            byte_addr = block_addr << 6
-
             if not is_store:
-                latency = load_latency(byte_addr)
                 if latency >= memory_fill_cycles and verify_load_cycles:
                     # Non-speculative integrity verification (ablation of
                     # the Table I assumption): data fetched from PM cannot
@@ -167,8 +172,6 @@ class TraceSimulator:
                     clock += l1_hit_cycles + blocking * (latency - l1_hit_cycles)
                 continue
 
-            # Store path: the L1D access, then the model's mechanism.
-            store_access(byte_addr, persist_region)
             clock = store(clock, block_addr)
 
         if path.finish is not None:
@@ -179,6 +182,7 @@ class TraceSimulator:
             # only the measured region.  State (caches, buffers, metadata
             # caches) keeps its warmed contents.
             stats.subtract(warmup_stats)
+        stats.merge(front.stats)
         stats.set("instructions", instructions - warmup_instructions)
         result_stats = path.report() if path.report is not None else stats.as_dict()
         return SimulationResult(

@@ -11,12 +11,22 @@ needs from the cache stack:
 The hierarchy is deliberately single-core (the paper evaluates one OOO core,
 Table I); the multi-SecPB coherence protocol of Sec. IV-C is modelled
 separately in :mod:`repro.core.coherence`.
+
+:func:`front_end` is the single-core timing models' view of the stack.
+``load_latency`` and ``store_access`` take no timestamp and touch no
+SecPB or metadata state, so each op's L1/L2/LLC outcome depends only on
+the trace, the cache geometry and ``persist_region``.  The front end
+replays a trace through a fresh hierarchy once and keeps the per-op load
+latencies and the hierarchy's counters, memoized on the trace; every
+configuration that shares the geometry (schemes, SecPB sizes, BMF cuts,
+SP) then reads them instead of replaying the stack again.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
+from ..workloads.trace import Trace
 from .cache import AccessOutcome, Cache
 from .config import SystemConfig
 from .memctrl import MemoryController
@@ -52,6 +62,16 @@ class MemoryHierarchy:
         self._l3_access = self.l3.access
         self._count_memory_read = self.stats.counter("hierarchy.memory_reads")
         self._count_victim_writeback = self.stats.counter("hierarchy.victim_writebacks")
+
+    @staticmethod
+    def geometry(config: SystemConfig) -> Tuple[Hashable, ...]:
+        """The fields of ``config`` that ``__init__`` reads.
+
+        Two configurations with equal geometry build identical
+        hierarchies, so :func:`front_end` keys its memo on this.  Keep it
+        in step with ``__init__``.
+        """
+        return (config.l1, config.l2, config.l3, config.nvm, config.clock_ghz)
 
     # Timing ------------------------------------------------------------------
 
@@ -123,3 +143,71 @@ class MemoryHierarchy:
         self.mc.flush_wpq()
         self.stats.add("hierarchy.crash_discards", lost)
         return lost
+
+
+class HierarchyFrontEnd(NamedTuple):
+    """One trace's replay through the hierarchy (see :func:`front_end`).
+
+    ``load_latency[i]`` is op ``i``'s load latency in cycles, ``0`` for a
+    store.  ``stats`` holds the hierarchy's counters over the measured
+    region, with the collector's key-presence rule: a counter that fired
+    only during warmup is present as ``0.0``, one that never fired is
+    absent.  Both are shared by every run that reads the front end, so
+    neither may be mutated.
+    """
+
+    load_latency: List[int]
+    stats: StatsCollector
+
+
+def front_end(
+    trace: Trace, config: SystemConfig, persist_region: bool, warmup_ops: int
+) -> HierarchyFrontEnd:
+    """The hierarchy's outcome for ``trace``, replayed at most once.
+
+    Args:
+        trace: the memory-reference trace.
+        config: system configuration; only :meth:`MemoryHierarchy.geometry`
+            matters.
+        persist_region: passed to every store's ``store_access`` (False:
+            volatile caches, as flush-based persistency has).
+        warmup_ops: ops before the measured region; their counts are
+            excluded from ``stats``.
+    """
+    key = (MemoryHierarchy.geometry(config), persist_region, warmup_ops)
+    # Memoized on the trace, beside the columns ``iter_ops`` keeps: a
+    # trace is immutable once built, so a front end never goes stale, and
+    # it goes away with its trace (e.g. on ``TraceStore.clear()``).
+    memo = trace.__dict__.setdefault("_front_ends", {})
+    front = memo.get(key)
+    if front is None:
+        front = memo[key] = _replay(trace, config, persist_region, warmup_ops)
+    return front
+
+
+def _replay(
+    trace: Trace, config: SystemConfig, persist_region: bool, warmup_ops: int
+) -> HierarchyFrontEnd:
+    """Run ``trace`` through a fresh :class:`MemoryHierarchy` once."""
+    stats = StatsCollector()
+    hierarchy = MemoryHierarchy(config, stats)
+    load_latency = hierarchy.load_latency
+    store_access = hierarchy.store_access
+    column: List[int] = []
+    append = column.append
+    # One int object per distinct latency: a miss's latency is not a
+    # cached small int, and a fresh object per miss would bloat the column.
+    interned: Dict[int, int] = {}
+    intern = interned.setdefault
+    warmup_stats: Dict[str, float] = {}
+    for index, (is_store, block_addr, _gap) in enumerate(trace.iter_ops()):
+        if index == warmup_ops:
+            warmup_stats = stats.snapshot()
+        if is_store:
+            store_access(block_addr << 6, persist_region)
+            append(0)
+        else:
+            latency = load_latency(block_addr << 6)
+            append(intern(latency, latency))
+    stats.subtract(warmup_stats)
+    return HierarchyFrontEnd(column, stats)

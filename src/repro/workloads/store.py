@@ -126,7 +126,11 @@ class TraceStore:
         return trace
 
     def clear(self) -> None:
-        """Drop every cached trace and reset the hit/miss counters."""
+        """Drop every cached trace and reset the hit/miss counters.
+
+        What is memoized on a trace (its iteration columns and hierarchy
+        front ends, :func:`repro.sim.hierarchy.front_end`) goes with it.
+        """
         self._traces.clear()
         self._checksums.clear()
         self.hits = 0

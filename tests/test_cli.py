@@ -217,6 +217,60 @@ class TestOutputPaths:
         assert (tmp_path / "t5.json").is_file()
 
 
+_RUN_SUBCOMMANDS = (
+    ["experiment", "table4"],
+    ["simulate", "gamess"],
+    ["multicore"],
+    ["workloads"],
+    ["profile"],
+    ["trace"],
+)
+_BAD_RUN_INPUTS = (
+    [
+        (command, "--num-ops", value)
+        for command in _RUN_SUBCOMMANDS
+        for value in ("0", "-5")
+    ]
+    + [(command, "--seed", "-1") for command in _RUN_SUBCOMMANDS]
+    + [
+        (command, "--warmup", value)
+        for command in (["simulate", "gamess"], ["multicore"], ["trace"])
+        for value in ("1.5", "1.0", "-0.1", "nan")
+    ]
+    + [
+        (command, "--jobs", value)
+        for command in (["experiment", "table4"], ["faultcampaign"])
+        for value in ("0", "-2")
+    ]
+)
+
+
+class TestRunInputValidation:
+    """Out-of-range run inputs are usage errors, caught while parsing."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        _BAD_RUN_INPUTS,
+        ids=[f"{c[0]}{f}={v}" for c, f, v in _BAD_RUN_INPUTS],
+    )
+    def test_rejected_with_usage_error(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: " in captured.err
+
+    def test_range_boundaries_accepted(self):
+        parser = build_parser()
+        args = parser.parse_args(
+            ["simulate", "gamess", "--num-ops", "1", "--seed", "0", "--warmup", "0"]
+        )
+        assert (args.num_ops, args.seed, args.warmup) == (1, 0, 0.0)
+        assert parser.parse_args(["experiment", "table4", "--jobs", "1"]).jobs == 1
+        assert parser.parse_args(["trace", "--warmup", "0.99"]).warmup == 0.99
+
+
 class TestFaultCampaignCommand:
     def test_small_campaign_passes(self, capsys):
         code = main(

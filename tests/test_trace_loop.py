@@ -9,7 +9,12 @@ These tests pin that structure and the differential oracles it implies:
 * a load-only trace exercises no store path, so every single-core model
   reports the same cycles, instructions and cache counters;
 * a one-core :class:`MultiCoreSecPBSimulator` (its own lockstep loop)
-  reports the same cycles and instructions as the single-core loop;
+  reports the same cycles, instructions and cache counters as the
+  single-core loop;
+* every model's cache and hierarchy counters equal a replay of the trace
+  through a live :class:`MemoryHierarchy`, key presence included;
+* the hierarchy is replayed once per (trace, geometry, ``persist_region``,
+  warmup), however many models run on the trace;
 * without speculative verification, every model whose store path carries
   metadata caches verifies PM loads — SP and secure flush included.
 """
@@ -24,8 +29,13 @@ from repro.core.multicore import MultiCoreSecPBSimulator
 from repro.core.schemes import CM, NOGAP, SPECTRUM_ORDER, get_scheme
 from repro.core.simulator import SecurePersistencySimulator, TraceSimulator
 from repro.persistency.flush import FlushBasedSimulator, PersistencyModel
-from repro.sim.config import SystemConfig
+from repro.security.bmf import ForestTimingModel
+from repro.sim.config import SECPB_SIZE_SWEEP, SystemConfig
+from repro.sim.hierarchy import MemoryHierarchy
+from repro.sim.stats import StatsCollector
 from repro.workloads.spec import build_trace
+from repro.workloads.store import TraceStore
+from repro.workloads.synthetic import zipf_trace
 from repro.workloads.trace import Trace
 
 WARMUP = 0.3
@@ -34,6 +44,8 @@ SIMULATORS = (
     StrictPersistencySimulator,
     FlushBasedSimulator,
 )
+HIERARCHY_COUNTERS = ("cache.L1D.", "cache.L2.", "cache.L3.", "hierarchy.")
+"""Prefixes of the counters the L1D/L2/LLC stack fires (not CTR$/MAC$/BMT$)."""
 
 
 def _nonspec() -> SystemConfig:
@@ -42,6 +54,58 @@ def _nonspec() -> SystemConfig:
         base,
         security=dataclasses.replace(base.security, speculative_verification=False),
     )
+
+
+def _hierarchy_view(stats):
+    return {
+        key: value
+        for key, value in stats.items()
+        if key.startswith(HIERARCHY_COUNTERS)
+    }
+
+
+def _bmf_levels(cut_height: int):
+    config = SystemConfig()
+    return ForestTimingModel(
+        full_height=config.security.bmt_levels,
+        cut_height=cut_height,
+        root_cache_bytes=4096,
+    ).levels
+
+
+def _single_core_models():
+    """One instance of every single-core timing model."""
+    models = [SecurePersistencySimulator()]
+    models += [SecurePersistencySimulator(scheme=get_scheme(n)) for n in SPECTRUM_ORDER]
+    models += [
+        SecurePersistencySimulator(_nonspec(), CM),
+        StrictPersistencySimulator(),
+        StrictPersistencySimulator(bmt_levels_fn=_bmf_levels(2)),
+        FlushBasedSimulator(PersistencyModel.STRICT),
+        FlushBasedSimulator(PersistencyModel.EPOCH, secure=True),
+    ]
+    return models
+
+
+def _reference_replay(trace, persist_region, warmup_frac):
+    """The hierarchy's counters from a live replay, op by op.
+
+    The same warmup protocol as the trace loop: snapshot at the boundary,
+    subtract at the end.
+    """
+    stats = StatsCollector()
+    hierarchy = MemoryHierarchy(SystemConfig(), stats)
+    warmup_ops = int(len(trace) * warmup_frac)
+    warmup_stats = {}
+    for index, (is_store, block_addr, _gap) in enumerate(trace.iter_ops()):
+        if index == warmup_ops and warmup_ops:
+            warmup_stats = stats.snapshot()
+        if is_store:
+            hierarchy.store_access(block_addr << 6, persist_region)
+        else:
+            hierarchy.load_latency(block_addr << 6)
+    stats.subtract(warmup_stats)
+    return stats.as_dict()
 
 
 class TestOneLoop:
@@ -103,6 +167,107 @@ class TestOneCoreMulticoreOracle:
                 single.cycles,
                 single.instructions,
             ), name
+            assert _hierarchy_view(multi.stats) == _hierarchy_view(single.stats), name
+
+
+class TestHierarchyReplayOracle:
+    """Each model's cache counters equal a live replay of its trace.
+
+    The zipf trace overflows L2 and fires every hierarchy counter across
+    the two ``persist_region`` settings.  Followed by a 64-block tail
+    that stays L2-resident, and measured over the tail alone, it leaves
+    L2 misses, the LLC and memory reads present as ``0.0``: they fired
+    only during warmup.
+    """
+
+    @pytest.fixture(scope="class")
+    def zipf(self):
+        return zipf_trace(30_000, 20_000, store_fraction=0.4, seed=3)
+
+    @pytest.fixture(scope="class")
+    def zipf_then_tail(self, zipf):
+        tail = zipf_trace(6_000, 64, store_fraction=0.4, seed=3)
+        return zipf.concat(tail), len(zipf) / (len(zipf) + len(tail))
+
+    @staticmethod
+    def _check_models(trace, warmup_frac):
+        references = {
+            persist_region: _reference_replay(trace, persist_region, warmup_frac)
+            for persist_region in (True, False)
+        }
+        for model in _single_core_models():
+            result = model.run(trace, warmup_frac)
+            expected = references[model.persist_region]
+            assert _hierarchy_view(result.stats) == expected, model.scheme_name
+        return references
+
+    @pytest.mark.parametrize("warmup_frac", [0.0, WARMUP])
+    def test_zipf(self, zipf, warmup_frac):
+        references = self._check_models(zipf, warmup_frac)
+        fired = set(references[True]) | set(references[False])
+        assert len(fired) == 10
+        assert all(references[True][key] > 0 for key in references[True])
+
+    def test_counters_fired_only_in_warmup_stay_present(self, zipf, zipf_then_tail):
+        trace, warmup_frac = zipf_then_tail
+        assert int(len(trace) * warmup_frac) == len(zipf)
+        references = self._check_models(trace, warmup_frac)
+        for reference in references.values():
+            for key in ("cache.L2.misses", "cache.L3.hits", "cache.L3.misses",
+                        "hierarchy.memory_reads"):
+                assert reference[key] == 0.0, key
+        assert references[False]["hierarchy.victim_writebacks"] == 0.0
+
+
+class TestOneReplayPerTrace:
+    """Models sharing a trace, geometry and warmup share one replay."""
+
+    @pytest.fixture
+    def hierarchy_calls(self, monkeypatch):
+        calls = []
+        for name in ("load_latency", "store_access"):
+            original = getattr(MemoryHierarchy, name)
+
+            def counted(self, *args, _original=original):
+                calls.append(args[0])
+                return _original(self, *args)
+
+            monkeypatch.setattr(MemoryHierarchy, name, counted)
+        return calls
+
+    def test_one_replay_serves_every_persistent_model(self, hierarchy_calls):
+        trace = build_trace("gamess", 3000, 5)
+        config = SystemConfig()
+        models = [SecurePersistencySimulator()]
+        models += [
+            SecurePersistencySimulator(scheme=get_scheme(n)) for n in SPECTRUM_ORDER
+        ]
+        models += [
+            StrictPersistencySimulator(),
+            StrictPersistencySimulator(bmt_levels_fn=_bmf_levels(2)),
+        ]
+        models += [
+            SecurePersistencySimulator(config.with_secpb_entries(n), CM)
+            for n in SECPB_SIZE_SWEEP
+        ]
+        for model in models:
+            model.run(trace, WARMUP)
+        assert len(hierarchy_calls) == len(trace)
+
+        # Volatile caches are another replay, and so is another warmup.
+        FlushBasedSimulator().run(trace, WARMUP)
+        assert len(hierarchy_calls) == 2 * len(trace)
+        SecurePersistencySimulator(scheme=CM).run(trace, 0.0)
+        assert len(hierarchy_calls) == 3 * len(trace)
+
+    def test_replays_go_with_their_trace(self, hierarchy_calls):
+        store = TraceStore()
+        SecurePersistencySimulator().run(store.get("mcf", 2000, 1), WARMUP)
+        SecurePersistencySimulator(scheme=CM).run(store.get("mcf", 2000, 1), WARMUP)
+        assert len(hierarchy_calls) == 2000
+        store.clear()
+        SecurePersistencySimulator().run(store.get("mcf", 2000, 1), WARMUP)
+        assert len(hierarchy_calls) == 4000
 
 
 class TestNonSpeculativeVerification:
