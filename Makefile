@@ -28,8 +28,10 @@ lint:
 		echo "mypy not installed; skipping"; \
 	fi
 
-# The CI entry point: static analysis, the tier-1 suite, the benchmark
-# smoke (every bench/ workload at a tiny size), the quick
+# The CI entry point: static analysis, the tier-1 suite, a module-order
+# check (test_golden_output's pool and shm segments must be released
+# before test_cli's chaos soak), the benchmark smoke (every bench/
+# workload at a tiny size), the quick
 # parallel-runner smoke (which includes the observability smoke in
 # benchmarks/test_obs_smoke.py, and compares table4's stdout at
 # --jobs 1 and --jobs 2 byte for byte), the fault-campaign smoke, the
@@ -38,6 +40,7 @@ lint:
 # crash-consistency sweep + seeded envfault soak; mirrors
 # .github/workflows/ci.yml).
 ci: lint test
+	$(PYTHON) -m pytest tests/test_golden_output.py tests/test_cli.py -q -p no:cacheprovider
 	$(PYTHON) -m pytest bench/test_bench.py -q -p no:cacheprovider
 	$(PYTHON) -m pytest benchmarks -m quick -q -p no:cacheprovider
 	work=$$(mktemp -d) && trap 'rm -rf "$$work"' EXIT && \

@@ -13,10 +13,6 @@ import os
 
 import pytest
 
-from repro.analysis.runner import clear_result_memo
-from repro.runtime.pool import shutdown_shared_pool
-from repro.runtime.shm import cleanup_shared_registry
-
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 # Trace length per workload for the timing experiments.  Large enough for
@@ -40,24 +36,7 @@ def pytest_configure(config):
     )
 
 
-@pytest.fixture(autouse=True)
-def _fresh_result_memo():
-    """Start every benchmark with an empty run_jobs result memo, so each
-    artifact's timing covers its own simulations."""
-    clear_result_memo()
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _release_execution_plane():
-    """Tear down the warm pool and owned shm segments after each module.
-
-    Parallel sweeps keep both alive for the life of the process; a later
-    module in the same pytest process (the chaos soak's ``/dev/shm``
-    residue check) must not inherit them.
-    """
-    yield
-    shutdown_shared_pool()
-    cleanup_shared_registry()
+# The result memo and execution-plane fixtures live in the root conftest.py.
 
 
 @pytest.fixture(scope="session")

@@ -91,15 +91,44 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
-def _warmup_fraction(text: str) -> float:
-    """An argparse ``type``: a warmup fraction in [0, 1)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
-    return value
+def _float_in(
+    low: float, high: float, low_open: bool = False, high_open: bool = False
+) -> Callable[[str], float]:
+    """An argparse ``type``: a float between ``low`` and ``high``.
+
+    Both bounds are inclusive unless marked open; NaN is never in range.
+    """
+    interval = f"{'(' if low_open else '['}{low:g}, {high:g}{')' if high_open else ']'}"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        above = value > low if low_open else value >= low
+        below = value < high if high_open else value <= high
+        if not (above and below):
+            raise argparse.ArgumentTypeError(f"must be in {interval}, got {text}")
+        return value
+
+    return parse
+
+
+_warmup_fraction = _float_in(0.0, 1.0, high_open=True)
+_positive = _float_in(0.0, float("inf"), low_open=True, high_open=True)
+
+
+def _scheme_names(text: str) -> Tuple[str, ...]:
+    """An argparse ``type``: ``all``, or comma-separated scheme names."""
+    if text == "all":
+        return tuple(SPECTRUM_ORDER)
+    names = tuple(text.split(","))
+    for name in names:
+        try:
+            get_scheme(name)
+        except KeyError as exc:
+            raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return names
 
 
 def _check_output_paths(args: argparse.Namespace) -> None:
@@ -394,16 +423,9 @@ def _cmd_faultcampaign(args: argparse.Namespace) -> int:
         return 0 if result.passed else 1
 
     journal, resuming = _resolve_journal(args)
-    schemes = (
-        tuple(SPECTRUM_ORDER)
-        if args.schemes == "all"
-        else tuple(args.schemes.split(","))
-    )
-    for name in schemes:
-        get_scheme(name)  # fail fast on a typo before building 200 cases
     spec = CampaignSpec(
         seed=args.seed,
-        schemes=schemes,
+        schemes=args.schemes,
         crash_points=args.crash_points,
         num_stores=args.num_stores,
         num_asids=args.asids,
@@ -662,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     advisor = sub.add_parser(
         "advisor", parents=[common], help="scheme choice for a battery budget"
     )
-    advisor.add_argument("budget", type=float, help="battery volume in mm^3")
+    advisor.add_argument("budget", type=_positive, help="battery volume in mm^3")
     advisor.add_argument(
         "--technology", choices=["supercap", "li-thin"], default="supercap"
     )
@@ -678,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="crash-to-consistency window per scheme",
     )
-    rectime.add_argument("--entries", type=int, default=32)
+    rectime.add_argument("--entries", type=_int_at_least(1), default=32)
     rectime.set_defaults(func=_cmd_recovery_time)
 
     multicore = sub.add_parser(
@@ -686,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     multicore.add_argument("--scheme", default="cm", choices=SPECTRUM_ORDER)
     multicore.add_argument("--num-ops", type=_int_at_least(1), default=4000)
-    multicore.add_argument("--share", type=float, default=0.15)
+    multicore.add_argument("--share", type=_float_in(0.0, 1.0), default=0.15)
     multicore.add_argument("--seed", type=_int_at_least(0), default=1)
     multicore.add_argument(
         "--warmup",
@@ -745,21 +767,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faultcampaign.add_argument(
         "--schemes",
+        type=_scheme_names,
         default="all",
         help="comma-separated scheme names (default: the full spectrum)",
     )
     faultcampaign.add_argument(
         "--crash-points",
-        type=int,
+        type=_int_at_least(0),
         default=8,
         help="sampled crash indices per scheme and crash kind",
     )
-    faultcampaign.add_argument("--num-stores", type=int, default=60)
-    faultcampaign.add_argument("--asids", type=int, default=4)
+    faultcampaign.add_argument("--num-stores", type=_int_at_least(1), default=60)
+    faultcampaign.add_argument("--asids", type=_int_at_least(1), default=4)
     faultcampaign.add_argument("--seed", type=int, default=2023)
     faultcampaign.add_argument(
         "--timeout",
-        type=float,
+        type=_positive,
         default=None,
         help="per-case timeout in seconds (pool mode only)",
     )

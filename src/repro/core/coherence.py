@@ -11,11 +11,14 @@ or metadata item may reside in.  The protocol:
 * **remote write** — the SecPB entry *migrates* to the requesting core.
   Value-independent metadata (counter/OTP/BMT) travels with it and is not
   recomputed; eager schemes regenerate only ciphertext/MAC at the new
-  owner.  The directory is updated so no replication ever exists.
+  owner.  No replication ever exists.
 
-This module is the functional protocol used by the multi-core tests and
-the coherence example; the paper's timing evaluation is single-core
-(Table I), so it does not participate in the Table IV timing loop.
+Ownership is residency: the directory keeps no map of its own, and a
+block's owner is the core whose SecPB holds it.  This module is the
+functional protocol (the coherence tests and example drive it), and it
+answers every ownership question of the multi-core timing model
+(:mod:`repro.core.multicore`), which audits it after each run.  The
+paper's Table IV timing is single-core (Table I) and never consults it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..sim.stats import StatsCollector
-from .schemes import MetadataStep, Scheme
+from .schemes import Scheme
 from .secpb import SecPB, SecPBEntry
 
 
@@ -62,13 +65,15 @@ class SecPBDirectory:
         self.secpbs = secpbs
         self.scheme = scheme
         self.stats = stats if stats is not None else StatsCollector()
-        self._owner: Dict[int, int] = {}
 
     # Queries -----------------------------------------------------------
 
     def owner_of(self, block_addr: int) -> Optional[int]:
         """Core whose SecPB holds the block, or None."""
-        return self._owner.get(block_addr)
+        for core_id, secpb in enumerate(self.secpbs):
+            if secpb.lookup(block_addr) is not None:
+                return core_id
+        return None
 
     def check_no_replication(self) -> None:
         """Audit: every block resides in at most one SecPB.
@@ -85,13 +90,6 @@ class SecPBDirectory:
                         f"of cores {seen[entry.block_addr]} and {core_id}"
                     )
                 seen[entry.block_addr] = core_id
-        # Directory must agree with reality.
-        for block_addr, core_id in self._owner.items():
-            if seen.get(block_addr) != core_id:
-                raise CoherenceError(
-                    f"directory says core {core_id} owns {block_addr:#x} "
-                    f"but the block is in core {seen.get(block_addr)}"
-                )
 
     # Protocol ------------------------------------------------------------
 
@@ -101,36 +99,32 @@ class SecPBDirectory:
         Returns the (possibly migrated) entry now owned by ``core_id``.
         """
         self._validate_core(core_id)
-        current = self._owner.get(block_addr)
+        current = self.owner_of(block_addr)
         if current is not None and current != core_id:
             self.migrate(block_addr, to_core=core_id)
         secpb = self.secpbs[core_id]
         if secpb.full and secpb.lookup(block_addr) is None:
-            drained = secpb.drain_oldest()
-            self._owner.pop(drained.block_addr, None)
-        entry, allocated = secpb.write(block_addr, plaintext)
-        if allocated:
-            self._owner[block_addr] = core_id
+            secpb.drain_oldest()
+        entry, _ = secpb.write(block_addr, plaintext)
         return entry
 
     def remote_read(self, reader_core: int, block_addr: int) -> Optional[bytes]:
         """A load by a non-owner core (Sec. IV-C: flush + share).
 
         The owner's SecPB entry is flushed (drained) to PM while the data
-        is forwarded; the block leaves the SecPB domain entirely, so the
-        directory entry is cleared.
+        is forwarded; the block leaves the SecPB domain entirely, so no
+        core owns it any more.
 
         Returns:
             The forwarded plaintext (None when no SecPB held the block).
         """
         self._validate_core(reader_core)
-        owner = self._owner.get(block_addr)
+        owner = self.owner_of(block_addr)
         if owner is None or owner == reader_core:
             return None
         entry = self.secpbs[owner].remove(block_addr)
-        self._owner.pop(block_addr, None)
         self.stats.add("coherence.read_flushes")
-        return entry.plaintext if entry is not None else None
+        return entry.plaintext
 
     def migrate(self, block_addr: int, to_core: int) -> MigrationReport:
         """Move a SecPB entry between cores for a remote write.
@@ -144,7 +138,7 @@ class SecPBDirectory:
             CoherenceError: when no SecPB owns the block.
         """
         self._validate_core(to_core)
-        from_core = self._owner.get(block_addr)
+        from_core = self.owner_of(block_addr)
         if from_core is None:
             raise CoherenceError(f"no SecPB owns block {block_addr:#x}")
         if from_core == to_core:
@@ -152,24 +146,15 @@ class SecPBDirectory:
                 f"block {block_addr:#x} already owned by core {to_core}"
             )
         entry = self.secpbs[from_core].remove(block_addr)
-        if entry is None:
-            raise CoherenceError(
-                f"directory/SecPB mismatch for block {block_addr:#x}"
-            )
         target = self.secpbs[to_core]
         if target.full:
             # Make room the way the hardware would: drain the oldest entry.
-            drained = target.drain_oldest()
-            self._owner.pop(drained.block_addr, None)
+            target.drain_oldest()
             self.stats.add("coherence.migration_drains")
         migrated, _ = target.write(block_addr, entry.plaintext)
-        # Carry over value-independent metadata validity.
-        for step in (MetadataStep.COUNTER, MetadataStep.OTP, MetadataStep.BMT_ROOT):
-            if entry.is_marked(step):
-                migrated.mark(step)
+        migrated.adopt_value_independent(entry)
         migrated.invalidate_value_dependent()
         migrated.writes = entry.writes + migrated.writes - 1
-        self._owner[block_addr] = to_core
         self.stats.add("coherence.migrations")
         needs_value_dependent = bool(self.scheme.eager_value_dependent)
         return MigrationReport(

@@ -4,13 +4,18 @@ The paper's timing evaluation is single-core (Table I); Sec. IV-C only
 *describes* the multi-core protocol — per-core SecPBs, a directory in the
 metadata caches, entry migration on remote writes, flush-on-remote-read —
 and argues that migration is cheap for eager schemes because the
-value-independent metadata travels with the entry.  This module extends
-the reproduction with a timing model of that protocol:
+value-independent metadata travels with the entry.  This module times
+that protocol from the single-core parts and keeps only what is
+multi-core:
 
-* each core runs its own trace slice with a private SecPB, store buffer
-  and drain path;
-* the BMT and MAC engines are shared (they live at the MC), so cores
-  contend on them — the multi-core scaling cost of eager schemes;
+* each core reads its trace's :func:`~repro.sim.hierarchy.front_end` and
+  stores through its own SecPB :class:`~repro.core.simulator.StorePath`
+  (a private SecPB, store buffer and drain engine);
+* the metadata caches and the BMT and MAC engines live at the MC and are
+  shared, so cores contend on them — the multi-core scaling cost of
+  eager schemes;
+* ownership is SecPB residency, asked of
+  :class:`~repro.core.coherence.SecPBDirectory`, which audits every run;
 * a store to a block resident in a *remote* SecPB first migrates the
   entry: a fixed transit cost plus, for schemes with eager value-dependent
   steps, the ciphertext/MAC regeneration at the new owner (Sec. IV-C-c);
@@ -29,13 +34,14 @@ from typing import Dict, List, Optional, Sequence
 
 from ..security.metadata_cache import MetadataCaches
 from ..sim.config import SystemConfig
-from ..sim.engine import BoundedPipeline, BusyResource
-from ..sim.hierarchy import MemoryHierarchy
+from ..sim.engine import BusyResource
+from ..sim.hierarchy import front_end
 from ..sim.stats import StatsCollector
 from ..workloads.trace import Trace
-from .controller import SecPBController, TimingCalibration
-from .schemes import COBCM, MetadataStep, Scheme
-from .secpb import SecPB
+from .coherence import SecPBDirectory
+from .controller import TimingCalibration
+from .schemes import Scheme
+from .simulator import SecurePersistencySimulator, load_verification_cycles
 
 
 @dataclass
@@ -58,41 +64,6 @@ class MultiCoreResult:
         if self.cycles == 0:
             return 0.0
         return self.instructions / self.cycles
-
-
-class _CoreState:
-    """Private per-core machinery."""
-
-    def __init__(
-        self,
-        config: SystemConfig,
-        scheme: Optional[Scheme],
-        stats: StatsCollector,
-        calibration: TimingCalibration,
-        shared_bmt: BusyResource,
-        shared_mac: BusyResource,
-        mdc: MetadataCaches,
-    ):
-        self.hierarchy = MemoryHierarchy(config, stats)
-        self.secpb = SecPB(config.secpb, scheme if scheme else COBCM, stats)
-        self.store_buffer = BoundedPipeline("sb", config.store_buffer_entries)
-        self.drain_engine = BusyResource("drain")
-        self.drain_completions: List[float] = []
-        self.accept_free_at = 0.0
-        self.clock = 0.0
-        self.instructions = 0
-        if scheme is not None:
-            self.controller: Optional[SecPBController] = SecPBController(
-                config,
-                scheme,
-                mdc,
-                stats,
-                calibration=calibration,
-                bmt_engine=shared_bmt,
-                mac_engine=shared_mac,
-            )
-        else:
-            self.controller = None
 
 
 class MultiCoreSecPBSimulator:
@@ -121,198 +92,106 @@ class MultiCoreSecPBSimulator:
             calibration if calibration is not None else TimingCalibration()
         )
 
-    def run(
-        self, traces: Sequence[Trace], warmup_frac: float = 0.0
-    ) -> MultiCoreResult:
+    def run(self, traces: Sequence[Trace], warmup_frac: float = 0.0) -> MultiCoreResult:
         """Run one trace per core; returns the makespan and stats.
 
         Args:
             traces: one memory-reference trace per core.
             warmup_frac: fraction of the lockstep rounds treated as
-                warmup, mirroring the single-core simulator's protocol:
-                state (caches, SecPBs, ownership) is built during warmup
-                but its cycles, instructions and counters are excluded
-                from the reported result via the StatsCollector
-                snapshot/subtract discipline.  Because cores advance in
-                lockstep rounds, the boundary falls at the same round on
-                every core, so per-core cycles and every cross-core
-                aggregate (makespan, IPC, shared-engine counters) are
-                measured-region only.
+                warmup, as in the single-core simulator: state (caches,
+                SecPBs, ownership) is built during warmup, but its cycles,
+                instructions and counters are excluded from the result.
+                The boundary falls at the same round on every core, so
+                per-core cycles and every cross-core aggregate (makespan,
+                IPC, shared-engine counters) are measured-region only.
         """
         if len(traces) != self.cores:
-            raise ValueError(
-                f"expected {self.cores} traces, got {len(traces)}"
-            )
+            raise ValueError(f"expected {self.cores} traces, got {len(traces)}")
         if not 0.0 <= warmup_frac < 1.0:
             raise ValueError("warmup_frac must be in [0, 1)")
-        config = self.config
-        cal = self.calibration
+        config, cal = self.config, self.calibration
         stats = StatsCollector()
-        shared_bmt = BusyResource("shared-bmt")
-        shared_mac = BusyResource("shared-mac")
-        mdc = MetadataCaches(config, stats)
-        cores = [
-            _CoreState(config, self.scheme, stats, cal, shared_bmt, shared_mac, mdc)
-            for _ in range(self.cores)
-        ]
-        owner: Dict[int, int] = {}
-        secure = self.scheme is not None
+        mdc = MetadataCaches(config, stats) if self.scheme is not None else None
+        engines = (BusyResource("shared-bmt"), BusyResource("shared-mac"))
+        model = SecurePersistencySimulator(config, self.scheme, cal)
+        paths = [model._store_path(stats, mdc, *engines) for _ in traces]
+        secpbs = [path.secpb for path in paths]
+        directory = SecPBDirectory(secpbs, secpbs[0].scheme, stats)
+        owner_of = directory.owner_of
         migration_transit = config.l2.access_cycles  # SecPB-to-SecPB hop
-        capacity = config.secpb.entries
-        eager_value_dependent = (
-            secure and bool(self.scheme.eager_value_dependent)
-        )
-
-        iterators = [list(trace.iter_ops()) for trace in traces]
-        lengths = [len(ops) for ops in iterators]
-
-        def start_drains(core_id: int, now: float) -> None:
-            core = cores[core_id]
-            for _ in range(core.secpb.drain_targets()):
-                drained = core.secpb.drain_oldest()
-                owner.pop(drained.block_addr, None)
-                if core.controller is not None:
-                    service = core.controller.price_drain(drained.block_addr)
-                else:
-                    service = float(cal.drain_transfer_cycles)
-                _, completion = core.drain_engine.request(now, service)
-                core.drain_completions.append(completion)
-
-        def effective_occupancy(core: _CoreState, now: float) -> int:
-            alive = [t for t in core.drain_completions if t > now]
-            core.drain_completions[:] = alive
-            return core.secpb.occupancy + len(alive)
-
-        # Lockstep interleave: one op per core per round.
-        max_len = max(lengths)
+        eager_value_dependent = bool(self.scheme and self.scheme.eager_value_dependent)
+        l1_hit_cycles = config.l1.access_cycles
+        blocking = cal.load_blocking_fraction
+        memory_fill_cycles = config.memory_round_trip_cycles
+        verify_load_cycles = load_verification_cycles(config, mdc)
+        count_load_verification = stats.counter("verify.load_verifications")
+        ops = [list(trace.iter_ops()) for trace in traces]
+        max_len = max(len(core_ops) for core_ops in ops)
         warmup_rounds = int(max_len * warmup_frac)
+        # The round boundary is each core's warmup: a core that ends
+        # inside it contributes no hierarchy count.
+        fronts = [front_end(trace, config, True, warmup_rounds) for trace in traces]
+        latencies = [front.load_latency for front in fronts]
+        clocks, instructions = [0.0] * self.cores, [0] * self.cores
         warmup_stats: Dict[str, float] = {}
-        warmup_clocks = [0.0] * self.cores
-        warmup_instructions = [0] * self.cores
+        warmup_clocks, warmup_instructions = list(clocks), list(instructions)
+        # Lockstep interleave: one op per core per round.
         for index in range(max_len):
-            if index == warmup_rounds and warmup_rounds:
-                # Warmup boundary (same round on every core): freeze the
-                # shared counters and each core's progress so the report
-                # covers only the measured region — the multi-core
-                # mirror of the single-core snapshot/subtract protocol.
+            if index == warmup_rounds:
+                # Warmup boundary (same round on every core): the
+                # multi-core mirror of the single-core snapshot/subtract.
                 warmup_stats = stats.snapshot()
-                warmup_clocks = [core.clock for core in cores]
-                warmup_instructions = [core.instructions for core in cores]
-            for core_id, ops in enumerate(iterators):
-                if index >= len(ops):
+                warmup_clocks = list(clocks)
+                warmup_instructions = list(instructions)
+            for core_id, core_ops in enumerate(ops):
+                if index >= len(core_ops):
                     continue
-                core = cores[core_id]
-                is_store, block_addr, gap = ops[index]
-                core.instructions += gap + 1
-                core.clock += gap * cal.cpi_base
-                byte_addr = block_addr << 6
-
+                is_store, block_addr, gap = core_ops[index]
+                instructions[core_id] += gap + 1
+                clock = clocks[core_id] + gap * cal.cpi_base
+                owner = owner_of(block_addr)
+                remote = owner is not None and owner != core_id
                 if not is_store:
-                    remote = owner.get(block_addr)
-                    if remote is not None and remote != core_id:
+                    if remote:
                         # Remote read: flush the owner's entry, forward data.
-                        remote_core = cores[remote]
-                        entry = remote_core.secpb.remove(block_addr)
-                        owner.pop(block_addr, None)
-                        if entry is not None:
-                            if remote_core.controller is not None:
-                                service = remote_core.controller.price_drain(block_addr)
-                            else:
-                                service = float(cal.drain_transfer_cycles)
-                            remote_core.drain_engine.request(core.clock, service)
-                            stats.add("coherence.read_flushes")
-                        core.clock += migration_transit
-                    latency = core.hierarchy.load_latency(byte_addr)
-                    l1_hit = config.l1.access_cycles
-                    if latency <= l1_hit:
-                        core.clock += latency
+                        paths[owner].flush(clock, block_addr)
+                        stats.add("coherence.read_flushes")
+                        clock += migration_transit
+                    latency = latencies[core_id][index]
+                    if latency >= memory_fill_cycles and verify_load_cycles:
+                        latency += mdc.access_counter(block_addr // 64)
+                        latency += verify_load_cycles
+                        count_load_verification()
+                    if latency <= l1_hit_cycles:
+                        clock += latency
                     else:
-                        core.clock += l1_hit + cal.load_blocking_fraction * (
-                            latency - l1_hit
-                        )
-                    continue
-
-                core.hierarchy.store_access(byte_addr, persist_region=True)
-                migrated_entry = None
-                remote = owner.get(block_addr)
-                if remote is not None and remote != core_id:
-                    # Remote write: migrate the entry (Sec. IV-C-c).
-                    remote_core = cores[remote]
-                    migrated_entry = remote_core.secpb.remove(block_addr)
-                    owner.pop(block_addr, None)
-                    core.clock += migration_transit
-                    if eager_value_dependent:
-                        # Ciphertext/MAC must be regenerated by the new
-                        # owner; value-independent metadata travelled.
-                        core.clock += cal.xor_cycles
-                    stats.add("coherence.migrations")
-
-                entry = core.secpb.lookup(block_addr)
-                newly_allocated = entry is None
-                if newly_allocated:
-                    while effective_occupancy(core, core.clock) >= capacity:
-                        start_drains(core_id, core.clock)
-                        pending = [
-                            t for t in core.drain_completions if t > core.clock
-                        ]
-                        if not pending:
-                            break
-                        core.clock = min(pending)
-                        stats.add("secpb.backflow_stalls")
-
-                entry, allocated = core.secpb.write(block_addr)
-                if migrated_entry is not None:
-                    # Value-independent metadata arrived with the entry.
-                    for step in (
-                        MetadataStep.COUNTER,
-                        MetadataStep.OTP,
-                        MetadataStep.BMT_ROOT,
-                    ):
-                        if migrated_entry.is_marked(step):
-                            entry.mark(step)
-
-                accept_start = max(core.clock, core.accept_free_at)
-                if core.controller is not None:
-                    if allocated and not entry.is_marked(MetadataStep.COUNTER):
-                        timing = core.controller.price_new_entry(
-                            accept_start, block_addr, entry
-                        )
-                    else:
-                        timing = core.controller.price_coalesced_store(
-                            accept_start, entry
-                        )
-                    service = timing.unblock_cycles
+                        clock += l1_hit_cycles + blocking * (latency - l1_hit_cycles)
                 else:
-                    service = 0.0
-                completion = accept_start + service
-                core.accept_free_at = completion
-                owner[block_addr] = core_id
+                    migrated = None
+                    if remote:
+                        # Remote write: migrate the entry (Sec. IV-C-c).
+                        migrated = secpbs[owner].remove(block_addr)
+                        clock += migration_transit
+                        if eager_value_dependent:
+                            # Ciphertext/MAC must be regenerated by the new
+                            # owner; value-independent metadata travelled.
+                            clock += cal.xor_cycles
+                        stats.add("coherence.migrations")
+                    clock = paths[core_id].store(clock, block_addr, migrated)
+                clocks[core_id] = clock
 
-                stall = core.store_buffer.push(core.clock, completion)
-                core.clock += stall + 1.0
-
-                if core.secpb.above_high_watermark:
-                    start_drains(core_id, core.clock)
-
-        if warmup_rounds:
-            # Exclude warmup-region counts so shared counters (engine
-            # contention, coherence traffic) and everything derived from
-            # them cover only the measured region, matching the
-            # single-core path.
-            stats.subtract(warmup_stats)
-        per_core = [
-            core.clock - warm for core, warm in zip(cores, warmup_clocks)
-        ]
-        total_instructions = sum(core.instructions for core in cores) - sum(
-            warmup_instructions
-        )
+        # Shared counters (engine contention, coherence traffic) cover only
+        # the measured region, as on the single-core path.
+        stats.subtract(warmup_stats)
+        for front in fronts:
+            stats.merge(front.stats)
+        directory.check_no_replication()
+        per_core = [clock - warm for clock, warm in zip(clocks, warmup_clocks)]
+        total_instructions = sum(instructions) - sum(warmup_instructions)
         stats.set("instructions", total_instructions)
         return MultiCoreResult(
-            scheme=self.scheme.name if self.scheme else "bbb",
-            cores=self.cores,
-            cycles=max(per_core),
-            instructions=total_instructions,
-            per_core_cycles=per_core,
+            scheme=model.scheme_name, cores=self.cores, cycles=max(per_core),
+            instructions=total_instructions, per_core_cycles=per_core,
             stats=stats.as_dict(),
         )
 

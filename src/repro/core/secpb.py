@@ -101,6 +101,16 @@ class SecPBEntry:
     def is_marked(self, step: MetadataStep) -> bool:
         return self.valid[_FIELD_FOR_STEP[step]]
 
+    def adopt_value_independent(self, source: "SecPBEntry") -> None:
+        """Take over a migrating entry's counter/OTP/BMT valid bits.
+
+        Value-independent metadata travels with an entry to its new owner
+        (Sec. IV-C-c); the value-dependent fields are redone there.
+        """
+        for step in (MetadataStep.COUNTER, MetadataStep.OTP, MetadataStep.BMT_ROOT):
+            if source.is_marked(step):
+                self.mark(step)
+
 
 class DrainedEntry:
     """An entry leaving the SecPB toward the memory controller."""

@@ -40,13 +40,13 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 from ..obs.tracing import LANE_DRAIN, LANE_STALLS, LANE_STORES, Tracer
 from ..security.metadata_cache import MetadataCaches
 from ..sim.config import SystemConfig
-from ..sim.engine import BoundedPipeline
+from ..sim.engine import BoundedPipeline, BusyResource
 from ..sim.hierarchy import front_end
 from ..sim.stats import SimulationResult, StatsCollector
 from ..workloads.trace import Trace
 from .controller import SecPBController, TimingCalibration
-from .schemes import ALL_STEPS, COBCM, Scheme
-from .secpb import SecPB
+from .schemes import ALL_STEPS, COBCM, MetadataStep, Scheme
+from .secpb import SecPB, SecPBEntry
 
 BBB_SCHEME_NAME = "bbb"
 
@@ -62,12 +62,35 @@ class StorePath(NamedTuple):
     verification is off.
     ``finish(clock)`` runs after the last op, and ``report()`` builds the
     result's stats after warmup exclusion (default ``stats.as_dict()``).
+
+    A SecPB path also exposes what Sec. IV-C's coherence needs
+    (:mod:`repro.core.multicore`).  ``secpb`` is the buffer whose
+    residency is the core's ownership; a remote write removes the entry
+    from it and passes that entry to the new owner's ``store`` as a
+    third argument.  ``flush(now, block_addr)`` serves a remote read.
     """
 
-    store: Callable[[float, int], float]
+    store: Callable[..., float]
     mdc: Optional[MetadataCaches] = None
     finish: Optional[Callable[[float], float]] = None
     report: Optional[Callable[[], Dict[str, float]]] = None
+    secpb: Optional[SecPB] = None
+    flush: Optional[Callable[[float, int], None]] = None
+
+
+def load_verification_cycles(
+    config: SystemConfig, mdc: Optional[MetadataCaches]
+) -> int:
+    """Cycles a PM load waits for OTP regeneration and its MAC check.
+
+    Speculative integrity verification (Table I / PoisonIvy [33]) hides
+    load-side verification entirely; without it, PM fills of every model
+    with security metadata (``mdc`` not ``None``) pay both before use, on
+    top of fetching their counter.
+    """
+    if mdc is None or config.security.speculative_verification:
+        return 0
+    return config.security.aes_latency_cycles + config.security.mac_latency_cycles
 
 
 class TraceSimulator:
@@ -121,18 +144,8 @@ class TraceSimulator:
         l1_hit_cycles = config.l1.access_cycles
         cpi_base = cal.cpi_base
         blocking = cal.load_blocking_fraction
-        # Speculative integrity verification (Table I / PoisonIvy [33])
-        # hides load-side verification entirely; without it, PM fills of
-        # every model with security metadata pay OTP regeneration + MAC
-        # check before use.
         mdc = path.mdc
-        if mdc is not None and not config.security.speculative_verification:
-            verify_load_cycles = (
-                config.security.aes_latency_cycles
-                + config.security.mac_latency_cycles
-            )
-        else:
-            verify_load_cycles = 0
+        verify_load_cycles = load_verification_cycles(config, mdc)
         memory_fill_cycles = config.memory_round_trip_cycles
         count_load_verification = stats.counter("verify.load_verifications")
 
@@ -233,14 +246,26 @@ class SecurePersistencySimulator(TraceSimulator):
     def scheme_name(self) -> str:
         return self.scheme.name if self.scheme is not None else BBB_SCHEME_NAME
 
-    def _store_path(self, stats: StatsCollector) -> StorePath:
-        """SecPB acceptance, watermark drains and backflow for one run."""
+    def _store_path(
+        self,
+        stats: StatsCollector,
+        mdc: Optional[MetadataCaches] = None,
+        bmt_engine: Optional[BusyResource] = None,
+        mac_engine: Optional[BusyResource] = None,
+    ) -> StorePath:
+        """SecPB acceptance, watermark drains and backflow for one run.
+
+        The multi-core model builds one path per core and passes the
+        metadata caches and the BMT/MAC engines that live at the shared
+        MC; by default the path has its own.
+        """
         config = self.config
         cal = self.calibration
         secure = self.scheme is not None
 
         if secure:
-            mdc: Optional[MetadataCaches] = MetadataCaches(config, stats)
+            if mdc is None:
+                mdc = MetadataCaches(config, stats)
             controller = SecPBController(
                 config,
                 self.scheme,
@@ -249,6 +274,8 @@ class SecurePersistencySimulator(TraceSimulator):
                 bmt_levels_fn=self._bmt_levels_fn,
                 calibration=cal,
                 value_independent_coalescing=self.value_independent_coalescing,
+                bmt_engine=bmt_engine,
+                mac_engine=mac_engine,
             )
             secpb = SecPB(config.secpb, self.scheme, stats)
         else:
@@ -350,8 +377,13 @@ class SecurePersistencySimulator(TraceSimulator):
             for _ in range(drain_targets()):
                 drain_one(now)
 
-        def store(clock: float, block_addr: int) -> float:
-            """The SecPB write, accepted in parallel with the L1D access."""
+        def store(
+            clock: float, block_addr: int, migrated: Optional[SecPBEntry] = None
+        ) -> float:
+            """The SecPB write, accepted in parallel with the L1D access.
+
+            ``migrated`` is the entry a remote write took from its owner.
+            """
             nonlocal accept_free_at, peak_effective_occupancy
             entry = secpb_entries_get(block_addr)
             if entry is None:
@@ -390,6 +422,12 @@ class SecurePersistencySimulator(TraceSimulator):
 
                 entry = secpb_allocate(block_addr)
                 allocated = True
+                if migrated is not None:
+                    # Sec. IV-C-c: value-independent metadata travelled with
+                    # the entry; with its counter valid, only the
+                    # value-dependent steps run, as for a coalesced store.
+                    entry.adopt_value_independent(migrated)
+                    allocated = not entry.is_marked(MetadataStep.COUNTER)
                 while drain_completions and drain_completions[0] <= clock:
                     heappop(drain_completions)
                 occupancy_now = len(secpb_entries) + len(drain_completions)
@@ -445,6 +483,21 @@ class SecurePersistencySimulator(TraceSimulator):
                 start_drains(clock)
             return clock
 
+        def flush(now: float, block_addr: int) -> None:
+            """A remote read: the entry leaves for PM on the drain engine.
+
+            Unlike a watermark drain, it holds no slot while in flight and
+            counts no drain service.
+            """
+            nonlocal drain_free_at
+            secpb.remove(block_addr)
+            if price_drain is not None:
+                service = price_drain(block_addr)
+            else:
+                service = drain_transfer
+            start = drain_free_at if drain_free_at > now else now
+            drain_free_at = start + service
+
         def report() -> Dict[str, float]:
             """Occupancy gauges and PPTI/NWPE over the measured region.
 
@@ -464,7 +517,7 @@ class SecurePersistencySimulator(TraceSimulator):
             result_stats["nwpe"] = stats.nwpe
             return result_stats
 
-        return StorePath(store, mdc, report=report)
+        return StorePath(store, mdc, report=report, secpb=secpb, flush=flush)
 
 
 def run_scheme(

@@ -8,11 +8,13 @@ needs from the cache stack:
   installed in the silently-discardable PERSIST_DIRTY state because the
   SecPB, not the cache, owns their durability (paper Sec. IV-C-a).
 
-The hierarchy is deliberately single-core (the paper evaluates one OOO core,
-Table I); the multi-SecPB coherence protocol of Sec. IV-C is modelled
-separately in :mod:`repro.core.coherence`.
+A hierarchy is one core's private stack (the paper evaluates one OOO
+core, Table I).  The multi-SecPB coherence protocol of Sec. IV-C acts on
+the SecPBs only (:mod:`repro.core.coherence`), never on a cache, so a
+multi-core run gives each core its own trace's replay.
 
-:func:`front_end` is the single-core timing models' view of the stack.
+:func:`front_end` is every timing model's view of the stack: the
+single-core loop's and each core's in the multi-core loop.
 ``load_latency`` and ``store_access`` take no timestamp and touch no
 SecPB or metadata state, so each op's L1/L2/LLC outcome depends only on
 the trace, the cache geometry and ``persist_region``.  The front end
@@ -20,6 +22,8 @@ replays a trace through a fresh hierarchy once and keeps the per-op load
 latencies and the hierarchy's counters, memoized on the trace; every
 configuration that shares the geometry (schemes, SecPB sizes, BMF cuts,
 SP) then reads them instead of replaying the stack again.
+Only the functional crash model (:mod:`repro.core.crash`) keeps a live
+hierarchy.
 """
 
 from __future__ import annotations
@@ -172,7 +176,8 @@ def front_end(
         persist_region: passed to every store's ``store_access`` (False:
             volatile caches, as flush-based persistency has).
         warmup_ops: ops before the measured region; their counts are
-            excluded from ``stats``.
+            excluded from ``stats``, all of them when ``warmup_ops``
+            reaches ``len(trace)``.
     """
     key = (MemoryHierarchy.geometry(config), persist_region, warmup_ops)
     # Memoized on the trace, beside the columns ``iter_ops`` keeps: a
@@ -209,5 +214,10 @@ def _replay(
         else:
             latency = load_latency(block_addr << 6)
             append(intern(latency, latency))
+    if warmup_ops >= len(column):
+        # The measured region starts past the last op (a short core in a
+        # multi-core run whose warmup counts rounds of the longest trace):
+        # every count is warmup.
+        warmup_stats = stats.snapshot()
     stats.subtract(warmup_stats)
     return HierarchyFrontEnd(column, stats)

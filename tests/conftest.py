@@ -4,20 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.runner import clear_result_memo
 from repro.core.schemes import SCHEMES, SPECTRUM_ORDER
 from repro.sim.config import SystemConfig
 from repro.workloads.synthetic import zipf_trace
 
-
-@pytest.fixture(autouse=True)
-def _fresh_result_memo():
-    """Start every test with an empty run_jobs result memo.
-
-    Otherwise a test's simulations could be answered by an earlier
-    test's, and counters or comparisons would depend on test order.
-    """
-    clear_result_memo()
+# The result memo and execution-plane fixtures live in the root conftest.py.
 
 
 @pytest.fixture

@@ -12,7 +12,10 @@ means: canonical JSON renderings of
 * the same full results for the other single-core timing models: the SP
   baseline (full height and Fig. 9's BMF cuts), flush-based persistency
   (strict and epoch, plain and secure) and CM without speculative
-  verification.
+  verification, and
+* full multi-core results: BBB and every scheme over 1/2/4/8 cores and
+  two SecPB sizes on sharing traces, plus a mix of unequal-length
+  benchmark traces whose shortest core ends inside the warmup rounds.
 
 ``tests/data/golden_*.json`` are the checked-in references, produced by
 ``tools/regen_golden.py`` *before* an optimization lands.  The test in
@@ -32,6 +35,7 @@ from typing import Dict
 from repro.analysis.experiments import run_fig8, run_table4
 from repro.analysis.serialize import result_to_dict
 from repro.baselines.strict import StrictPersistencySimulator
+from repro.core.multicore import MultiCoreSecPBSimulator, sharing_traces
 from repro.core.schemes import CM, SPECTRUM_ORDER, get_scheme
 from repro.core.simulator import SecurePersistencySimulator, run_scheme
 from repro.persistency.flush import FlushBasedSimulator, PersistencyModel
@@ -46,6 +50,13 @@ WARMUP = 0.3
 BENCHMARKS = ["gamess", "povray", "hmmer"]
 RUNS_BENCHMARK = "hmmer"
 BASELINE_BENCHMARKS = ["hmmer", "gamess"]
+MULTICORE_CORES = (1, 2, 4, 8)
+MULTICORE_ENTRIES = (2, 32)
+MULTICORE_OPS = 1200
+MULTICORE_SHARE = 0.5
+MULTICORE_SEED = 3
+MULTICORE_MIX = (("gamess", 3000), ("mcf", 800), ("povray", 2000))
+MULTICORE_MIX_WARMUP = 0.5
 
 
 def canonical_json(result) -> str:
@@ -119,11 +130,37 @@ def build_baselines() -> str:
     return json.dumps(runs, indent=2, sort_keys=True) + "\n"
 
 
+def build_multicore() -> str:
+    """Full multi-core results (makespan, per-core cycles, every counter)."""
+    from repro.workloads.spec import build_trace
+
+    schemes = [None] + [get_scheme(name) for name in SPECTRUM_ORDER]
+    runs: Dict[str, dict] = {}
+    for cores in MULTICORE_CORES:
+        traces = sharing_traces(
+            cores, MULTICORE_OPS, share_fraction=MULTICORE_SHARE, seed=MULTICORE_SEED
+        )
+        for entries in MULTICORE_ENTRIES:
+            config = SystemConfig().with_secpb_entries(entries)
+            for scheme in schemes:
+                simulator = MultiCoreSecPBSimulator(cores, scheme, config)
+                result = simulator.run(traces, WARMUP)
+                runs[f"{result.scheme}/{cores}c/{entries}e"] = dataclasses.asdict(result)
+    # The warmup counts rounds of the longest trace: mcf ends inside it.
+    mix = [build_trace(benchmark, num_ops, 2) for benchmark, num_ops in MULTICORE_MIX]
+    for scheme in schemes:
+        simulator = MultiCoreSecPBSimulator(len(mix), scheme)
+        result = simulator.run(mix, MULTICORE_MIX_WARMUP)
+        runs[f"{result.scheme}/mix"] = dataclasses.asdict(result)
+    return json.dumps(runs, indent=2, sort_keys=True) + "\n"
+
+
 GOLDEN_BUILDERS = {
     "golden_table4.json": build_table4,
     "golden_fig8.json": build_fig8,
     "golden_runs.json": build_runs,
     "golden_baselines.json": build_baselines,
+    "golden_multicore.json": build_multicore,
 }
 
 

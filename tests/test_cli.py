@@ -242,6 +242,18 @@ _BAD_RUN_INPUTS = (
         for command in (["experiment", "table4"], ["faultcampaign"])
         for value in ("0", "-2")
     ]
+    + [(["recovery-time"], "--entries", value) for value in ("0", "-3")]
+    + [(["multicore"], "--share", value) for value in ("1.5", "-0.1")]
+    + [
+        (["faultcampaign"], flag, value)
+        for flag, value in (
+            ("--num-stores", "0"),
+            ("--asids", "0"),
+            ("--crash-points", "-1"),
+            ("--schemes", "bogus"),
+            ("--timeout", "-1"),
+        )
+    ]
 )
 
 
@@ -261,6 +273,15 @@ class TestRunInputValidation:
         assert captured.out == ""
         assert f"error: argument {flag}: " in captured.err
 
+    @pytest.mark.parametrize("budget", ["-1", "0"])
+    def test_advisor_budget_rejected_with_usage_error(self, capsys, budget):
+        with pytest.raises(SystemExit) as exc:
+            main(["advisor", budget])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument budget: " in captured.err
+
     def test_range_boundaries_accepted(self):
         parser = build_parser()
         args = parser.parse_args(
@@ -269,6 +290,12 @@ class TestRunInputValidation:
         assert (args.num_ops, args.seed, args.warmup) == (1, 0, 0.0)
         assert parser.parse_args(["experiment", "table4", "--jobs", "1"]).jobs == 1
         assert parser.parse_args(["trace", "--warmup", "0.99"]).warmup == 0.99
+        assert parser.parse_args(["multicore", "--share", "0"]).share == 0.0
+        assert parser.parse_args(["multicore", "--share", "1"]).share == 1.0
+        assert parser.parse_args(["recovery-time", "--entries", "1"]).entries == 1
+        campaign = parser.parse_args(["faultcampaign", "--crash-points", "0"])
+        assert campaign.crash_points == 0
+        assert parser.parse_args(["advisor", "0.5"]).budget == 0.5
 
 
 class TestFaultCampaignCommand:
@@ -287,9 +314,11 @@ class TestFaultCampaignCommand:
         assert "0 failed" in out
         assert "cobcm" in out
 
-    def test_unknown_scheme_fails_fast(self):
-        with pytest.raises(KeyError, match="unknown scheme"):
-            main(["faultcampaign", "--schemes", "not-a-scheme"])
+    def test_unknown_scheme_fails_fast(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["faultcampaign", "--schemes", "cm,not-a-scheme"])
+        assert exc.value.code == 2
+        assert "unknown scheme 'not-a-scheme'" in capsys.readouterr().err
 
     def test_save_report_json(self, capsys, tmp_path):
         import json

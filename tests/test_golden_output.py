@@ -52,3 +52,10 @@ class TestGoldenEquivalence:
         # secure) and non-speculative CM: every single-core timing model
         # shares the trace loop, so each one is pinned here.
         assert golden.build_baselines() == _golden_bytes("golden_baselines.json")
+
+    def test_multicore_matches_golden(self):
+        # Full multi-core results (makespan, per-core cycles, every
+        # counter) for BBB and every scheme over 1/2/4/8 cores and two
+        # SecPB sizes, plus a mix whose shortest core ends inside warmup:
+        # the shared engines, migration and flush costs are pinned here.
+        assert golden.build_multicore() == _golden_bytes("golden_multicore.json")

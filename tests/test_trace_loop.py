@@ -8,13 +8,14 @@ These tests pin that structure and the differential oracles it implies:
 
 * a load-only trace exercises no store path, so every single-core model
   reports the same cycles, instructions and cache counters;
-* a one-core :class:`MultiCoreSecPBSimulator` (its own lockstep loop)
-  reports the same cycles, instructions and cache counters as the
-  single-core loop;
+* a one-core :class:`MultiCoreSecPBSimulator` (the lockstep loop over
+  the same front end and SecPB store path) reports the same cycles,
+  instructions and counters as the single-core loop, speculative or not;
 * every model's cache and hierarchy counters equal a replay of the trace
   through a live :class:`MemoryHierarchy`, key presence included;
 * the hierarchy is replayed once per (trace, geometry, ``persist_region``,
-  warmup), however many models run on the trace;
+  warmup), however many models run on the trace, and a warmup that
+  reaches the end of the trace leaves every count out;
 * without speculative verification, every model whose store path carries
   metadata caches verifies PM loads — SP and secure flush included.
 """
@@ -31,7 +32,7 @@ from repro.core.simulator import SecurePersistencySimulator, TraceSimulator
 from repro.persistency.flush import FlushBasedSimulator, PersistencyModel
 from repro.security.bmf import ForestTimingModel
 from repro.sim.config import SECPB_SIZE_SWEEP, SystemConfig
-from repro.sim.hierarchy import MemoryHierarchy
+from repro.sim.hierarchy import MemoryHierarchy, front_end
 from repro.sim.stats import StatsCollector
 from repro.workloads.spec import build_trace
 from repro.workloads.store import TraceStore
@@ -46,6 +47,9 @@ SIMULATORS = (
 )
 HIERARCHY_COUNTERS = ("cache.L1D.", "cache.L2.", "cache.L3.", "hierarchy.")
 """Prefixes of the counters the L1D/L2/LLC stack fires (not CTR$/MAC$/BMT$)."""
+REPORT_KEYS = ("ppti", "nwpe", "secpb.final_occupancy", "secpb.peak_effective_occupancy")
+"""Per-run gauges the single-core SecPB report adds; a multi-core run has
+one collector for every core and reports none of them."""
 
 
 def _nonspec() -> SystemConfig:
@@ -152,7 +156,24 @@ class TestLoadOnlyOracle:
 
 
 class TestOneCoreMulticoreOracle:
-    """The lockstep multicore loop with one core is the single-core loop."""
+    """The lockstep multicore loop with one core is the single-core loop.
+
+    Every counter agrees, the single-core report's gauges aside.
+    """
+
+    @staticmethod
+    def _check(trace, config, scheme):
+        multi = MultiCoreSecPBSimulator(1, scheme, config).run([trace], WARMUP)
+        single = SecurePersistencySimulator(config, scheme).run(trace, WARMUP)
+        name = single.scheme
+        assert (multi.cycles, multi.instructions) == (
+            single.cycles,
+            single.instructions,
+        ), name
+        assert multi.per_core_cycles == [single.cycles], name
+        counters = {k: v for k, v in single.stats.items() if k not in REPORT_KEYS}
+        assert multi.stats == counters, name
+        return multi
 
     @pytest.mark.parametrize("workload", ["gamess", "mcf", "hmmer", "povray"])
     @pytest.mark.parametrize("entries", [8, 32])
@@ -161,13 +182,18 @@ class TestOneCoreMulticoreOracle:
         config = SystemConfig().with_secpb_entries(entries)
         for name in ["bbb"] + SPECTRUM_ORDER:
             scheme = None if name == "bbb" else get_scheme(name)
-            multi = MultiCoreSecPBSimulator(1, scheme, config).run([trace], WARMUP)
-            single = SecurePersistencySimulator(config, scheme).run(trace, WARMUP)
-            assert (multi.cycles, multi.instructions) == (
-                single.cycles,
-                single.instructions,
-            ), name
-            assert _hierarchy_view(multi.stats) == _hierarchy_view(single.stats), name
+            self._check(trace, config, scheme)
+
+    @pytest.mark.parametrize("workload", ["gamess", "mcf"])
+    def test_matches_single_core_without_speculation(self, workload):
+        trace = build_trace(workload, 3000, 2)
+        cm = self._check(trace, _nonspec(), CM)
+        bbb = self._check(trace, _nonspec(), None)
+        assert cm.stats["verify.load_verifications"] > 0
+        assert "verify.load_verifications" not in bbb.stats
+        if workload == "mcf":
+            assert cm.cycles == pytest.approx(304250.7, abs=0.01)
+            assert cm.stats["verify.load_verifications"] == 1996
 
 
 class TestHierarchyReplayOracle:
@@ -259,6 +285,16 @@ class TestOneReplayPerTrace:
         assert len(hierarchy_calls) == 2 * len(trace)
         SecurePersistencySimulator(scheme=CM).run(trace, 0.0)
         assert len(hierarchy_calls) == 3 * len(trace)
+
+    @pytest.mark.parametrize("beyond", [0, 1, 500])
+    def test_warmup_past_the_trace_excludes_every_count(self, beyond):
+        # A multi-core warmup counts rounds of the longest trace, so a
+        # shorter core's warmup can reach or pass its last op.
+        trace = build_trace("mcf", 2000, 1)
+        front = front_end(trace, SystemConfig(), True, len(trace) + beyond)
+        counts = front.stats.as_dict()
+        assert set(counts) == set(_reference_replay(trace, True, 0.0))
+        assert all(value == 0.0 for value in counts.values())
 
     def test_replays_go_with_their_trace(self, hierarchy_calls):
         store = TraceStore()
