@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke bench artifacts lint ci
+.PHONY: test smoke bench bench-digests artifacts lint ci
 
 test:
 	$(PYTHON) -m pytest tests -x -q
@@ -63,3 +63,18 @@ bench:
 	SECPB_BENCH_JOBS=$(JOBS) $(PYTHON) -m pytest benchmarks --benchmark-only
 
 artifacts: bench
+
+# Results digest and paper_mae_pp of one bench unit per workload, for
+# seeds 1 and 2.  A change that must not move any result prints the same
+# lines as its parent: run the target in both checkouts and diff.
+BENCH_WORKLOADS := repro-serial repro-parallel simloop-stores simloop-loads
+BENCH_DIGEST_LINE := import json, sys; u = json.load(sys.stdin); \
+	print(u["workload"], "seed", u["seed"], u["digest"], \
+	"paper_mae_pp", u["paper_mae_pp"])
+bench-digests:
+	@for seed in 1 2; do for workload in $(BENCH_WORKLOADS); do \
+		out=$$($(PYTHON) bench/run.py --workload $$workload --seed $$seed \
+			--seconds 1 --trace 0) || exit 1; \
+		printf '%s\n' "$$out" | tail -n 2 | head -n 1 \
+			| $(PYTHON) -c '$(BENCH_DIGEST_LINE)' || exit 1; \
+	done; done

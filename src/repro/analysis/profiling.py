@@ -10,6 +10,11 @@ views below cover what each further run costs.
   SecPB, controller, stats, ...) and per function.  This is the view
   that drives hot-path optimization work: it answers "where do the
   wall-clock microseconds per simulated op go?".
+* **Counter calls** — how many calls the profiled run made into
+  :mod:`repro.sim.stats`, and how many per op.  Store paths count their
+  per-store events in closure locals and add them to the collector once
+  per sync (:class:`~repro.core.simulator.StorePath`), so this number
+  stays low; a per-event counter put back on the store path shows here.
 * **Simulated-cycle breakdown** — the timing model's own accounting,
   read off the run's counters: acceptance-path cycles, backflow stall
   cycles, store-buffer stalls.  This answers "where do the simulated
@@ -34,6 +39,8 @@ from ..sim.config import SystemConfig
 from ..sim.hierarchy import front_end
 from ..sim.stats import SimulationResult
 
+_STATS_COMPONENT = "sim.stats (counters)"
+
 # Map source-path fragments to the component names reported in the
 # per-component rollup.  Order matters: first match wins.
 _COMPONENT_PATTERNS: Tuple[Tuple[str, str], ...] = (
@@ -43,7 +50,7 @@ _COMPONENT_PATTERNS: Tuple[Tuple[str, str], ...] = (
     ("repro/sim/cache", "sim.cache (cache model)"),
     ("repro/sim/hierarchy", "sim.hierarchy (L1/L2/LLC)"),
     ("repro/sim/engine", "sim.engine (pipelines)"),
-    ("repro/sim/stats", "sim.stats (counters)"),
+    ("repro/sim/stats", _STATS_COMPONENT),
     ("repro/security/metadata_cache", "security.metadata_cache (CTR$/MAC$/BMT$)"),
     ("repro/workloads", "workloads (trace)"),
     ("repro/", "repro (other)"),
@@ -78,18 +85,22 @@ class ProfileReport:
     elapsed_seconds: float
     ops_per_second: float
     front_end_seconds: float
+    counter_calls: int
     component_seconds: Dict[str, float] = field(default_factory=dict)
     hottest: List[FunctionCost] = field(default_factory=list)
     cycle_breakdown: Dict[str, float] = field(default_factory=dict)
     result: Optional[SimulationResult] = None
 
     def render(self) -> str:
+        calls_per_op = self.counter_calls / self.num_ops if self.num_ops else 0.0
         lines = [
             f"profile: {self.scheme} on {self.benchmark} "
             f"({self.num_ops} refs, {self.elapsed_seconds:.3f}s profiled, "
             f"{self.ops_per_second:,.0f} ops/s un-instrumented)",
             f"hierarchy front end: {self.front_end_seconds:.3f}s, built once "
             "per trace and shared by every run below",
+            f"counter calls: {self.counter_calls:,} into repro/sim/stats.py "
+            f"({calls_per_op:.2f} per op)",
             "",
             "host time per component (cProfile tottime):",
         ]
@@ -181,6 +192,7 @@ def profile_simulation(
     stats = pstats.Stats(profiler, stream=io.StringIO())
     component_seconds: Dict[str, float] = {}
     functions: List[FunctionCost] = []
+    counter_calls = 0
     for (filename, lineno, name), (
         _primitive_calls,
         ncalls,
@@ -191,6 +203,8 @@ def profile_simulation(
         component = _component_of(filename)
         component_seconds[component] = component_seconds.get(component, 0.0) + tottime
         short = filename.replace("\\", "/").rsplit("repro/", 1)[-1]
+        if component == _STATS_COMPONENT:
+            counter_calls += ncalls
         functions.append(
             FunctionCost(f"{short}:{lineno}({name})", ncalls, tottime, cumtime)
         )
@@ -203,6 +217,7 @@ def profile_simulation(
         elapsed_seconds=profiled_elapsed,
         ops_per_second=num_ops / plain_elapsed if plain_elapsed else 0.0,
         front_end_seconds=front_end_elapsed,
+        counter_calls=counter_calls,
         component_seconds=component_seconds,
         hottest=functions[:top],
         cycle_breakdown=_cycle_breakdown(result),

@@ -41,7 +41,7 @@ def to_jsonable(obj: Any) -> Any:
         }
     slots = getattr(type(obj), "__slots__", None)
     if slots is not None:
-        # Hot-path record types (CacheBlock, SecPBEntry, StoreTiming, ...)
+        # Hot-path record types (CacheBlock, SecPBEntry, DrainedEntry, ...)
         # use __slots__ and carry no __dict__.
         return {
             name: to_jsonable(getattr(obj, name))

@@ -66,12 +66,17 @@ class StrictPersistencySimulator(TraceSimulator):
         aes_cycles = config.security.aes_latency_cycles
         levels_fn = self._bmt_levels_fn
         full_levels = config.security.bmt_levels
+        # Each store updates the BMT root and generates a MAC once; the
+        # count reaches ``stats`` through ``sync``.
+        stores = 0
 
         def store(clock: float, block_addr: int) -> float:
             # Tuple update at the MC, serialized in persist order.  The
             # flush transit and the MAC latency pipeline with younger
             # stores (PLP's persist-level parallelism); the counter access
             # and the single-in-flight BMT update serialize.
+            nonlocal stores
+            stores += 1
             page = block_addr // 64
             ctr_latency = mdc.access_counter(page)
             levels = levels_fn(page) if levels_fn is not None else full_levels
@@ -83,13 +88,19 @@ class StrictPersistencySimulator(TraceSimulator):
             )
             _, busy_done = mc_engine.request(clock, service)
             completion = busy_done + transit_to_mc + hash_cycles  # + MAC
-            stats.add("bmt.root_updates")
-            stats.add("mac.generations")
 
             stall = store_buffer.push(clock, completion)
             return clock + (stall + 1.0)
 
-        return StorePath(store, mdc)
+        def sync() -> None:
+            """Add the tuple updates since the last sync to ``stats``."""
+            nonlocal stores
+            stats.add_counts(
+                (("bmt.root_updates", stores), ("mac.generations", stores))
+            )
+            stores = 0
+
+        return StorePath(store, sync, mdc)
 
 
 def run_sp(

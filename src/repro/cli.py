@@ -745,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--num-ops", type=_int_at_least(1), default=40_000)
     profile.add_argument("--seed", type=_int_at_least(0), default=1)
     profile.add_argument(
-        "--top", type=int, default=12, help="hottest functions to list"
+        "--top", type=_int_at_least(1), default=12, help="hottest functions to list"
     )
     profile.set_defaults(func=_cmd_profile)
 

@@ -5,7 +5,7 @@ controller, the trace-driven timing simulator, multi-SecPB coherence, and
 the functional crash/recovery machinery.
 """
 
-from .controller import SecPBController, StoreTiming, TimingCalibration
+from .controller import SecPBController, TimingCalibration
 from .multicore import MultiCoreResult, MultiCoreSecPBSimulator, sharing_traces
 from .recovery_time import (
     RecoveryTimeEstimate,
@@ -86,7 +86,6 @@ __all__ = [
     "SecPBEntry",
     "SecurePersistencySimulator",
     "SecurePersistentSystem",
-    "StoreTiming",
     "TimingCalibration",
     "VALUE_DEPENDENT_STEPS",
     "VALUE_INDEPENDENT_STEPS",

@@ -22,12 +22,11 @@ Latency structure (per scheme):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from ..security.metadata_cache import MetadataCaches
 from ..sim.config import SystemConfig
 from ..sim.engine import BusyResource
-from ..sim.stats import StatsCollector
 from .schemes import MetadataStep, Scheme
 from .secpb import SecPBEntry
 
@@ -83,41 +82,17 @@ class TimingCalibration:
     (Sec. VI-B: 'the SecPB access latency being incurred twice')."""
 
 
-class StoreTiming:
-    """Latency decomposition of one store's SecPB acceptance.
-
-    A ``__slots__`` class (not a dataclass): one is allocated per priced
-    store on the simulator's hot path.
-    """
-
-    __slots__ = ("unblock_cycles", "bmt_wait_cycles", "counter_miss")
-
-    def __init__(
-        self,
-        unblock_cycles: float,
-        bmt_wait_cycles: float = 0.0,
-        counter_miss: bool = False,
-    ):
-        self.unblock_cycles = unblock_cycles
-        self.bmt_wait_cycles = bmt_wait_cycles
-        self.counter_miss = counter_miss
-
-    def __repr__(self) -> str:
-        return (
-            f"StoreTiming(unblock_cycles={self.unblock_cycles!r}, "
-            f"bmt_wait_cycles={self.bmt_wait_cycles!r}, "
-            f"counter_miss={self.counter_miss!r})"
-        )
-
-
 class SecPBController:
     """Prices eager steps and drains for one scheme under one config.
+
+    Pricing returns cycles and counts nothing: the store path counts the
+    stores and drains it prices, and :meth:`metadata_counts` turns those
+    counts into BMT root updates and MAC generations.
 
     Args:
         config: system configuration (Table I).
         scheme: the persistency scheme being run.
         metadata_caches: MC-side CTR$/MAC$/BMT$ model (shared with drains).
-        stats: shared counter sink.
         bmt_levels_fn: returns the number of hash levels a given page's
             BMT update must recompute — constant-height by default, or a
             Merkle-forest hook for the Fig. 9 BMF study.
@@ -129,7 +104,6 @@ class SecPBController:
         config: SystemConfig,
         scheme: Scheme,
         metadata_caches: MetadataCaches,
-        stats: Optional[StatsCollector] = None,
         bmt_levels_fn: Optional[Callable[[int], int]] = None,
         calibration: Optional[TimingCalibration] = None,
         value_independent_coalescing: bool = True,
@@ -149,7 +123,6 @@ class SecPBController:
         self.config = config
         self.scheme = scheme
         self.mdc = metadata_caches
-        self.stats = stats if stats is not None else StatsCollector()
         self.calibration = calibration if calibration is not None else TimingCalibration()
         self.value_independent_coalescing = value_independent_coalescing
         self._bmt_levels_fn = bmt_levels_fn
@@ -163,9 +136,9 @@ class SecPBController:
         # for the controller's lifetime, so resolve the early/late step
         # split into booleans and fold every scheme-constant latency term
         # once here instead of re-deriving them on every priced store.
-        # The dynamic parts — counter-cache accesses (stateful), engine
-        # requests and per-event counters — remain per-call, so every
-        # priced value is bit-identical to the unoptimized computation.
+        # The dynamic parts — counter-cache accesses (stateful) and engine
+        # requests — remain per-call, so every priced value is
+        # bit-identical to the unoptimized computation.
         cal = self.calibration
         self._early_counter = scheme.is_early(MetadataStep.COUNTER)
         self._early_otp = scheme.is_early(MetadataStep.OTP)
@@ -177,7 +150,6 @@ class SecPBController:
         self._mac_initiation = cal.mac_pipeline_initiation_cycles
         self._double_access = cal.secpb_double_access_cycles
         self._mc_hash_initiation = cal.mc_hash_initiation_cycles
-        self._ctr_hit_cycles = self.mdc.config.counter_cache.access_cycles
         self._access_counter = self.mdc.access_counter
         # BMT update service is constant unless a Merkle-forest hook
         # supplies per-page heights (the Fig. 9 BMF study).
@@ -203,13 +175,9 @@ class SecPBController:
             drain_const += cal.mc_hash_initiation_cycles
         self._drain_const = drain_const
         self._drain_bmt_dynamic = not self._early_bmt and bmt_levels_fn is not None
-        self._count_bmt_update = self.stats.counter("bmt.root_updates")
-        self._count_mac_generation = self.stats.counter("mac.generations")
-        self._add_new_entry_cycles = self.stats.counter("secpb.new_entry_cycles")
-        self._add_coalesced_cycles = self.stats.counter("secpb.coalesced_cycles")
         # Fully lazy schemes (COBCM) run no early step at all: every
-        # priced store degenerates to "latency 0, count it" — worth a
-        # dedicated early-out on the acceptance path.
+        # priced store degenerates to "latency 0" — worth a dedicated
+        # early-out on the acceptance path.
         self._no_early_steps = not (
             self._early_counter
             or self._early_otp
@@ -218,10 +186,39 @@ class SecPBController:
             or self._early_mac
         )
 
+    def metadata_counts(
+        self, new_entries: int, coalesced: int, drains: int
+    ) -> Tuple[int, int]:
+        """BMT root updates and MAC generations behind a path's counts.
+
+        ``new_entries`` and ``coalesced`` count the stores priced by
+        :meth:`price_new_entry` and :meth:`price_coalesced_store`;
+        ``drains`` counts the entries priced by :meth:`price_drain`
+        (watermark and forced drains, and remote-read flushes).  A step
+        runs once per priced event of its side of the early/late split:
+
+        * an early BMT root update runs once per new entry, and on every
+          coalesced store too without the Sec. IV-A optimization; a late
+          one runs once per drain;
+        * an early MAC is generated on every priced store; a late one
+          once per drain.
+
+        Returns:
+            (bmt_root_updates, mac_generations)
+        """
+        if self._early_bmt:
+            bmt_updates = new_entries
+            if not self.value_independent_coalescing:
+                bmt_updates += coalesced
+        else:
+            bmt_updates = drains
+        mac_generations = new_entries + coalesced if self._early_mac else drains
+        return bmt_updates, mac_generations
+
     # Eager path ---------------------------------------------------------
 
-    def price_new_entry(self, now: float, block_addr: int, entry: SecPBEntry) -> StoreTiming:
-        """Latency until the SecPB unblocks after allocating a new entry.
+    def price_new_entry(self, now: float, block_addr: int, entry: SecPBEntry) -> float:
+        """Cycles until the SecPB unblocks after allocating a new entry.
 
         Runs the scheme's early steps for a first store to a block:
         value-independent steps once (counter -> {OTP || BMT}), then the
@@ -232,19 +229,15 @@ class SecPBController:
         acceptance path and delays the unblocking signal.
         """
         if self._no_early_steps:
-            self._add_new_entry_cycles(0.0)
-            return StoreTiming(0.0)
+            return 0.0
         # Field letters ("C", "O", "B", "Dc", "M") follow the Fig. 5 field
         # table (see repro.core.secpb._FIELD_FOR_STEP).
         latency = 0.0
-        counter_miss = False
-        bmt_wait = 0.0
         valid = entry.valid
 
         counter_ready = latency
         if self._early_counter:
             ctr_latency = self._access_counter(block_addr // 64)
-            counter_miss = ctr_latency > self._ctr_hit_cycles
             counter_ready = latency + ctr_latency + self._counter_increment
             latency = counter_ready
             valid["C"] = True
@@ -263,11 +256,9 @@ class SecPBController:
             service = self._bmt_service_const
             if service is None:
                 service = self._bmt_levels_fn(block_addr // 64) * self._hash_cycles
-            wait, completion = self.bmt_engine.request(now + counter_ready, service)
-            bmt_wait = wait
+            _, completion = self.bmt_engine.request(now + counter_ready, service)
             bmt_done = completion - now
             valid["B"] = True
-            self._count_bmt_update()
 
         # OTP and BMT proceed in parallel; both gate the value-dependent tail.
         latency = max(latency, otp_done, bmt_done)
@@ -277,16 +268,14 @@ class SecPBController:
             valid["Dc"] = True
 
         if self._early_mac:
-            wait, completion = self.mac_engine.request(now + latency, self._hash_cycles)
+            _, completion = self.mac_engine.request(now + latency, self._hash_cycles)
             latency = completion - now
             valid["M"] = True
-            self._count_mac_generation()
 
-        self._add_new_entry_cycles(latency)
-        return StoreTiming(latency, bmt_wait, counter_miss)
+        return latency
 
-    def price_coalesced_store(self, now: float, entry: SecPBEntry) -> StoreTiming:
-        """Latency for a store that hit an existing SecPB entry.
+    def price_coalesced_store(self, now: float, entry: SecPBEntry) -> float:
+        """Cycles until the SecPB unblocks after a store hit an existing entry.
 
         Value-independent metadata is already valid (Sec. IV-A); only the
         value-dependent early steps re-run.  The base array write is
@@ -296,8 +285,7 @@ class SecPBController:
         value-independent steps re-run on every store as well.
         """
         if self._no_early_steps:
-            self._add_coalesced_cycles(0.0)
-            return StoreTiming(0.0)
+            return 0.0
         latency = 0.0
         if not self.value_independent_coalescing:
             counter_ready = 0.0
@@ -314,7 +302,6 @@ class SecPBController:
                     service = self._bmt_levels_fn(entry.block_addr // 64) * self._hash_cycles
                 _, completion = self.bmt_engine.request(now + counter_ready, service)
                 bmt_done = completion - now
-                self._count_bmt_update()
             latency = max(counter_ready, otp_done, bmt_done)
         valid = entry.valid
         if self._early_ciphertext:
@@ -323,14 +310,10 @@ class SecPBController:
         if self._early_mac:
             # Pipelined: occupy the engine for one initiation interval; the
             # remaining MAC latency overlaps with younger stores.
-            wait, completion = self.mac_engine.request(
-                now + latency, self._mac_initiation
-            )
+            _, completion = self.mac_engine.request(now + latency, self._mac_initiation)
             latency = completion - now
             valid["M"] = True
-            self._count_mac_generation()
-        self._add_coalesced_cycles(latency)
-        return StoreTiming(latency)
+        return latency
 
     # Drain path -----------------------------------------------------------
 
@@ -348,12 +331,6 @@ class SecPBController:
             # fetch cost (already folded into the constant): drains have
             # no ordering constraint, so misses overlap with other work.
             self._access_counter(block_addr // 64)
-        if not self._early_bmt:
-            if self._drain_bmt_dynamic:
-                service += (
-                    self._bmt_levels_fn(block_addr // 64) * self._mc_hash_initiation
-                )
-            self._count_bmt_update()
-        if not self._early_mac:
-            self._count_mac_generation()
+        if self._drain_bmt_dynamic:
+            service += self._bmt_levels_fn(block_addr // 64) * self._mc_hash_initiation
         return service

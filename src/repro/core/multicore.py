@@ -115,6 +115,7 @@ class MultiCoreSecPBSimulator:
         engines = (BusyResource("shared-bmt"), BusyResource("shared-mac"))
         model = SecurePersistencySimulator(config, self.scheme, cal)
         paths = [model._store_path(stats, mdc, *engines) for _ in traces]
+        syncs = [path.sync for path in paths]
         secpbs = [path.secpb for path in paths]
         directory = SecPBDirectory(secpbs, secpbs[0].scheme, stats)
         owner_of = directory.owner_of
@@ -139,7 +140,10 @@ class MultiCoreSecPBSimulator:
         for index in range(max_len):
             if index == warmup_rounds:
                 # Warmup boundary (same round on every core): the
-                # multi-core mirror of the single-core snapshot/subtract.
+                # multi-core mirror of the single-core sync, snapshot and
+                # subtract.
+                for sync in syncs:
+                    sync()
                 warmup_stats = stats.snapshot()
                 warmup_clocks = list(clocks)
                 warmup_instructions = list(instructions)
@@ -182,6 +186,8 @@ class MultiCoreSecPBSimulator:
 
         # Shared counters (engine contention, coherence traffic) cover only
         # the measured region, as on the single-core path.
+        for sync in syncs:
+            sync()
         stats.subtract(warmup_stats)
         for front in fronts:
             stats.merge(front.stats)

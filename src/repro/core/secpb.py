@@ -231,24 +231,29 @@ class SecPB:
 
     # Hot-path variants -----------------------------------------------------
     #
-    # The single-core simulator calls these on its per-store path.  They
+    # The timing model's SecPB store path calls these per store.  They
     # split :meth:`write` at the lookup the caller already performed (the
     # backflow check needs the hit/miss answer *before* the write) and
     # drop the metadata-only conveniences (plaintext, ASID) the timing
-    # path never uses.  Counter effects are identical to write()/
-    # drain_oldest().
+    # path never uses.  They count nothing: the caller counts the writes,
+    # allocations and drains that write()/drain_oldest() would, and adds
+    # them to the stats itself (``StorePath.sync``).
 
     def coalesce(self, entry: SecPBEntry) -> None:
-        """Apply a store to an entry the caller just looked up."""
-        self._count_write()
+        """Apply a store to an entry the caller just looked up.
+
+        The caller counts the write.
+        """
         entry.writes += 1
         valid = entry.valid
         valid["Dc"] = False
         valid["M"] = False
 
     def allocate(self, block_addr: int) -> SecPBEntry:
-        """Allocate a fresh entry; the caller has verified there is room."""
-        self._count_write()
+        """Allocate a fresh entry; the caller has verified there is room.
+
+        The caller counts the write and the allocation.
+        """
         entries = self._entries
         if len(entries) >= self._capacity:
             raise RuntimeError(
@@ -257,7 +262,6 @@ class SecPB:
             )
         entry = SecPBEntry(block_addr, 0, 1, None)
         entries[block_addr] = entry
-        self._count_allocation()
         return entry
 
     def drain_oldest_addr(self) -> int:
@@ -265,12 +269,12 @@ class SecPB:
 
         The timing path prices a drain by address alone; skipping the
         :class:`DrainedEntry` construction and the completeness check
-        (both side-effect-free) keeps the watermark drain cheap.
+        (both side-effect-free) keeps the watermark drain cheap.  The
+        caller counts the drain.
         """
         if not self._entries:
             raise RuntimeError("cannot drain an empty SecPB")
         _, entry = self._entries.popitem(last=False)
-        self._count_drain()
         return entry.block_addr
 
     # Drain path ----------------------------------------------------------

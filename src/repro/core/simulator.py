@@ -34,6 +34,7 @@ same watermarks, no security metadata anywhere.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, NamedTuple, Optional
 
@@ -57,11 +58,23 @@ class StorePath(NamedTuple):
     ``store(clock, block_addr)`` prices each store and returns the clock
     at which the core starts its next op.  The store's L1D access is made
     by the trace's hierarchy front end, and the store never waits for its
-    latency.  ``mdc`` holds the model's metadata caches (``None`` without
-    security metadata); PM loads verify through it when speculative
-    verification is off.
-    ``finish(clock)`` runs after the last op, and ``report()`` builds the
-    result's stats after warmup exclusion (default ``stats.as_dict()``).
+    latency.
+
+    A path counts its per-store events (writes, allocations, drains, BMT
+    and MAC work, flushed lines) in closure locals, not in the run's
+    :class:`~repro.sim.stats.StatsCollector`.  ``sync()`` adds the counts
+    kept since its last call to the collector, skipping zeros, so the
+    collector holds a path's counts only after ``sync()``.  The run loop
+    calls it just before the warmup snapshot and once more after
+    ``finish``, before the subtract; the warmup exclusion then sees every
+    count.  Float sums (acceptance and backflow cycles) stay per-event
+    adds, whose order the goldens pin.
+
+    ``mdc`` holds the model's metadata caches (``None`` without security
+    metadata); PM loads verify through it when speculative verification
+    is off.  ``finish(clock)`` runs after the last op, and ``report()``
+    builds the result's stats after warmup exclusion (default
+    ``stats.as_dict()``).
 
     A SecPB path also exposes what Sec. IV-C's coherence needs
     (:mod:`repro.core.multicore`).  ``secpb`` is the buffer whose
@@ -71,6 +84,7 @@ class StorePath(NamedTuple):
     """
 
     store: Callable[..., float]
+    sync: Callable[[], None]
     mdc: Optional[MetadataCaches] = None
     finish: Optional[Callable[[float], float]] = None
     report: Optional[Callable[[], Dict[str, float]]] = None
@@ -157,6 +171,7 @@ class TraceSimulator:
         # Hot-loop bindings: the per-op path resolves these names once per
         # run instead of chasing attributes per op.
         store = path.store
+        sync = path.sync
         mdc_access_counter = mdc.access_counter if mdc is not None else None
 
         for (is_store, block_addr, gap), latency in zip(
@@ -165,6 +180,7 @@ class TraceSimulator:
             if op_index == warmup_ops and warmup_ops:
                 warmup_clock = clock
                 warmup_instructions = instructions
+                sync()
                 warmup_stats = stats.snapshot()
             op_index += 1
             instructions += gap + 1
@@ -189,6 +205,7 @@ class TraceSimulator:
 
         if path.finish is not None:
             clock = path.finish(clock)
+        sync()
         if warmup_ops:
             # Exclude warmup-region counts so every counter — and PPTI /
             # NWPE / the Fig. 8 update ratios derived from them — covers
@@ -270,7 +287,6 @@ class SecurePersistencySimulator(TraceSimulator):
                 config,
                 self.scheme,
                 mdc,
-                stats,
                 bmt_levels_fn=self._bmt_levels_fn,
                 calibration=cal,
                 value_independent_coalescing=self.value_independent_coalescing,
@@ -297,12 +313,17 @@ class SecurePersistencySimulator(TraceSimulator):
         capacity = config.secpb.entries
         drain_transfer = float(cal.drain_transfer_cycles)
 
+        # Per-event counts, added to ``stats`` by ``sync``: every store,
+        # new allocations, migrated entries priced as coalesced stores,
+        # drains (each is one ``secpb.drains`` and one ``drain.services``)
+        # and remote-read flushes.
+        stores = allocations = adopted = drains = flushes = 0
+
         # Hot-loop bindings: the per-store path resolves these names once
         # per run instead of chasing attributes per store.
         # ``secpb_entries`` is the buffer's backing table — its length IS
         # secpb.occupancy.
         secpb_entries = secpb._entries
-        count_drain_service = stats.counter("drain.services")
         count_forced_drain = stats.counter("secpb.forced_drains")
         count_backflow_stall = stats.counter("secpb.backflow_stalls")
         add_backflow_cycles = stats.counter("secpb.backflow_cycles")
@@ -320,6 +341,8 @@ class SecurePersistencySimulator(TraceSimulator):
         push_store = store_buffer.push
         price_new_entry = controller.price_new_entry if secure else None
         price_coalesced = controller.price_coalesced_store if secure else None
+        add_new_entry_cycles = stats.counter("secpb.new_entry_cycles")
+        add_coalesced_cycles = stats.counter("secpb.coalesced_cycles")
 
         # Optional tracing: bind emit closures once per run; every site
         # below guards on ``hook is not None`` so an untraced run pays
@@ -343,6 +366,11 @@ class SecurePersistencySimulator(TraceSimulator):
             trace_sb_stall = tracer.bind_complete("core.sb_stall", "stall", LANE_STALLS)
             trace_forced = tracer.bind_instant("secpb.forced_drain", "secpb", LANE_STALLS)
             trace_occupancy = tracer.bind_counter("secpb.occupancy", LANE_DRAIN)
+            # An accepted store's ``counter_miss``: the CTR$ miss count
+            # rose while it was priced.
+            read_counter_misses = (
+                partial(mdc.stats.get, "mdc.counter.misses") if secure else None
+            )
         else:
             early_names = late_names = coalesce_names = []
             trace_accept = trace_coalesce = trace_drain = None
@@ -350,7 +378,7 @@ class SecurePersistencySimulator(TraceSimulator):
 
         def drain_one(now: float) -> None:
             """Drain the oldest entry; its slot frees at MC completion."""
-            nonlocal drain_free_at
+            nonlocal drain_free_at, drains
             addr = drain_oldest_addr()
             if price_drain is not None:
                 service = price_drain(addr)
@@ -360,7 +388,7 @@ class SecurePersistencySimulator(TraceSimulator):
             completion = start + service
             drain_free_at = completion
             heappush(drain_completions, completion)
-            count_drain_service()
+            drains += 1
             if trace_drain is not None:
                 trace_drain(
                     start,
@@ -385,6 +413,8 @@ class SecurePersistencySimulator(TraceSimulator):
             ``migrated`` is the entry a remote write took from its owner.
             """
             nonlocal accept_free_at, peak_effective_occupancy
+            nonlocal stores, allocations, adopted
+            stores += 1
             entry = secpb_entries_get(block_addr)
             if entry is None:
                 # Backflow: a physical slot frees only when its drain
@@ -421,13 +451,16 @@ class SecurePersistencySimulator(TraceSimulator):
                     clock = release
 
                 entry = secpb_allocate(block_addr)
+                allocations += 1
                 allocated = True
                 if migrated is not None:
                     # Sec. IV-C-c: value-independent metadata travelled with
                     # the entry; with its counter valid, only the
                     # value-dependent steps run, as for a coalesced store.
                     entry.adopt_value_independent(migrated)
-                    allocated = not entry.is_marked(MetadataStep.COUNTER)
+                    if entry.is_marked(MetadataStep.COUNTER):
+                        allocated = False
+                        adopted += 1
                 while drain_completions and drain_completions[0] <= clock:
                     heappop(drain_completions)
                 occupancy_now = len(secpb_entries) + len(drain_completions)
@@ -442,15 +475,18 @@ class SecurePersistencySimulator(TraceSimulator):
             accept_start = clock if clock > accept_free_at else accept_free_at
             if secure:
                 if allocated:
-                    timing = price_new_entry(accept_start, block_addr, entry)
+                    if trace_accept is not None:
+                        misses_before = read_counter_misses()
+                    unblock = price_new_entry(accept_start, block_addr, entry)
+                    add_new_entry_cycles(unblock)
                 else:
-                    timing = price_coalesced(accept_start, entry)
-                completion = accept_start + timing.unblock_cycles
+                    unblock = price_coalesced(accept_start, entry)
+                    add_coalesced_cycles(unblock)
+                completion = accept_start + unblock
             else:
                 # Insecure BBB fast path: the pipelined buffer write has
                 # no metadata work, so acceptance never serializes and
                 # the store completes the moment it is accepted.
-                timing = None
                 completion = accept_start
             accept_free_at = completion
             if trace_accept is not None:
@@ -462,7 +498,7 @@ class SecurePersistencySimulator(TraceSimulator):
                             "addr": block_addr,
                             "early_steps": early_names,
                             "counter_miss": (
-                                timing.counter_miss if timing is not None else False
+                                secure and read_counter_misses() > misses_before
                             ),
                         },
                     )
@@ -489,7 +525,7 @@ class SecurePersistencySimulator(TraceSimulator):
             Unlike a watermark drain, it holds no slot while in flight and
             counts no drain service.
             """
-            nonlocal drain_free_at
+            nonlocal drain_free_at, flushes
             secpb.remove(block_addr)
             if price_drain is not None:
                 service = price_drain(block_addr)
@@ -497,6 +533,26 @@ class SecurePersistencySimulator(TraceSimulator):
                 service = drain_transfer
             start = drain_free_at if drain_free_at > now else now
             drain_free_at = start + service
+            flushes += 1
+
+        def sync() -> None:
+            """Add the counts kept since the last sync to ``stats``."""
+            nonlocal stores, allocations, adopted, drains, flushes
+            counts = [
+                ("secpb.writes", stores),
+                ("secpb.allocations", allocations),
+                ("secpb.drains", drains),
+                ("drain.services", drains),
+            ]
+            if controller is not None:
+                new_entries = allocations - adopted
+                bmt_updates, mac_generations = controller.metadata_counts(
+                    new_entries, stores - new_entries, drains + flushes
+                )
+                counts.append(("bmt.root_updates", bmt_updates))
+                counts.append(("mac.generations", mac_generations))
+            stats.add_counts(counts)
+            stores = allocations = adopted = drains = flushes = 0
 
         def report() -> Dict[str, float]:
             """Occupancy gauges and PPTI/NWPE over the measured region.
@@ -517,7 +573,7 @@ class SecurePersistencySimulator(TraceSimulator):
             result_stats["nwpe"] = stats.nwpe
             return result_stats
 
-        return StorePath(store, mdc, report=report, secpb=secpb, flush=flush)
+        return StorePath(store, sync, mdc, report=report, secpb=secpb, flush=flush)
 
 
 def run_scheme(

@@ -102,6 +102,8 @@ class FlushBasedSimulator(TraceSimulator):
         epoch_stores = self.epoch_stores
         epoch_dirty: Set[int] = set()
         epoch_store_count = 0
+        # Flushed lines and fences, added to ``stats`` by ``sync``.
+        lines = fences = 0
 
         def flush_service(block_addr: int) -> float:
             """MC-side service for persisting one flushed line."""
@@ -116,26 +118,27 @@ class FlushBasedSimulator(TraceSimulator):
 
         def fence_epoch(now: float) -> float:
             """Flush every epoch-dirty line; return the fence-release time."""
+            nonlocal lines, fences
             done = now
             for block in epoch_dirty:
                 service = flush_service(block)
                 _, completion = mc_engine.request(now, service)
                 done = max(done, completion)
-                stats.add("flush.lines")
+            lines += len(epoch_dirty)
+            fences += 1
             epoch_dirty.clear()
-            stats.add("flush.fences")
             # The clwb'd data still has to travel to the MC once.
             return done + transit
 
         def store(clock: float, block_addr: int) -> float:
-            nonlocal epoch_store_count
+            nonlocal epoch_store_count, lines, fences
             clock += 1.0
             if strict:
                 # clwb + sfence per store: the core waits for the persist.
                 service = flush_service(block_addr)
                 _, completion = mc_engine.request(clock, service)
-                stats.add("flush.lines")
-                stats.add("flush.fences")
+                lines += 1
+                fences += 1
                 return completion + transit
             epoch_dirty.add(block_addr)
             epoch_store_count += 1
@@ -148,4 +151,10 @@ class FlushBasedSimulator(TraceSimulator):
             """Fence the last, partial epoch (inside the measured region)."""
             return fence_epoch(clock) if epoch_dirty else clock
 
-        return StorePath(store, mdc, finish)
+        def sync() -> None:
+            """Add the lines and fences since the last sync to ``stats``."""
+            nonlocal lines, fences
+            stats.add_counts((("flush.lines", lines), ("flush.fences", fences)))
+            lines = fences = 0
+
+        return StorePath(store, sync, mdc, finish)

@@ -3,21 +3,23 @@
 The SecPB simulator is not a full discrete-event simulator; the paper's own
 analytic validation (Sec. VI-B) shows the first-order behaviour is captured
 by a pipeline model in which the core retires instructions at a base rate
-and stalls when the store path backs up.  This module provides the two
+and stalls when the store path backs up.  This module provides the
 pieces that model needs:
 
-* :class:`CycleClock` — a monotonically advancing cycle counter, and
+* :class:`CycleClock` — a monotonically advancing cycle counter,
 * :class:`BusyResource` — a single-server resource (e.g. the SecPB's one
   in-flight BMT-update engine, the NVM write port) on which work items
   serialize; requesting the resource returns both the wait and the
-  completion time.
+  completion time, and
+* :class:`BoundedPipeline` — the store buffer: a bounded FIFO window of
+  outstanding completions whose push returns the core's stall.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Deque, Tuple
 
 
 @dataclass
@@ -86,48 +88,46 @@ class BoundedPipeline:
     The core may have up to ``depth`` operations outstanding; pushing work
     when the window is full stalls until the oldest completes.
 
-    Completion times form a multiset, kept as a sorted list with a retire
-    cursor (``_head``): retiring an op advances the cursor instead of
-    rebuilding the list, and the oldest outstanding completion is always
-    ``_completions[_head]``.  The outstanding multiset — and therefore
-    every stall and occupancy value — is identical to filtering an
-    unordered list per push, just without the O(depth) copies.
+    The window is a FIFO: outstanding completion times sit in a ``deque``
+    in push order and retire from the left.  That is exact only when
+    completions never decrease, which holds for every user: SecPB
+    acceptance and SP's MC tuple engine are both FIFO servers.
+    :meth:`push` checks it and raises ``ValueError`` on a completion below
+    the newest one in the window.
     """
 
     name: str
     depth: int
-    _completions: list = field(default_factory=list)
-    _head: int = 0
+    _completions: Deque[float] = field(default_factory=deque)
 
     def push(self, now: float, completion: float) -> float:
         """Add an operation completing at ``completion``.
 
         Returns:
             Stall cycles suffered because the window was full at ``now``.
+
+        Raises:
+            ValueError: ``completion`` is below the newest one in the window.
         """
         completions = self._completions
-        head = self._head
-        size = len(completions)
+        if completions and completion < completions[-1]:
+            raise ValueError(
+                f"{self.name}: completion {completion} precedes the newest "
+                f"outstanding one ({completions[-1]})"
+            )
         # Retire everything already finished.
-        while head < size and completions[head] <= now:
-            head += 1
+        while completions and completions[0] <= now:
+            completions.popleft()
         stall = 0.0
-        if size - head >= self.depth:
+        if len(completions) >= self.depth:
             # Must wait for the oldest outstanding op to retire.
-            oldest = completions[head]
-            stall = max(0.0, oldest - now)
+            stall = completions[0] - now
             release = now + stall
-            while head < size and completions[head] <= release:
-                head += 1
-        # Compact the retired prefix once it dominates the list, keeping
-        # pushes amortized O(1) in list length.
-        if head > 512 and head * 2 >= size:
-            del completions[:head]
-            head = 0
-        self._head = head
-        insort(completions, completion, head)
+            while completions and completions[0] <= release:
+                completions.popleft()
+        completions.append(completion)
         return stall
 
     @property
     def occupancy(self) -> int:
-        return len(self._completions) - self._head
+        return len(self._completions)

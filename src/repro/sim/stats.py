@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Mapping
+from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 
 class StatsCollector:
@@ -47,6 +47,19 @@ class StatsCollector:
             counters[name] += amount
 
         return bump
+
+    def add_counts(self, counts: Iterable[Tuple[str, int]]) -> None:
+        """Add integer counts kept outside the collector, skipping zeros.
+
+        A store path counts its per-store events in locals and hands them
+        over here through its ``sync`` hook.  A zero adds nothing, so a
+        name appears exactly when per-event :meth:`add` calls would have
+        created it, and integer sums are exact in any order.
+        """
+        counters = self._counters
+        for name, count in counts:
+            if count:
+                counters[name] += count
 
     def set(self, name: str, value: float) -> None:
         """Overwrite counter ``name`` with ``value``."""

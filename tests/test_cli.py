@@ -243,6 +243,7 @@ _BAD_RUN_INPUTS = (
         for value in ("0", "-2")
     ]
     + [(["recovery-time"], "--entries", value) for value in ("0", "-3")]
+    + [(["profile"], "--top", value) for value in ("0", "-1")]
     + [(["multicore"], "--share", value) for value in ("1.5", "-0.1")]
     + [
         (["faultcampaign"], flag, value)
@@ -293,6 +294,7 @@ class TestRunInputValidation:
         assert parser.parse_args(["multicore", "--share", "0"]).share == 0.0
         assert parser.parse_args(["multicore", "--share", "1"]).share == 1.0
         assert parser.parse_args(["recovery-time", "--entries", "1"]).entries == 1
+        assert parser.parse_args(["profile", "--top", "1"]).top == 1
         campaign = parser.parse_args(["faultcampaign", "--crash-points", "0"])
         assert campaign.crash_points == 0
         assert parser.parse_args(["advisor", "0.5"]).budget == 0.5

@@ -22,22 +22,19 @@ def controller(coalescing: bool):
 class TestControllerFlag:
     def test_default_coalesced_store_is_free_under_cm(self):
         ctl = controller(coalescing=True)
-        timing = ctl.price_coalesced_store(0.0, SecPBEntry(0))
-        assert timing.unblock_cycles == 0.0
+        assert ctl.price_coalesced_store(0.0, SecPBEntry(0)) == 0.0
 
     def test_disabled_coalescing_reruns_bmt_per_store(self):
         ctl = controller(coalescing=False)
         ctl.mdc.access_counter(0)  # warm
-        timing = ctl.price_coalesced_store(0.0, SecPBEntry(0))
-        assert timing.unblock_cycles >= 320
-        assert ctl.stats.get("bmt.root_updates") == 1
+        assert ctl.price_coalesced_store(0.0, SecPBEntry(0)) >= 320
+        bmt_updates, _ = ctl.metadata_counts(new_entries=0, coalesced=1, drains=0)
+        assert bmt_updates == 1
 
     def test_disabled_coalescing_counts_every_store(self):
         ctl = controller(coalescing=False)
-        ctl.mdc.access_counter(0)
-        for _ in range(5):
-            ctl.price_coalesced_store(0.0, SecPBEntry(0))
-        assert ctl.stats.get("bmt.root_updates") == 5
+        bmt_updates, _ = ctl.metadata_counts(new_entries=0, coalesced=5, drains=0)
+        assert bmt_updates == 5
 
 
 class TestEndToEnd:

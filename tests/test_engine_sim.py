@@ -88,6 +88,14 @@ class TestBoundedPipeline:
         stall = pipe.push(10, 70)
         assert stall == 40
 
+    def test_decreasing_completion_rejected(self):
+        """The window is a FIFO: completions must arrive in order."""
+        pipe = BoundedPipeline("sb", depth=4)
+        pipe.push(0, 100)
+        pipe.push(0, 100)
+        with pytest.raises(ValueError):
+            pipe.push(0, 50)
+
     def test_occupancy_tracks_outstanding(self):
         pipe = BoundedPipeline("sb", depth=4)
         pipe.push(0, 10)

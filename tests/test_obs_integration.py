@@ -95,6 +95,30 @@ class TestFig4Split:
         )
 
 
+class TestAcceptCounterMiss:
+    """A traced accept's ``counter_miss`` flag marks exactly one CTR$ miss."""
+
+    @pytest.mark.parametrize("scheme_name", ["obcm", "bcm", "cm", "m", "nogap"])
+    def test_flags_number_the_counter_misses(self, scheme_name):
+        tracer = Tracer()
+        result = traced_run(scheme_name, tracer, num_ops=4000)
+        flagged = [
+            e
+            for e in tracer.events
+            if e["name"] == "secpb.accept" and e["args"]["counter_miss"]
+        ]
+        assert flagged
+        assert len(flagged) == result.stats["mdc.counter.misses"]
+
+    @pytest.mark.parametrize("scheme_name", ["bbb", "cobcm"])
+    def test_no_early_counter_no_flag(self, scheme_name):
+        tracer = Tracer()
+        traced_run(scheme_name, tracer, num_ops=4000)
+        accepts = [e for e in tracer.events if e["name"] == "secpb.accept"]
+        assert accepts
+        assert not any(e["args"]["counter_miss"] for e in accepts)
+
+
 class TestChromeRoundTrip:
     def test_export_loads_and_validates(self, tmp_path):
         tracer = Tracer()

@@ -1,4 +1,4 @@
-"""``repro profile``: the hierarchy front end is timed apart from the runs."""
+"""``repro profile``: the front end is timed apart, and counter calls stay few."""
 
 from repro.analysis.profiling import profile_simulation
 from repro.core.schemes import CM
@@ -12,3 +12,14 @@ def test_profiled_run_equals_run_scheme_and_reports_front_end():
     assert report.result == expected
     assert report.front_end_seconds > 0.0
     assert "\nhierarchy front end: " in report.render()
+
+
+def test_cm_store_path_counts_in_locals():
+    """CM makes at most 1.5 calls per op into repro/sim/stats.py.
+
+    The store path keeps its per-store counts in locals and adds them once
+    per sync; one per-event counter put back on the path exceeds the bound.
+    """
+    report = profile_simulation("gamess", CM, num_ops=8000, seed=1)
+    assert 0 < report.counter_calls <= 1.5 * report.num_ops
+    assert f"\ncounter calls: {report.counter_calls:,} " in report.render()

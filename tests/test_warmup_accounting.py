@@ -20,7 +20,9 @@ import pytest
 from repro.baselines.strict import StrictPersistencySimulator
 from repro.core.schemes import SCHEMES, SPECTRUM_ORDER, get_scheme
 from repro.core.simulator import SecurePersistencySimulator
+from repro.persistency.flush import FlushBasedSimulator, PersistencyModel
 from repro.sim.config import SystemConfig
+from repro.workloads.spec import build_trace
 from repro.workloads.synthetic import uniform_trace, zipf_trace
 
 WARMUP = 0.5
@@ -155,3 +157,61 @@ class TestBackflowOverCommit:
             result.stats.get("secpb.backflow_stalls", 0)
             + result.stats.get("secpb.forced_drains", 0)
         ) > 0
+
+
+class TestWarmupPrefixOracle:
+    """A warm run's counters are the full run's minus the prefix run's.
+
+    ``run(trace, w)`` excludes the first ``int(len(trace) * w)`` ops, so
+    every counter must equal ``run(trace, 0)`` minus ``run(prefix, 0)``,
+    where ``prefix`` is those ops alone.  Both sides make the same
+    additions, so the equality is exact for float sums too.  A store path
+    whose local counts missed the warmup snapshot breaks it.  Gauges and
+    the derived keys are not counters and are skipped.
+    """
+
+    NOT_COUNTERS = {
+        "secpb.final_occupancy",
+        "secpb.peak_effective_occupancy",
+        "instructions",
+        "ppti",
+        "nwpe",
+    }
+    CONFIGS = ["bbb"] + SPECTRUM_ORDER + ["sp", "flush_strict"]
+
+    @staticmethod
+    def _simulator(name, entries):
+        config = SystemConfig().with_secpb_entries(entries)
+        if name == "sp":
+            return StrictPersistencySimulator(config=config)
+        if name == "flush_strict":
+            return FlushBasedSimulator(PersistencyModel.STRICT, config=config)
+        scheme = None if name == "bbb" else get_scheme(name)
+        return SecurePersistencySimulator(config=config, scheme=scheme)
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        return {
+            "gamess": build_trace("gamess", 3000, 1),
+            "mcf": build_trace("mcf", 3000, 1),
+            "warmup-probe": _trace(),
+        }
+
+    @pytest.mark.parametrize("trace_name", ["gamess", "mcf", "warmup-probe"])
+    @pytest.mark.parametrize("config_name", CONFIGS)
+    def test_warm_counters_are_full_minus_prefix(self, traces, config_name, trace_name):
+        trace = traces[trace_name]
+        mismatches = []
+        for entries in (32, 2):
+            simulator = self._simulator(config_name, entries)
+            full = simulator.run(trace, 0.0).stats
+            for warmup in (0.3, 0.5):
+                prefix = trace.head(int(len(trace) * warmup))
+                before = simulator.run(prefix, 0.0).stats
+                warm = simulator.run(trace, warmup).stats
+                assert warm.keys() == full.keys(), (entries, warmup)
+                for key in sorted(full.keys() - self.NOT_COUNTERS):
+                    expected = full[key] - before.get(key, 0.0)
+                    if warm[key] != expected:
+                        mismatches.append((entries, warmup, key, warm[key], expected))
+        assert not mismatches
