@@ -83,9 +83,8 @@ from ..envfault import context as _envfault
 from ..envfault import procfault as _procfault
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import LANE_STORES, Tracer
-from ..resilience import RetryPolicy
 from ..runtime.pool import WorkerPool, discard_shared_pool, get_shared_pool
-from ..runtime.shm import TraceAttachSetup, attach_retries, shared_registry
+from ..runtime.shm import TraceAttachSetup, shared_registry
 from ..security.bmf import ForestTimingModel
 from ..sim.config import SystemConfig
 from ..sim.stats import SimulationResult
@@ -412,9 +411,7 @@ class _RunnerObs:
                 deterministic=False,
             ).inc(count)
 
-    def worker_store_stats(
-        self, built: int, attached: int, shm_retries: int = 0
-    ) -> None:
+    def worker_store_stats(self, built: int, attached: int) -> None:
         if self._metrics is not None:
             self._metrics.counter(
                 "runner.worker_traces_built",
@@ -426,11 +423,6 @@ class _RunnerObs:
                 "Zero-copy shared-memory trace attaches inside pool workers",
                 deterministic=False,
             ).inc(attached)
-            self._metrics.counter(
-                "runner.shm_attach_retries",
-                "Transient shm attach ENOENT races retried inside workers",
-                deterministic=False,
-            ).inc(shm_retries)
 
 
 @dataclass(frozen=True)
@@ -476,7 +468,7 @@ class _Harvest:
 
     total: int
     on_error: str
-    policy: RetryPolicy
+    retries: int
     timeout: Optional[float]
     on_result: Optional[Callable[[JobKey, Any], None]]
     obs: _RunnerObs
@@ -488,10 +480,11 @@ class _Harvest:
         """Account one execution of ``task``; True when it must run again.
 
         A task exception (the task's own, or the pool's for each task of
-        its batch) is retried while :attr:`policy` allows; an expired
-        wait never is, as the worker may still be running.  A final
-        failure raises under ``on_error="raise"`` before anything is
-        recorded; under ``"record"`` it lands as a :class:`JobFailure`.
+        its batch) runs the task again while it has failed no more than
+        :attr:`retries` times; an expired wait never does, as the worker
+        may still be running.  A final failure raises under
+        ``on_error="raise"`` before anything is recorded; under
+        ``"record"`` it lands as a :class:`JobFailure`.
         Progress reads ``[execution/executions known]``; a retry adds one.
         """
         key = task.key
@@ -504,7 +497,7 @@ class _Harvest:
             self._progress(key, ": done in %.2fs", elapsed)
             return False
         exc = outcome.exception
-        if exc is not None and self.policy.allows_retry(attempts):
+        if exc is not None and attempts <= self.retries:
             self.total += 1
             self.obs.task_retried()
             self._progress(key, " failed (%s), retrying", type(exc).__name__)
@@ -562,9 +555,7 @@ class _Harvest:
         for batch, future in in_flight:
             grace = max(0.0, deadline - time.monotonic())
             try:
-                outcomes, _built, _attached, _retries = future.result(
-                    timeout=grace
-                )
+                outcomes, _built, _attached = future.result(timeout=grace)
             except Exception:  # still running, or failed in flight:
                 continue  # either way the resume redoes it
             for task, outcome in zip(batch, outcomes):
@@ -627,7 +618,7 @@ def _run_batch(
     fn: Callable[[Any], Any],
     tasks: Sequence[Any],
     setup: Optional[Callable[[], None]],
-) -> Tuple[List[_Outcome], int, int, int]:
+) -> Tuple[List[_Outcome], int, int]:
     """Worker-side: run one batch of tasks sequentially, one IPC round-trip.
 
     ``setup`` (when present) re-announces the owner's shared-memory
@@ -635,8 +626,8 @@ def _run_batch(
     published after they were forked; a setup failure only disables the
     zero-copy path (tasks fall back to local regeneration).  Returns the
     per-task :func:`_execute` outcomes in task order plus the batch's
-    trace-store deltas ``(built, attach_hits, shm_retries)`` for the
-    runner's observability counters.
+    trace-store deltas ``(built, attach_hits)`` for the runner's
+    observability counters.
 
     When the fault plane is armed (:mod:`repro.envfault`), each task
     boundary is a ``worker.task`` injection site — a due
@@ -650,7 +641,6 @@ def _run_batch(
         except Exception:
             logger.exception("batch setup failed; traces rebuilt locally")
     built_before, attached_before = store_counters()
-    retries_before = attach_retries()
     outcomes: List[_Outcome] = []
     for task in tasks:
         if _envfault.CURRENT is not None:
@@ -661,7 +651,6 @@ def _run_batch(
         outcomes,
         built_after - built_before,
         attached_after - attached_before,
-        attach_retries() - retries_before,
     )
 
 
@@ -730,7 +719,7 @@ def _run_pool(
                     # the future (batch size is 1 whenever a timeout is
                     # set), so a task never gets *less* than `timeout`
                     # seconds of wall clock.
-                    outcomes, built, attached, shm_retries = _wait_result(
+                    outcomes, built, attached = _wait_result(
                         future, harvest.timeout, stop
                     )
                 except _StopRequested:
@@ -753,7 +742,7 @@ def _run_pool(
                     error = _TaskError(exc, traceback.format_exc())
                     outcomes = [error] * len(batch)
                 else:
-                    harvest.obs.worker_store_stats(built, attached, shm_retries)
+                    harvest.obs.worker_store_stats(built, attached)
                 for task, outcome in zip(batch, outcomes):
                     if harvest.settle(task, outcome):
                         retry.append(task)
@@ -878,10 +867,7 @@ def run_tasks(
     harvest = _Harvest(
         total=len(todo),
         on_error=on_error,
-        # The public knob stays an integer retry count; internally it is
-        # a zero-backoff resilience policy whose `allows_retry` is the
-        # one retry-budget test.  base_delay=0 never consults the clock.
-        policy=RetryPolicy(attempts=max(1, retries + 1), base_delay=0.0),
+        retries=retries,
         timeout=timeout,
         on_result=on_result,
         obs=obs,

@@ -630,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_control.add_argument(
         "--deadline",
-        type=float,
+        type=_positive,
         metavar="SECONDS",
         default=None,
         help="wall-clock budget; on expiry, checkpoint to the journal and "
@@ -820,13 +820,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=2023)
     chaos.add_argument(
         "--ops",
-        type=int,
+        type=_int_at_least(1),
         default=3,
         help="faults per soak iteration (default: %(default)s)",
     )
     chaos.add_argument(
         "--minutes",
-        type=float,
+        type=_positive,
         default=0.5,
         help="soak wall-clock budget in minutes (default: %(default)s)",
     )
@@ -836,11 +836,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated fault kinds to soak with (default: all)",
     )
     chaos.add_argument(
-        "--jobs", type=int, default=2, help="worker processes for armed runs"
+        "--jobs",
+        type=_int_at_least(1),
+        default=2,
+        help="worker processes for armed runs",
     )
     chaos.add_argument(
         "--max-iterations",
-        type=int,
+        type=_int_at_least(1),
         metavar="N",
         default=None,
         help="stop the soak after N iterations even if time remains",

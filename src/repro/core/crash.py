@@ -2,8 +2,8 @@
 
 :class:`SecurePersistentSystem` is the *functional* (value-accurate)
 counterpart of the timing simulator: stores carry real 64-byte payloads,
-metadata is really computed, and a crash really discards volatile state.
-It demonstrates the paper's central claim end to end:
+metadata is really computed, and after a crash only what reached PM
+survives.  It demonstrates the paper's central claim end to end:
 
 * **SecPB discipline** — data persists the instant a store enters the
   battery-backed buffer; on a crash the battery drains every entry and
@@ -28,7 +28,6 @@ from ..obs.tracing import LANE_CRASH, Tracer
 from ..security.engine import SecureMemory
 from ..security.tuple import TupleComponent, TupleState, audit_observable_state
 from ..sim.config import CACHE_BLOCK_BYTES, SystemConfig
-from ..sim.hierarchy import MemoryHierarchy
 from .recovery import ObserverPolicy, RecoveryObserver, RecoveryReport
 from .schemes import ALL_STEPS, Scheme
 from .secpb import DrainedEntry, SecPB, SecPBEntry
@@ -115,7 +114,6 @@ class SecurePersistentSystem:
             self._late_step_names = []
             self._trace_drain = None
         self.memory = SecureMemory(atomic=True)
-        self.hierarchy = MemoryHierarchy(self.config)
         self.secpb = SecPB(self.config.secpb, scheme)
         self.observer = RecoveryObserver(self.memory, observer_policy)
         # Ground truth: latest plaintext per block that reached the PoP.
@@ -148,7 +146,6 @@ class SecurePersistentSystem:
             raise ValueError("stores are block-granular (64 B) in this model")
         if self.secpb.full and self.secpb.lookup(block_addr) is None:
             self._drain(1)
-        self.hierarchy.store_access(block_addr << 6, persist_region=True)
         self.secpb.write(block_addr, plaintext=data, asid=asid)
         self.expected[block_addr] = bytes(data)
         self._logical_time += 1.0
@@ -193,11 +190,11 @@ class SecurePersistentSystem:
         energy_budget_nj: Optional[float] = None,
         per_entry_nj: Optional[float] = None,
     ) -> CrashReport:
-        """Power loss / system crash: volatile state dies, battery drains.
+        """Power loss / system crash: the battery drains the SecPB.
 
         The battery covers the draining gap *and* the sec-sync gap: every
         SecPB entry is drained to the MC, where the scheme's late metadata
-        steps complete, then everything is flushed to PM.
+        steps complete and the block persists to PM.
 
         Args:
             energy_budget_nj: finite battery energy for the drain.  The
@@ -224,7 +221,6 @@ class SecurePersistentSystem:
                 "again; inspect the first CrashReport or rebuild"
             )
         self._crashed = True
-        self.hierarchy.discard_volatile()
         self._mark(
             "crash.begin",
             {
@@ -267,7 +263,6 @@ class SecurePersistentSystem:
                     {"addr": entry.block_addr, "late_steps": self._late_step_names},
                 )
             self._persist_drained(entry)
-        self.hierarchy.mc.flush_wpq()
 
         unpersisted = sorted({e.block_addr for e in lost})
         self._unpersisted = unpersisted

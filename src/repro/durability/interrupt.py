@@ -17,10 +17,9 @@ from __future__ import annotations
 import logging
 import os
 import signal
+import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
-
-from ..resilience import Clock, SystemClock
 
 logger = logging.getLogger(__name__)
 
@@ -81,21 +80,16 @@ class StopToken:
 class DeadlineToken(StopToken):
     """A stop token that trips itself once a wall-clock budget elapses.
 
-    The clock is injectable for tests, but deliberately defaults to a
-    fresh :class:`~repro.resilience.SystemClock` rather than the
-    process-wide :func:`~repro.resilience.get_clock`: a chaos soak that
-    installs a :class:`~repro.resilience.ManualClock` to virtualize
-    backoff sleeps must not silently freeze ``--deadline`` budgets.
+    The budget is metered on :func:`time.monotonic`, from construction.
     """
 
-    def __init__(self, seconds: float, clock: Optional[Clock] = None) -> None:
+    def __init__(self, seconds: float) -> None:
         super().__init__()
         self.seconds = float(seconds)
-        self._clock = clock if clock is not None else SystemClock()
-        self._t0 = self._clock.monotonic()
+        self._t0 = time.monotonic()
 
     def check(self) -> bool:
-        elapsed = self._clock.monotonic() - self._t0
+        elapsed = time.monotonic() - self._t0
         if not self.triggered and elapsed >= self.seconds:
             self.trip(f"deadline of {self.seconds:g}s elapsed")
         return self.triggered

@@ -41,11 +41,11 @@ import logging
 import os
 import shutil
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..resilience import Clock, ManualClock, get_clock, scoped_clock
 from ..durability import (
     ArtifactStatus,
     JournalError,
@@ -343,17 +343,11 @@ def _check_sigkill_storm(
     scratch = tempfile.mkdtemp(dir=str(workdir), prefix="once_")
     fired = 0
     try:
-        # Virtual clock over the armed region: any retry backoff the
-        # faults provoke (shm attach retries) advances manual time
-        # instead of really sleeping, so the sweep's
-        # duration does not depend on how many faults fired.  Forked
-        # workers inherit the clock alongside the armed fault context.
-        with scoped_clock(ManualClock()):
-            with injected(plan, scratch=scratch) as context:
-                report = run_campaign(
-                    spec, jobs=jobs, minimize=False, journal=journal_path
-                )
-                fired = len(context.fired)
+        with injected(plan, scratch=scratch) as context:
+            report = run_campaign(
+                spec, jobs=jobs, minimize=False, journal=journal_path
+            )
+            fired = len(context.fired)
         if report.to_json() != baseline:
             violations.append(
                 Violation(
@@ -528,15 +522,7 @@ def _soak_iteration(
     outcome = "completed"
     fired = 0
     try:
-        # Virtual clock over the armed region: fault-provoked resilience
-        # backoff (shm attach retries and friends) advances manual time
-        # instead of sleeping, which is what makes a soak's wall-clock
-        # cost — and therefore ``repro chaos --seed N``'s iteration count
-        # under a fixed ``--max-iterations`` — independent of how many
-        # retry schedules the plan happens to trip.
-        with scoped_clock(ManualClock()), injected(
-            plan, scratch=scratch
-        ) as context:
+        with injected(plan, scratch=scratch) as context:
             report = run_campaign(
                 spec, jobs=jobs, minimize=False, journal=journal_path
             )
@@ -748,7 +734,6 @@ def soak_check(
     spec: Optional[CampaignSpec] = None,
     max_iterations: Optional[int] = None,
     reproducer_dir: Optional[Union[str, Path]] = None,
-    clock: Optional[Clock] = None,
 ) -> CheckReport:
     """Randomized chaos soak: seeded fault plans until the time budget.
 
@@ -759,11 +744,9 @@ def soak_check(
     then stops — one shrunk, replayable failure beats a pile of raw
     ones.
 
-    ``clock`` meters the ``minutes`` budget (default: the process clock
-    from :func:`~repro.resilience.get_clock`).  Each armed iteration
-    additionally runs under its own :class:`~repro.resilience.ManualClock`
-    so fault-provoked backoff never consumes the budget — with
-    ``max_iterations`` set, ``seed`` alone determines the soak.
+    The ``minutes`` budget is metered on :func:`time.monotonic`; with
+    ``max_iterations`` set and time to spare, ``seed`` alone determines
+    the soak.
     """
     spec = spec if spec is not None else default_spec()
     workdir = Path(workdir)
@@ -771,10 +754,9 @@ def soak_check(
     allowed = tuple(kinds) if kinds is not None else ALL_KINDS
     report = CheckReport(mode="soak")
     baseline = run_campaign(spec, jobs=1, minimize=False).to_json()
-    budget_clock = clock if clock is not None else get_clock()
-    deadline = budget_clock.monotonic() + minutes * 60.0
+    deadline = time.monotonic() + minutes * 60.0
     iteration = 0
-    while budget_clock.monotonic() < deadline:
+    while time.monotonic() < deadline:
         if max_iterations is not None and iteration >= max_iterations:
             break
         plan = random_plan(seed + iteration, ops=ops, kinds=allowed)

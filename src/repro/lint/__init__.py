@@ -27,12 +27,10 @@ and the paper artifacts' reproducibility — actually rest on:
   layers on absorbing OS faults *loudly*), and raw ``os.kill`` /
   ``signal.signal`` stay inside ``repro.durability.interrupt`` and
   ``repro.envfault``;
-* **resilience hygiene** (SPB505): raw ``time.sleep`` calls and
-  hand-rolled retry loops (``while``/``for`` whose handler swallows and
-  continues) stay out of library code — waiting routes through the
-  injectable clock (``repro.resilience.get_clock().sleep``) and retry
-  schedules through :class:`repro.resilience.RetryPolicy`, so tests can
-  drive every backoff on a virtual clock;
+* **resilience hygiene** (SPB505): no ``time.sleep`` call and no
+  hand-rolled retry loop (a ``while`` whose handler swallows and
+  continues) anywhere in ``repro`` — the runner's task budget
+  (``run_tasks(retries=)``) is the only retry, and nothing waits;
 * **artifact I/O** (SPB502): result-writing code in ``repro.analysis``
   / ``repro.fault`` must not use bare ``open(..., "w")`` /
   ``json.dump`` / ``Path.write_text`` — artifacts route through the

@@ -1,23 +1,17 @@
-"""Resilience hygiene (SPB505): no hand-rolled retry/backoff outside
-:mod:`repro.resilience`.
+"""Resilience hygiene (SPB505): nothing in ``repro`` waits to try again.
 
-The resilience package exists so that every "wait and try again" in the
-tree is a declarative, clock-injectable policy: schedules are
-deterministic functions of a key, sleeps are virtualizable under a
-:class:`~repro.resilience.ManualClock` (which is what makes chaos soaks
-wall-clock-deterministic), and retry accounting is shared instead of
-re-derived.  A raw ``time.sleep`` or a hand-rolled
-``while ... except ... continue`` loop silently opts back out of all of
-that — it blocks real time even under an injected clock, and its retry
+The only retry in the tree is the task runner's budget
+(``run_tasks(retries=)``), which re-runs a task that raised and never
+sleeps.  Everything else handles a failure once: a missing shm segment
+is rebuilt, a faulted journal append checkpoints and exits resumable.
+A raw ``time.sleep`` or a hand-rolled ``while ... except ... continue``
+loop would add a second retry whose wait blocks real time and whose
 budget is invisible to tests and metrics.
 
 ========  ==========================================================
-SPB505    anywhere in ``repro`` outside ``repro.resilience``: a call
-          to ``time.sleep`` (use the injectable clock or a
-          :class:`~repro.resilience.RetryPolicy`), or a ``while`` loop
-          that retries by ``continue``-ing out of an ``except``
-          handler (use ``RetryPolicy.call`` /
-          ``RetryPolicy.attempts_iter``)
+SPB505    anywhere in ``repro``: a call to ``time.sleep``, or a
+          ``while`` loop that retries by ``continue``-ing out of an
+          ``except`` handler
 ========  ==========================================================
 
 The loop detection is deliberately shallow: only a ``continue`` at the
@@ -29,13 +23,10 @@ an ``except`` that re-raises, returns, or falls through is not a retry.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Tuple
+from typing import Iterator
 
-from .base import LintContext, Rule, in_scope, register_rule
+from .base import LintContext, Rule, register_rule
 from .findings import Finding
-
-RESILIENCE_HOME: Tuple[str, ...] = ("repro.resilience",)
-"""The sanctioned home of sleeps and retry loops."""
 
 
 def _handler_level_continue(handler: ast.ExceptHandler) -> bool:
@@ -74,14 +65,12 @@ def _retry_handlers(loop: ast.While) -> Iterator[ast.ExceptHandler]:
 class ResilienceHygieneRule(Rule):
     code = "SPB505"
     summary = (
-        "raw time.sleep and hand-rolled while/except/continue retry "
-        "loops belong in repro.resilience policies — everywhere else "
-        "they dodge the injectable clock and shared retry accounting"
+        "no time.sleep and no hand-rolled while/except/continue retry "
+        "loop anywhere in repro — the runner's task budget "
+        "(run_tasks(retries=)) is the only retry"
     )
 
     def applies_to(self, ctx: LintContext) -> bool:
-        if in_scope(ctx.module, RESILIENCE_HOME):
-            return False
         return ctx.module == "repro" or ctx.module.startswith("repro.")
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
@@ -91,10 +80,10 @@ class ResilienceHygieneRule(Rule):
                     yield ctx.finding(
                         self,
                         node,
-                        "raw time.sleep blocks real wall-clock time even "
-                        "under an injected ManualClock; sleep through "
-                        "repro.resilience.get_clock() or let a RetryPolicy "
-                        "schedule the wait",
+                        "raw time.sleep blocks real wall-clock time and "
+                        "nothing in repro waits to try again; handle the "
+                        "failure once, or let the runner's task budget "
+                        "(run_tasks(retries=)) re-run the task",
                     )
             elif isinstance(node, ast.While):
                 for handler in _retry_handlers(node):
@@ -107,7 +96,8 @@ class ResilienceHygieneRule(Rule):
                         self,
                         handler,
                         f"hand-rolled retry loop (while ... except {caught}: "
-                        "continue): its budget and backoff are invisible to "
-                        "tests and metrics — use RetryPolicy.call or "
-                        "RetryPolicy.attempts_iter from repro.resilience",
+                        "continue): its budget is invisible to tests and "
+                        "metrics — handle the failure once, or let the "
+                        "runner's task budget (run_tasks(retries=)) re-run "
+                        "the task",
                     )

@@ -19,15 +19,16 @@ runs the per-file rules over every parsed file, then the whole-program
 rules (whose call graph and taint are built only if one runs), and
 applies the ``# secpb-lint: disable=`` suppressions once.
 :func:`lint_paths` and :func:`lint_source` wrap it for files on disk
-and for one in-memory source.
+and for one in-memory source; :func:`lint_paths` runs it once per
+import root, so each root is its own program.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..base import AnyRule, LintContext, ProjectRule, all_rules
+from ..base import AnyRule, LintContext, ProjectRule, all_rules, iter_python_files
 from ..findings import Finding, Severity, sort_findings
 from .callgraph import CallGraph
 from .dataflow import TaintAnalysis
@@ -110,11 +111,31 @@ def run_project_rules(
     return sort_findings(kept)
 
 
+def _import_root(path: Path) -> Path:
+    """The first ancestor of ``path`` without an ``__init__.py``: where
+    :func:`~..base.module_name_for_path` stops naming packages."""
+    parent = path.resolve().parent
+    while (parent / "__init__.py").exists():
+        parent = parent.parent
+    return parent
+
+
 def lint_paths(
     paths: Sequence[Path], rules: Optional[Sequence[AnyRule]] = None
 ) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths`` (the CLI's entry point)."""
-    return run_project_rules(analyze_paths(paths), rules)
+    """Lint every ``.py`` file under ``paths`` (the CLI's entry point).
+
+    Files are grouped by import root and each root is analysed as its
+    own program: a dotted module name is unique only within one root,
+    so two trees that both hold a ``repro`` package never share a model.
+    """
+    roots: Dict[Path, List[Path]] = {}
+    for file_path in iter_python_files(paths):
+        roots.setdefault(_import_root(file_path), []).append(file_path)
+    findings: List[Finding] = []
+    for files in roots.values():
+        findings.extend(run_project_rules(analyze_paths(files), rules))
+    return sort_findings(findings)
 
 
 def lint_source(

@@ -6,7 +6,8 @@ Two cooperating pieces take sweep orchestration off the critical path:
   trace columns into ``multiprocessing.shared_memory`` segments, with
   an owner-side registry (SHA-256 fingerprinted, idempotent, unlinked
   on every exit path) and a worker-side attach that maps read-only
-  NumPy views instead of rebuilding traces per process;
+  NumPy views instead of rebuilding traces per process (one attempt: a
+  missing segment stays missing, so the worker rebuilds that trace);
 * :mod:`~repro.runtime.pool` — a process-wide persistent
   :class:`~repro.runtime.pool.WorkerPool` shared by ``run_tasks``,
   ``run_campaign``, and every ``run_experiment`` entry point, with

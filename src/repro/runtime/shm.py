@@ -35,12 +35,13 @@ Roles and lifecycle (who creates, who unlinks):
   attachers hold views is safe — POSIX keeps the mapping alive until the
   last reference drops.
 
-A missing segment (the owner already cleaned up, or publication raced a
-recycled pool) is never an error: :func:`attach_trace` retries a
-transient attach ENOENT a bounded number of times (the announce→publish
-race window is short) and then returns ``None``, so the trace store
-falls back to deterministic regeneration and the plane can be torn down
-at any moment without affecting results.
+A missing segment (the owner already cleaned up) is never an error:
+:func:`attach_trace` makes one attempt and returns ``None``, so the
+trace store falls back to deterministic regeneration and the plane can
+be torn down at any moment without affecting results.  Waiting and
+trying again could not help: the owner publishes every segment of a run
+before it submits the first batch, and unlinks only at cleanup, so a
+segment that is missing once stays missing.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from numpy.typing import NDArray
 
 from ..durability import register_emergency_cleanup
 from ..envfault import context as _envfault
-from ..resilience import RetryPolicy
 from ..workloads.trace import Trace
 
 logger = logging.getLogger(__name__)
@@ -263,33 +263,6 @@ _ATTACHED: Dict[str, Tuple[object, Trace]] = {}
 #: NumPy view raises BufferError from its ``__del__``.
 _RETIRED: List[object] = []
 
-#: Attach retry policy: three attempts on a (0.005s, 0.02s) base
-#: schedule with digest-seeded jitter.  ``base_delay * multiplier**i``
-#: reproduces the plane's original hand-rolled backoff tuple exactly
-#: (0.005, 0.02) and ``jitter_frac=1/32`` is the original ``nibble/32``
-#: term, so the migration onto :mod:`repro.resilience` is byte-identical
-#: — same schedule, same sleeps, for every digest.
-ATTACH_RETRY_POLICY = RetryPolicy(
-    attempts=3, base_delay=0.005, multiplier=4.0, jitter_frac=1.0 / 32.0
-)
-
-#: Process-wide count of attach retries (announce→publish ENOENT races).
-_ATTACH_RETRIES = 0
-
-
-class _SegmentVanished(FileNotFoundError):
-    """An injected ``segment_vanish``: the segment will never come back."""
-
-
-def attach_retries() -> int:
-    """How many attach retries this process has performed (monotonic).
-
-    The runner snapshots this around each batch and folds the delta
-    into its ``runner.shm_attach_retries`` counter, so a racy segment
-    shows up in the metrics export instead of being silently absorbed.
-    """
-    return _ATTACH_RETRIES
-
 
 def announce(manifest: Sequence[TraceSegmentInfo]) -> None:
     """Record published segments so :func:`attach_trace` can find them.
@@ -329,16 +302,8 @@ def attach_trace(key: TraceKey) -> Optional[Tuple[Trace, str]]:
     failure (key never announced, segment unlinked, digest mismatch)
     returns ``None`` and the caller regenerates from the deterministic
     spec; a stale announcement is dropped so the fallback is paid once,
-    not per lookup.
-
-    An attach ENOENT can be a transient race (a warm worker attaching
-    while the owner is still publishing) rather than a real teardown, so
-    it is retried under :data:`ATTACH_RETRY_POLICY` — three attempts on
-    a deterministic digest-jittered backoff, sleeping through the
-    injectable resilience clock — before the fallback.  Each retry is
-    counted in :func:`attach_retries`, never silently absorbed; an
-    injected ``segment_vanish`` gives up immediately (the owner unlinked
-    it, so no amount of waiting brings it back).
+    not per lookup.  A missing segment is not retried: the owner
+    published it before submitting any batch, so it is gone for good.
     """
     info = _ANNOUNCED.get(key)
     if info is None:
@@ -349,41 +314,14 @@ def attach_trace(key: TraceKey) -> Optional[Tuple[Trace, str]]:
     from multiprocessing.shared_memory import SharedMemory
 
     context = _envfault.CURRENT
-    delays = ATTACH_RETRY_POLICY.delays(info.digest)
-
-    def _attempt() -> object:
+    try:
         fault = context.fire("shm.attach") if context is not None else None
         if fault is not None:
-            exc_type = (
-                _SegmentVanished
-                if fault.kind == "segment_vanish"
-                else FileNotFoundError
-            )
-            raise exc_type(
+            raise FileNotFoundError(
                 f"envfault: segment {info.segment} missing ({fault.kind})"
             )
-        return SharedMemory(name=info.segment)
-
-    def _note_retry(attempt: int, exc: BaseException) -> None:
-        global _ATTACH_RETRIES
-        _ATTACH_RETRIES += 1
-        logger.debug(
-            "segment %s missing (attempt %d/%d); retrying in %.3fs",
-            info.segment, attempt, ATTACH_RETRY_POLICY.attempts,
-            delays[attempt - 1],
-        )
-
-    try:
-        segment = ATTACH_RETRY_POLICY.call(
-            _attempt,
-            key=info.digest,
-            retry_on=(FileNotFoundError,),
-            giveup=lambda exc: isinstance(exc, _SegmentVanished),
-            on_retry=_note_retry,
-        )
+        segment = SharedMemory(name=info.segment)
     except FileNotFoundError:
-        # Out of retry budget, or the segment vanished for good (the
-        # owner unlinked it); fall back to deterministic regeneration.
         logger.debug(
             "segment %s gone; rebuilding %s locally", info.segment, key
         )

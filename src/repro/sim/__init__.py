@@ -1,8 +1,8 @@
-"""Simulation substrate: configuration, caches, NVM, memory controller.
+"""Simulation substrate: configuration, caches, NVM.
 
 This subpackage is the hardware the paper assumes around SecPB — the
-volatile cache hierarchy, the ADR memory controller, the PCM main memory —
-plus the cycle-bookkeeping primitives the trace-driven timing model uses.
+volatile cache hierarchy and the PCM main memory — plus the
+cycle-bookkeeping primitives the trace-driven timing model uses.
 """
 
 from .cache import AccessOutcome, BlockState, Cache, CacheBlock, EvictionRecord
@@ -18,7 +18,6 @@ from .config import (
 )
 from .engine import BoundedPipeline, BusyResource, CycleClock
 from .hierarchy import MemoryHierarchy
-from .memctrl import MemoryController, WPQEntry
 from .nvm import NonVolatileMemory
 from .nvm_banked import BankedNVM, BankedNVMParams
 from .wear import StartGapWearLeveler, simulate_wear
@@ -44,7 +43,6 @@ __all__ = [
     "CycleClock",
     "DEFAULT_CONFIG",
     "EvictionRecord",
-    "MemoryController",
     "MemoryHierarchy",
     "NVMConfig",
     "NonVolatileMemory",
@@ -55,7 +53,6 @@ __all__ = [
     "SimulationResult",
     "StatsCollector",
     "SystemConfig",
-    "WPQEntry",
     "arithmetic_mean",
     "simulate_wear",
     "geometric_mean",

@@ -141,7 +141,6 @@ class SystemConfig:
 
     clock_ghz: float = 4.0
     store_buffer_entries: int = 32
-    wpq_entries: int = 32
 
     l1: CacheConfig = field(
         default_factory=lambda: CacheConfig("L1D", 64 * 1024, 8, access_cycles=2)

@@ -1,4 +1,4 @@
-"""The assembled volatile memory hierarchy (L1D / L2 / LLC + MC + NVM).
+"""The assembled volatile memory hierarchy (L1D / L2 / LLC over NVM).
 
 :class:`MemoryHierarchy` provides the two services the SecPB simulator
 needs from the cache stack:
@@ -22,8 +22,6 @@ replays a trace through a fresh hierarchy once and keeps the per-op load
 latencies and the hierarchy's counters, memoized on the trace; every
 configuration that shares the geometry (schemes, SecPB sizes, BMF cuts,
 SP) then reads them instead of replaying the stack again.
-Only the functional crash model (:mod:`repro.core.crash`) keeps a live
-hierarchy.
 """
 
 from __future__ import annotations
@@ -33,13 +31,11 @@ from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 from ..workloads.trace import Trace
 from .cache import AccessOutcome, Cache
 from .config import SystemConfig
-from .memctrl import MemoryController
-from .nvm import NonVolatileMemory
 from .stats import StatsCollector
 
 
 class MemoryHierarchy:
-    """Three-level cache stack over a memory controller and NVM."""
+    """Three-level cache stack; a last-level miss reads the NVM."""
 
     def __init__(
         self,
@@ -51,16 +47,12 @@ class MemoryHierarchy:
         self.l1 = Cache(self.config.l1, self.stats)
         self.l2 = Cache(self.config.l2, self.stats)
         self.l3 = Cache(self.config.l3, self.stats)
-        self.nvm = NonVolatileMemory(
-            self.config.nvm, self.config.clock_ghz, self.stats
-        )
-        self.mc = MemoryController(self.config, self.nvm, self.stats)
         # Hot-path constants and counters, resolved once per hierarchy:
         # load_latency/store_access run once per trace reference.
         self._l1_cycles = self.config.l1.access_cycles
         self._l2_cycles = self.config.l2.access_cycles
         self._l3_cycles = self.config.l3.access_cycles
-        self._nvm_read_cycles = self.nvm.timing.read_cycles
+        self._nvm_read_cycles = self.config.nvm_read_cycles
         self._l1_access = self.l1.access
         self._l2_access = self.l2.access
         self._l3_access = self.l3.access
@@ -127,26 +119,9 @@ class MemoryHierarchy:
                 latency += self._nvm_read_cycles
         if eviction is not None and eviction.writeback_required:
             # Non-persistent dirty victim: async writeback, no added latency
-            # on the store path, but it consumes a WPQ-side write.
+            # on the store path.
             self._count_victim_writeback()
         return latency, False
-
-    # Crash semantics -----------------------------------------------------------
-
-    def discard_volatile(self) -> int:
-        """Power loss: all SRAM caches lose their contents.
-
-        The WPQ (ADR) and NVM survive; the WPQ is flushed to the array as
-        the ADR mechanism guarantees.
-
-        Returns:
-            Number of plain-MODIFIED blocks lost across the stack — data the
-            system *chose* to keep volatile (non-persistent region).
-        """
-        lost = self.l1.flush_all() + self.l2.flush_all() + self.l3.flush_all()
-        self.mc.flush_wpq()
-        self.stats.add("hierarchy.crash_discards", lost)
-        return lost
 
 
 class HierarchyFrontEnd(NamedTuple):

@@ -38,8 +38,7 @@ class NonVolatileMemory:
 
     The object intentionally has *no* notion of caches or buffers: anything
     present in ``self._blocks`` is durable.  Volatile structures layered on
-    top (caches, metadata caches, WPQ contents before ADR flush) live in
-    their own models and are discarded by crash injection.
+    top (caches, metadata caches) live in their own models.
     """
 
     def __init__(

@@ -242,6 +242,16 @@ _BAD_RUN_INPUTS = (
         for command in (["experiment", "table4"], ["faultcampaign"])
         for value in ("0", "-2")
     ]
+    + [
+        (command, "--deadline", value)
+        for command in (["experiment", "table4"], ["faultcampaign"])
+        for value in ("0", "-5")
+    ]
+    + [
+        (["chaos"], flag, value)
+        for flag in ("--ops", "--minutes", "--max-iterations", "--jobs")
+        for value in ("0", "-1")
+    ]
     + [(["recovery-time"], "--entries", value) for value in ("0", "-3")]
     + [(["profile"], "--top", value) for value in ("0", "-1")]
     + [(["multicore"], "--share", value) for value in ("1.5", "-0.1")]
@@ -298,6 +308,13 @@ class TestRunInputValidation:
         campaign = parser.parse_args(["faultcampaign", "--crash-points", "0"])
         assert campaign.crash_points == 0
         assert parser.parse_args(["advisor", "0.5"]).budget == 0.5
+        deadline = parser.parse_args(["experiment", "table4", "--deadline", "0.5"])
+        assert deadline.deadline == 0.5
+        chaos = parser.parse_args(
+            "chaos --ops 1 --max-iterations 1 --minutes 0.01 --jobs 1".split()
+        )
+        assert (chaos.ops, chaos.max_iterations, chaos.jobs) == (1, 1, 1)
+        assert chaos.minutes == 0.01
 
 
 class TestFaultCampaignCommand:

@@ -55,27 +55,3 @@ class TestStorePath:
         h.store_access(0x40, persist_region=False)
         assert h.l1.lookup(0x40).state is BlockState.MODIFIED
 
-
-class TestCrash:
-    def test_discard_volatile_empties_caches(self):
-        h = MemoryHierarchy()
-        for i in range(10):
-            h.store_access(i * 64, persist_region=True)
-        h.discard_volatile()
-        assert h.l1.occupancy() == 0
-        assert h.l2.occupancy() == 0
-        assert h.l3.occupancy() == 0
-
-    def test_discard_volatile_counts_only_non_persistent_dirty(self):
-        h = MemoryHierarchy()
-        h.store_access(0, persist_region=True)
-        h.store_access(64, persist_region=False)
-        lost = h.discard_volatile()
-        assert lost == 1  # only the non-persistent MODIFIED block
-
-    def test_discard_volatile_flushes_wpq(self):
-        h = MemoryHierarchy()
-        h.mc.enqueue(7, bytes(64))
-        h.discard_volatile()
-        assert h.mc.wpq_occupancy == 0
-        assert 7 in h.nvm.written_blocks()

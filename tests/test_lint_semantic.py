@@ -314,3 +314,11 @@ def test_same_named_modules_all_get_per_file_rules():
         and f.line == 19
         for f in findings
     )
+
+
+@pytest.mark.parametrize("tree", [TAINT_TREE, IO_TREE, EXC_TREE], ids=lambda p: p.name)
+def test_each_import_root_is_its_own_program(tree):
+    """A fixture tree's repro package and src's never merge into one
+    model: linting both reports exactly the tree's own findings (src is
+    clean)."""
+    assert lint_paths([tree, REPO_ROOT / "src"]) == lint_paths([tree])

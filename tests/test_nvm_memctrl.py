@@ -1,9 +1,7 @@
-"""Tests for repro.sim.nvm and repro.sim.memctrl."""
+"""Tests for repro.sim.nvm."""
 
 import pytest
 
-from repro.sim.config import SystemConfig
-from repro.sim.memctrl import MemoryController
 from repro.sim.nvm import ZERO_BLOCK, NonVolatileMemory
 
 
@@ -57,56 +55,3 @@ class TestNVM:
         snap[2] = blk(2)
         assert len(nvm) == 1
 
-
-class TestMemoryController:
-    def _mc(self):
-        config = SystemConfig()
-        nvm = NonVolatileMemory(config.nvm, config.clock_ghz)
-        return MemoryController(config, nvm), nvm
-
-    def test_enqueue_and_flush(self):
-        mc, nvm = self._mc()
-        mc.enqueue(1, blk(1))
-        mc.enqueue(2, blk(2))
-        assert mc.wpq_occupancy == 2
-        flushed = mc.flush_wpq()
-        assert flushed == 2
-        assert nvm.read_block(1) == blk(1)
-        assert mc.wpq_occupancy == 0
-
-    def test_pending_writes_latest_wins(self):
-        mc, _ = self._mc()
-        mc.enqueue(1, blk(1))
-        mc.enqueue(1, blk(2))
-        assert mc.pending_writes()[1] == blk(2)
-
-    def test_overflow_drains_oldest_to_nvm(self):
-        mc, nvm = self._mc()
-        for i in range(40):  # wpq_entries = 32
-            mc.enqueue(i, blk(i))
-        assert mc.wpq_occupancy == 32
-        assert nvm.read_block(0) == blk(0)  # oldest already durable
-
-    def test_accept_cycles_fast_when_empty(self):
-        mc, _ = self._mc()
-        acceptance, completion = mc.accept_cycles(now=0.0)
-        assert acceptance == 0.0
-        assert completion == 600
-
-    def test_accept_cycles_backpressure_when_saturated(self):
-        mc, _ = self._mc()
-        acceptance = 0.0
-        for _ in range(64):
-            acceptance, _ = mc.accept_cycles(now=0.0)
-        # 64 outstanding writes > 32-entry WPQ: acceptance must stall.
-        assert acceptance > 0.0
-        assert mc.stats.get("mc.wpq_stalls") > 0
-
-    def test_writes_survive_as_durable_after_flush(self):
-        """ADR guarantee: everything accepted into the WPQ reaches PM."""
-        mc, nvm = self._mc()
-        for i in range(10):
-            mc.enqueue(i, blk(i))
-        mc.flush_wpq()
-        for i in range(10):
-            assert nvm.read_block(i) == blk(i)
