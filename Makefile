@@ -31,7 +31,7 @@ lint:
 # The CI entry point: static analysis, the tier-1 suite, a module-order
 # check (test_golden_output's pool and shm segments must be released
 # before test_cli's chaos soak), the benchmark smoke (every bench/
-# workload at a tiny size), the quick
+# workload at a tiny size), the pinned bench digests, the quick
 # parallel-runner smoke (which includes the observability smoke in
 # benchmarks/test_obs_smoke.py, and compares table4's stdout at
 # --jobs 1 and --jobs 2 byte for byte), the fault-campaign smoke, the
@@ -42,6 +42,7 @@ lint:
 ci: lint test
 	$(PYTHON) -m pytest tests/test_golden_output.py tests/test_cli.py -q -p no:cacheprovider
 	$(PYTHON) -m pytest bench/test_bench.py -q -p no:cacheprovider
+	$(MAKE) --no-print-directory bench-digests | diff -u tests/data/bench_digests.txt -
 	$(PYTHON) -m pytest benchmarks -m quick -q -p no:cacheprovider
 	work=$$(mktemp -d) && trap 'rm -rf "$$work"' EXIT && \
 	$(PYTHON) -m repro experiment table4 --num-ops 2000 --jobs 1 > "$$work/jobs1.txt" && \
@@ -65,8 +66,10 @@ bench:
 artifacts: bench
 
 # Results digest and paper_mae_pp of one bench unit per workload, for
-# seeds 1 and 2.  A change that must not move any result prints the same
-# lines as its parent: run the target in both checkouts and diff.
+# seeds 1 and 2.  tests/data/bench_digests.txt pins the lines: a change
+# that must not move any result prints them unchanged (`make ci` diffs
+# them), and a model change regenerates the file, as it regenerates the
+# goldens:  make --no-print-directory bench-digests > tests/data/bench_digests.txt
 BENCH_WORKLOADS := repro-serial repro-parallel simloop-stores simloop-loads
 BENCH_DIGEST_LINE := import json, sys; u = json.load(sys.stdin); \
 	print(u["workload"], "seed", u["seed"], u["digest"], \

@@ -1,16 +1,23 @@
 """Set-associative cache model with persist-aware block states.
 
-The model serves two purposes:
+:class:`Cache` has two users:
 
-* **Timing** — hit/miss classification with true LRU replacement, feeding
-  the latency accounting in :mod:`repro.core.simulator`.
-* **Crash semantics** — Section IV-C of the paper modifies the cache
-  protocol so that dirty blocks from the persistent region are held in a
-  special *persist-dirty* state whose LLC eviction is **silently discarded**
-  (the SecPB guarantees the data reaches PM, so the writeback is redundant).
-  The state machinery here lets the crash machinery in
-  :mod:`repro.core.crash` discard exactly the volatile state a real power
-  loss would destroy.
+* **The metadata caches** (:mod:`repro.security.metadata_cache`): hit/miss
+  classification with true LRU replacement for the CTR$, MAC$ and BMT$.
+* **The reference hierarchy**: :class:`repro.sim.hierarchy.MemoryHierarchy`
+  replays a trace op by op through an L1D, an L2 and an LLC built from
+  this class.  The timing models read the same outcomes from the
+  level-at-a-time replay of :func:`repro.sim.hierarchy.front_end`, which
+  the tests compare against it.
+
+Section IV-C of the paper modifies the cache protocol so that dirty blocks
+from the persistent region are held in a special *persist-dirty* state
+whose eviction is **silently discarded** (the SecPB guarantees the data
+reaches PM, so the writeback is redundant); :class:`BlockState` models it.
+
+A set is built where an access first reaches it, so a cache costs nothing
+per set until it is used: every secure run builds the three metadata
+caches, and no timing model touches the MAC$ or the BMT$.
 
 Addresses are byte addresses; the cache operates on block-aligned tags.
 """
@@ -20,7 +27,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .config import CacheConfig
 from .stats import StatsCollector
@@ -85,6 +92,11 @@ class EvictionRecord:
         return self.state is BlockState.MODIFIED
 
 
+def counter_name(config: CacheConfig, event: str) -> str:
+    """The counter under which a cache built from ``config`` counts ``event``."""
+    return f"cache.{config.name}.{event}"
+
+
 class Cache:
     """A set-associative, write-back, write-allocate cache with true LRU.
 
@@ -96,21 +108,20 @@ class Cache:
     def __init__(self, config: CacheConfig, stats: Optional[StatsCollector] = None):
         self.config = config
         self.stats = stats if stats is not None else StatsCollector()
-        self._sets: Tuple[OrderedDict, ...] = tuple(
-            OrderedDict() for _ in range(config.num_sets)
-        )
+        # A set is built where ``access`` first reaches it (None until
+        # then): most runs never touch most sets of their metadata caches.
+        self._sets: List[Optional[OrderedDict]] = [None] * config.num_sets
         self._block_shift = config.block_bytes.bit_length() - 1
-        if 1 << self._block_shift != config.block_bytes:
-            raise ValueError("block size must be a power of two")
         self._num_sets = config.num_sets
         self._ways = config.ways
         # Counter names are fixed per cache instance; resolve them once
         # instead of rebuilding "cache.<name>.<event>" strings per access.
-        prefix = f"cache.{config.name}"
-        self._count_hit = self.stats.counter(f"{prefix}.hits")
-        self._count_miss = self.stats.counter(f"{prefix}.misses")
-        self._count_writeback = self.stats.counter(f"{prefix}.writebacks")
-        self._count_silent_discard = self.stats.counter(f"{prefix}.silent_discards")
+        self._count_hit = self.stats.counter(counter_name(config, "hits"))
+        self._count_miss = self.stats.counter(counter_name(config, "misses"))
+        self._count_writeback = self.stats.counter(counter_name(config, "writebacks"))
+        self._count_silent_discard = self.stats.counter(
+            counter_name(config, "silent_discards")
+        )
 
     # Address helpers ------------------------------------------------------
 
@@ -126,20 +137,24 @@ class Cache:
     def lookup(self, addr: int) -> Optional[CacheBlock]:
         """Return the resident block for ``addr`` (no LRU update), else None."""
         block_addr = self.block_address(addr)
-        return self._sets[self._set_index(block_addr)].get(block_addr)
+        cache_set = self._sets[self._set_index(block_addr)]
+        return cache_set.get(block_addr) if cache_set is not None else None
 
     def contains(self, addr: int) -> bool:
         """True when the block holding ``addr`` is resident and valid."""
         block = self.lookup(addr)
         return block is not None and block.state is not BlockState.INVALID
 
+    def _built_sets(self) -> Iterator[OrderedDict]:
+        return (cache_set for cache_set in self._sets if cache_set is not None)
+
     def occupancy(self) -> int:
         """Number of valid resident blocks."""
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._built_sets())
 
     def iter_blocks(self) -> Iterator[CacheBlock]:
         """Iterate over all resident blocks (any set order)."""
-        for cache_set in self._sets:
+        for cache_set in self._built_sets():
             yield from cache_set.values()
 
     def dirty_blocks(self) -> Iterator[CacheBlock]:
@@ -171,7 +186,10 @@ class Cache:
             (outcome, eviction) — eviction is None when no victim was pushed.
         """
         block_addr = addr >> self._block_shift
-        cache_set = self._sets[block_addr % self._num_sets]
+        index = block_addr % self._num_sets
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
 
         block = cache_set.get(block_addr)
         if block is not None:
@@ -210,7 +228,7 @@ class Cache:
         """Remove the block holding ``addr``; returns it if it was resident."""
         block_addr = self.block_address(addr)
         cache_set = self._sets[self._set_index(block_addr)]
-        return cache_set.pop(block_addr, None)
+        return cache_set.pop(block_addr, None) if cache_set is not None else None
 
     def flush_all(self) -> int:
         """Drop every block (models volatile caches losing power).
@@ -222,6 +240,6 @@ class Cache:
             (already persisted via the SecPB).
         """
         lost = sum(1 for b in self.iter_blocks() if b.state is BlockState.MODIFIED)
-        for cache_set in self._sets:
+        for cache_set in self._built_sets():
             cache_set.clear()
         return lost

@@ -46,6 +46,19 @@ class CacheConfig:
         return self.num_blocks // self.ways
 
     def __post_init__(self) -> None:
+        # A cache maps a byte address to its line by shifting out the
+        # block offset, so the block size must be a power of two.
+        if self.block_bytes < 1 or self.block_bytes & (self.block_bytes - 1):
+            raise ValueError(
+                f"{self.name}: block size {self.block_bytes} not a power of two"
+            )
+        if self.ways < 1:
+            raise ValueError(f"{self.name}: {self.ways} ways; a cache needs at least 1")
+        if self.size_bytes < self.block_bytes:
+            raise ValueError(
+                f"{self.name}: size {self.size_bytes} smaller than one "
+                f"{self.block_bytes}-byte block"
+            )
         if self.size_bytes % self.block_bytes:
             raise ValueError(
                 f"{self.name}: size {self.size_bytes} not a multiple of "

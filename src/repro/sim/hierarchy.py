@@ -1,7 +1,6 @@
 """The assembled volatile memory hierarchy (L1D / L2 / LLC over NVM).
 
-:class:`MemoryHierarchy` provides the two services the SecPB simulator
-needs from the cache stack:
+The cache stack gives the SecPB simulator two things:
 
 * latency classification of loads and stores (which level hits), and
 * persist-aware dirty-state handling: stores to the persistent region are
@@ -14,24 +13,47 @@ the SecPBs only (:mod:`repro.core.coherence`), never on a cache, so a
 multi-core run gives each core its own trace's replay.
 
 :func:`front_end` is every timing model's view of the stack: the
-single-core loop's and each core's in the multi-core loop.
-``load_latency`` and ``store_access`` take no timestamp and touch no
-SecPB or metadata state, so each op's L1/L2/LLC outcome depends only on
-the trace, the cache geometry and ``persist_region``.  The front end
-replays a trace through a fresh hierarchy once and keeps the per-op load
-latencies and the hierarchy's counters, memoized on the trace; every
-configuration that shares the geometry (schemes, SecPB sizes, BMF cuts,
-SP) then reads them instead of replaying the stack again.
+single-core loop's and each core's in the multi-core loop.  An op's
+L1/L2/LLC outcome depends on no timestamp and on no SecPB or metadata
+state, only on the trace, the cache geometry and ``persist_region``.  So
+the front end replays a trace once and keeps the per-op load latencies
+and the hierarchy's counters, memoized on the trace; every configuration
+that shares the geometry (schemes, SecPB sizes, BMF cuts, SP) then reads
+them instead of replaying the stack again.
+
+The replay streams the trace through one level at a time: the L1D pass
+visits every op, the L2 pass the ops that missed the L1D, in order, and
+the LLC pass the ops that missed the L2.  That is exact because a level's
+contents depend only on the accesses that reach it: no level includes
+another, nothing is back-invalidated, and every access below the L1D is
+a read fill (an L1D writeback is counted, not installed below), so the
+L2 and the LLC never hold a dirty line.  :class:`MemoryHierarchy` is the
+op-by-op reference: it replays the same stack through live
+:class:`~repro.sim.cache.Cache` objects, one op at a time, and the tests
+hold the front end equal to it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
+from array import array
+from bisect import bisect_left
+from collections import OrderedDict
+from typing import Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..workloads.trace import Trace
-from .cache import AccessOutcome, Cache
-from .config import SystemConfig
+from .cache import AccessOutcome, Cache, counter_name
+from .config import CACHE_BLOCK_BYTES, CacheConfig, SystemConfig
 from .stats import StatsCollector
+
+
+_STORE = 4
+"""A store's outcome in :func:`_replay`: it reads no latency (``0``)."""
+
+_TRACE_BLOCK_SHIFT = CACHE_BLOCK_BYTES.bit_length() - 1
+"""A trace's ``block_addr`` counts 64-byte blocks: its byte address is
+``block_addr << _TRACE_BLOCK_SHIFT``."""
 
 
 class MemoryHierarchy:
@@ -61,11 +83,11 @@ class MemoryHierarchy:
 
     @staticmethod
     def geometry(config: SystemConfig) -> Tuple[Hashable, ...]:
-        """The fields of ``config`` that ``__init__`` reads.
+        """The fields of ``config`` that a hierarchy reads.
 
         Two configurations with equal geometry build identical
-        hierarchies, so :func:`front_end` keys its memo on this.  Keep it
-        in step with ``__init__``.
+        hierarchies and replays, so :func:`front_end` keys its memo on
+        this.  Keep it in step with ``__init__`` and :func:`_replay`.
         """
         return (config.l1, config.l2, config.l3, config.nvm, config.clock_ghz)
 
@@ -148,8 +170,9 @@ def front_end(
         trace: the memory-reference trace.
         config: system configuration; only :meth:`MemoryHierarchy.geometry`
             matters.
-        persist_region: passed to every store's ``store_access`` (False:
-            volatile caches, as flush-based persistency has).
+        persist_region: whether the stores' lines are persist-dirty, as
+            ``store_access`` takes it (False: volatile caches, as
+            flush-based persistency has).
         warmup_ops: ops before the measured region; their counts are
             excluded from ``stats``, all of them when ``warmup_ops``
             reaches ``len(trace)``.
@@ -168,31 +191,125 @@ def front_end(
 def _replay(
     trace: Trace, config: SystemConfig, persist_region: bool, warmup_ops: int
 ) -> HierarchyFrontEnd:
-    """Run ``trace`` through a fresh :class:`MemoryHierarchy` once."""
+    """Stream ``trace`` through the L1D, the L2 and the LLC, a level at a time.
+
+    The latency column and every counter follow from the three levels'
+    miss lists; an event is warmup when its op index is below
+    ``warmup_ops``.
+    """
+    stores, addrs, _gaps = trace.columns()
+    l1_misses, dirty_evictions = _l1d_pass(config.l1, addrs, stores)
+    l2_misses = _read_pass(config.l2, addrs, l1_misses)
+    l3_misses = _read_pass(config.l3, addrs, l2_misses)
+
+    # An op's outcome: how many levels it missed, or _STORE.  The column
+    # maps outcomes to one int object per distinct latency: a miss's
+    # latency is not a cached small int, and a fresh object per miss
+    # would bloat the column.
+    outcome = np.zeros(len(addrs), dtype=np.uint8)
+    for misses in (l1_misses, l2_misses, l3_misses):
+        outcome[np.frombuffer(misses, dtype=np.int64)] += 1
+    outcome[np.asarray(trace.is_store, dtype=bool)] = _STORE
+    l1_hit = config.l1.access_cycles
+    l2_hit = l1_hit + config.l2.access_cycles
+    l3_hit = l2_hit + config.l3.access_cycles
+    latency = (l1_hit, l2_hit, l3_hit, l3_hit + config.nvm_read_cycles, 0)
+    column = list(map(latency.__getitem__, outcome.tobytes()))
+
+    def count(ops: Sequence[int]) -> Tuple[int, int]:
+        """Events at the sorted op indices ``ops``: (all, in warmup)."""
+        return len(ops), bisect_left(ops, warmup_ops)
+
+    events: List[Tuple[str, Tuple[int, int]]] = []
+    accessed = count(range(len(addrs)))
+    for cache, misses in (
+        (config.l1, l1_misses),
+        (config.l2, l2_misses),
+        (config.l3, l3_misses),
+    ):
+        missed = count(misses)
+        hits = (accessed[0] - missed[0], accessed[1] - missed[1])
+        events.append((counter_name(cache, "hits"), hits))
+        events.append((counter_name(cache, "misses"), missed))
+        accessed = missed
+    events.append(("hierarchy.memory_reads", accessed))
+    # A dirty L1D victim holds a store's data.  In a persistent hierarchy
+    # the SecPB already persisted it; volatile caches write it back, off
+    # the store path when a store's fill evicted it.
+    dirty = count(dirty_evictions)
+    if persist_region:
+        events.append((counter_name(config.l1, "silent_discards"), dirty))
+    else:
+        events.append((counter_name(config.l1, "writebacks"), dirty))
+        by_stores = array("q", (op for op in dirty_evictions if stores[op]))
+        events.append(("hierarchy.victim_writebacks", count(by_stores)))
+
     stats = StatsCollector()
-    hierarchy = MemoryHierarchy(config, stats)
-    load_latency = hierarchy.load_latency
-    store_access = hierarchy.store_access
-    column: List[int] = []
-    append = column.append
-    # One int object per distinct latency: a miss's latency is not a
-    # cached small int, and a fresh object per miss would bloat the column.
-    interned: Dict[int, int] = {}
-    intern = interned.setdefault
-    warmup_stats: Dict[str, float] = {}
-    for index, (is_store, block_addr, _gap) in enumerate(trace.iter_ops()):
-        if index == warmup_ops:
-            warmup_stats = stats.snapshot()
-        if is_store:
-            store_access(block_addr << 6, persist_region)
-            append(0)
-        else:
-            latency = load_latency(block_addr << 6)
-            append(intern(latency, latency))
-    if warmup_ops >= len(column):
-        # The measured region starts past the last op (a short core in a
-        # multi-core run whose warmup counts rounds of the longest trace):
-        # every count is warmup.
-        warmup_stats = stats.snapshot()
-    stats.subtract(warmup_stats)
+    for name, (total, warmup) in events:
+        # Present when the event fired anywhere in the trace, as 0.0 when
+        # only in warmup: what a snapshot at the boundary and a subtract
+        # at the end leave.
+        if total:
+            stats.add(name, float(total - warmup))
     return HierarchyFrontEnd(column, stats)
+
+
+def _lines(cache: CacheConfig, block_addrs: Iterable[int]) -> Iterable[int]:
+    """Trace block addresses as ``cache``'s lines, as ``Cache.access`` maps them."""
+    shift = cache.block_bytes.bit_length() - 1
+    if shift == _TRACE_BLOCK_SHIFT:
+        return block_addrs
+    return ((addr << _TRACE_BLOCK_SHIFT) >> shift for addr in block_addrs)
+
+
+def _l1d_pass(
+    cache: CacheConfig, addrs: Sequence[int], stores: Sequence[bool]
+) -> Tuple[array, array]:
+    """The write-allocate L1D over every op.
+
+    A set maps each resident line to its dirty bit, least recently used
+    first.  A store's hit or fill leaves its line dirty, a load's fill
+    leaves it clean and a load's hit keeps it as it was.
+
+    Returns:
+        (the ops that missed, the ops whose fill evicted a dirty line),
+        each in op order.
+    """
+    num_sets, ways = cache.num_sets, cache.ways
+    sets: List[OrderedDict] = [OrderedDict() for _ in range(num_sets)]
+    misses, dirty_evictions = array("q"), array("q")
+    miss, evict_dirty = misses.append, dirty_evictions.append
+    for op, (line, is_store) in enumerate(zip(_lines(cache, addrs), stores)):
+        resident = sets[line % num_sets]
+        if line in resident:
+            resident.move_to_end(line)
+            if is_store:
+                resident[line] = True
+            continue
+        miss(op)
+        if len(resident) >= ways and resident.popitem(last=False)[1]:
+            evict_dirty(op)
+        resident[line] = is_store
+    return misses, dirty_evictions
+
+
+def _read_pass(cache: CacheConfig, addrs: Sequence[int], ops: array) -> array:
+    """A level below the L1D over the fills of ``ops``, in order.
+
+    Every fill is a read, so a set holds lines alone, least recently
+    used first.  Returns the ops that missed, in op order.
+    """
+    num_sets, ways = cache.num_sets, cache.ways
+    sets: List[OrderedDict] = [OrderedDict() for _ in range(num_sets)]
+    misses = array("q")
+    miss = misses.append
+    for op, line in zip(ops, _lines(cache, map(addrs.__getitem__, ops))):
+        resident = sets[line % num_sets]
+        if line in resident:
+            resident.move_to_end(line)
+            continue
+        miss(op)
+        if len(resident) >= ways:
+            resident.popitem(last=False)
+        resident[line] = None
+    return misses

@@ -16,7 +16,7 @@ Traces round-trip to ``.npz`` files for reuse across experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -64,8 +64,11 @@ class Trace:
             return 0.0
         return 1000.0 * self.num_stores / instructions
 
-    def iter_ops(self) -> Iterator[Tuple[bool, int, int]]:
-        """Yield (is_store, block_addr, gap) per reference, in order."""
+    def columns(self) -> Tuple[List[bool], List[int], List[int]]:
+        """The (is_store, block_addr, gap) columns as Python lists.
+
+        Shared by every caller, so they must not be mutated.
+        """
         # .tolist() converts to Python scalars once, which is markedly
         # faster than indexing numpy arrays element-wise in a loop.  The
         # materialized columns are memoized: experiment sweeps iterate the
@@ -81,7 +84,11 @@ class Trace:
                 self.gap.tolist(),
             )
             self.__dict__["_columns"] = cached
-        return zip(*cached)
+        return cached
+
+    def iter_ops(self) -> Iterator[Tuple[bool, int, int]]:
+        """Yield (is_store, block_addr, gap) per reference, in order."""
+        return zip(*self.columns())
 
     def head(self, n: int) -> "Trace":
         """First ``n`` references (for quick tests)."""

@@ -52,6 +52,25 @@ class TestCacheConfig:
         with pytest.raises(ValueError, match="not divisible"):
             CacheConfig("bad", size_bytes=64 * 3, ways=2)
 
+    @pytest.mark.parametrize(
+        "size_bytes, ways, block_bytes, match",
+        [
+            (0, 1, 64, "smaller than one"),
+            (192, -1, 64, "ways"),
+            (192, 0, 64, "ways"),
+            (96 * 4, 2, 96, "power of two"),
+            (0, 1, 0, "power of two"),
+        ],
+    )
+    def test_geometry_no_cache_can_have_rejected(self, size_bytes, ways,
+                                                 block_bytes, match):
+        with pytest.raises(ValueError, match=match):
+            CacheConfig("bad", size_bytes, ways, block_bytes=block_bytes)
+
+    def test_smallest_geometry_accepted(self):
+        one_line = CacheConfig("one", size_bytes=64, ways=1)
+        assert (one_line.num_sets, one_line.ways) == (1, 1)
+
 
 class TestSecPBConfig:
     def test_defaults_match_table1(self):

@@ -12,7 +12,9 @@ These tests pin that structure and the differential oracles it implies:
   the same front end and SecPB store path) reports the same cycles,
   instructions and counters as the single-core loop, speculative or not;
 * every model's cache and hierarchy counters equal a replay of the trace
-  through a live :class:`MemoryHierarchy`, key presence included;
+  through a live :class:`MemoryHierarchy`, key presence included, and so
+  do the front end's load-latency column and counters, also over cache
+  geometries Table I never reaches;
 * the hierarchy is replayed once per (trace, geometry, ``persist_region``,
   warmup), however many models run on the trace, and a warmup that
   reaches the end of the trace leaves every count out;
@@ -31,7 +33,8 @@ from repro.core.schemes import CM, NOGAP, SPECTRUM_ORDER, get_scheme
 from repro.core.simulator import SecurePersistencySimulator, TraceSimulator
 from repro.persistency.flush import FlushBasedSimulator, PersistencyModel
 from repro.security.bmf import ForestTimingModel
-from repro.sim.config import SECPB_SIZE_SWEEP, SystemConfig
+from repro.sim import hierarchy
+from repro.sim.config import SECPB_SIZE_SWEEP, CacheConfig, SystemConfig
 from repro.sim.hierarchy import MemoryHierarchy, front_end
 from repro.sim.stats import StatsCollector
 from repro.workloads.spec import build_trace
@@ -47,6 +50,22 @@ SIMULATORS = (
 )
 HIERARCHY_COUNTERS = ("cache.L1D.", "cache.L2.", "cache.L3.", "hierarchy.")
 """Prefixes of the counters the L1D/L2/LLC stack fires (not CTR$/MAC$/BMT$)."""
+_TABLE1 = SystemConfig()
+GEOMETRIES = {
+    "table1": _TABLE1,
+    "direct_mapped_l1d": dataclasses.replace(
+        _TABLE1, l1=CacheConfig("L1D", 4 * 1024, 1, access_cycles=2)
+    ),
+    "single_set_l2": dataclasses.replace(
+        _TABLE1, l2=CacheConfig("L2", 8 * 64, 8, access_cycles=20)
+    ),
+    "llc_128b_blocks": dataclasses.replace(
+        _TABLE1,
+        l3=CacheConfig("L3", 4 * 1024**2, 32, block_bytes=128, access_cycles=30),
+    ),
+}
+"""Table I, and cache geometries it never reaches: one way per L1D set, an
+L2 of one set (smaller than the L1D), and LLC blocks of two trace blocks."""
 REPORT_KEYS = ("ppti", "nwpe", "secpb.final_occupancy", "secpb.peak_effective_occupancy")
 """Per-run gauges the single-core SecPB report adds; a multi-core run has
 one collector for every core and reports none of them."""
@@ -91,25 +110,34 @@ def _single_core_models():
     return models
 
 
-def _reference_replay(trace, persist_region, warmup_frac):
-    """The hierarchy's counters from a live replay, op by op.
+def _reference_replay(trace, config, persist_region, warmups):
+    """A live replay through :class:`MemoryHierarchy`, op by op.
 
-    The same warmup protocol as the trace loop: snapshot at the boundary,
-    subtract at the end.
+    Returns the load-latency column (``0`` for a store) and, for each
+    warmup op count in ``warmups``, the hierarchy's counters over the
+    measured region.  The same warmup protocol as the trace loop:
+    snapshot at the boundary (after the last op when the warmup reaches
+    past it), subtract at the end.  One replay serves every warmup.
     """
     stats = StatsCollector()
-    hierarchy = MemoryHierarchy(SystemConfig(), stats)
-    warmup_ops = int(len(trace) * warmup_frac)
-    warmup_stats = {}
+    live = MemoryHierarchy(config, stats)
+    column = []
+    snapshots = {}
     for index, (is_store, block_addr, _gap) in enumerate(trace.iter_ops()):
-        if index == warmup_ops and warmup_ops:
-            warmup_stats = stats.snapshot()
+        if index in warmups:
+            snapshots[index] = stats.snapshot()
         if is_store:
-            hierarchy.store_access(block_addr << 6, persist_region)
+            live.store_access(block_addr << 6, persist_region)
+            column.append(0)
         else:
-            hierarchy.load_latency(block_addr << 6)
-    stats.subtract(warmup_stats)
-    return stats.as_dict()
+            column.append(live.load_latency(block_addr << 6))
+    counters = {}
+    for warmup_ops in warmups:
+        region = StatsCollector()
+        region.merge(stats)
+        region.subtract(snapshots.get(warmup_ops, stats.snapshot()))
+        counters[warmup_ops] = region.as_dict()
+    return column, counters
 
 
 class TestOneLoop:
@@ -217,8 +245,11 @@ class TestHierarchyReplayOracle:
 
     @staticmethod
     def _check_models(trace, warmup_frac):
+        warmup_ops = int(len(trace) * warmup_frac)
         references = {
-            persist_region: _reference_replay(trace, persist_region, warmup_frac)
+            persist_region: _reference_replay(
+                trace, SystemConfig(), persist_region, [warmup_ops]
+            )[1][warmup_ops]
             for persist_region in (True, False)
         }
         for model in _single_core_models():
@@ -233,6 +264,30 @@ class TestHierarchyReplayOracle:
         fired = set(references[True]) | set(references[False])
         assert len(fired) == 10
         assert all(references[True][key] > 0 for key in references[True])
+
+    @pytest.fixture(scope="class")
+    def traces(self, zipf):
+        return {
+            "zipf": zipf,
+            "mcf": build_trace("mcf", 6000, 1),
+            "gamess": build_trace("gamess", 3000, 1),
+        }
+
+    @pytest.mark.parametrize("persist_region", [True, False])
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    @pytest.mark.parametrize("workload", ["zipf", "mcf", "gamess"])
+    def test_front_end_equals_live_replay(self, traces, workload, geometry,
+                                          persist_region):
+        trace, config = traces[workload], GEOMETRIES[geometry]
+        n = len(trace)
+        warmups = [0, n // 3, n - 1, n, n + 7]
+        column, counters = _reference_replay(trace, config, persist_region, warmups)
+        for warmup_ops in warmups:
+            front = front_end(trace, config, persist_region, warmup_ops)
+            assert front.load_latency == column, warmup_ops
+            assert front.stats.as_dict() == counters[warmup_ops], warmup_ops
+        # One int object per distinct latency.
+        assert len(set(map(id, front.load_latency))) == len(set(front.load_latency))
 
     def test_counters_fired_only_in_warmup_stay_present(self, zipf, zipf_then_tail):
         trace, warmup_frac = zipf_then_tail
@@ -249,19 +304,19 @@ class TestOneReplayPerTrace:
     """Models sharing a trace, geometry and warmup share one replay."""
 
     @pytest.fixture
-    def hierarchy_calls(self, monkeypatch):
-        calls = []
-        for name in ("load_latency", "store_access"):
-            original = getattr(MemoryHierarchy, name)
+    def replays(self, monkeypatch):
+        """The traces the front end replays, one entry per replay."""
+        replayed = []
+        original = hierarchy._replay
 
-            def counted(self, *args, _original=original):
-                calls.append(args[0])
-                return _original(self, *args)
+        def counted(trace, *args):
+            replayed.append(trace.name)
+            return original(trace, *args)
 
-            monkeypatch.setattr(MemoryHierarchy, name, counted)
-        return calls
+        monkeypatch.setattr(hierarchy, "_replay", counted)
+        return replayed
 
-    def test_one_replay_serves_every_persistent_model(self, hierarchy_calls):
+    def test_one_replay_serves_every_persistent_model(self, replays):
         trace = build_trace("gamess", 3000, 5)
         config = SystemConfig()
         models = [SecurePersistencySimulator()]
@@ -278,13 +333,13 @@ class TestOneReplayPerTrace:
         ]
         for model in models:
             model.run(trace, WARMUP)
-        assert len(hierarchy_calls) == len(trace)
+        assert replays == [trace.name]
 
         # Volatile caches are another replay, and so is another warmup.
         FlushBasedSimulator().run(trace, WARMUP)
-        assert len(hierarchy_calls) == 2 * len(trace)
+        assert len(replays) == 2
         SecurePersistencySimulator(scheme=CM).run(trace, 0.0)
-        assert len(hierarchy_calls) == 3 * len(trace)
+        assert len(replays) == 3
 
     @pytest.mark.parametrize("beyond", [0, 1, 500])
     def test_warmup_past_the_trace_excludes_every_count(self, beyond):
@@ -293,17 +348,18 @@ class TestOneReplayPerTrace:
         trace = build_trace("mcf", 2000, 1)
         front = front_end(trace, SystemConfig(), True, len(trace) + beyond)
         counts = front.stats.as_dict()
-        assert set(counts) == set(_reference_replay(trace, True, 0.0))
+        _, reference = _reference_replay(trace, SystemConfig(), True, [0])
+        assert set(counts) == set(reference[0])
         assert all(value == 0.0 for value in counts.values())
 
-    def test_replays_go_with_their_trace(self, hierarchy_calls):
+    def test_replays_go_with_their_trace(self, replays):
         store = TraceStore()
         SecurePersistencySimulator().run(store.get("mcf", 2000, 1), WARMUP)
         SecurePersistencySimulator(scheme=CM).run(store.get("mcf", 2000, 1), WARMUP)
-        assert len(hierarchy_calls) == 2000
+        assert len(replays) == 1
         store.clear()
         SecurePersistencySimulator().run(store.get("mcf", 2000, 1), WARMUP)
-        assert len(hierarchy_calls) == 4000
+        assert len(replays) == 2
 
 
 class TestNonSpeculativeVerification:
