@@ -35,8 +35,8 @@ def test_systematic_sweep_holds_invariants(tmp_path, save_result):
 
 
 def test_seeded_soak_holds_invariants(tmp_path, save_result):
-    # Seed chosen so the two iterations actually fire faults (many seeds
-    # draw plans whose sites never execute in a 3-op campaign).
+    # Seed chosen so the soak actually fires a fault (many seeds draw
+    # plans whose sites never execute in a 3-op campaign).
     report = soak_check(
         str(tmp_path), seed=7, ops=3, minutes=1.0, jobs=2,
         max_iterations=2,

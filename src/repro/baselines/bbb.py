@@ -56,7 +56,7 @@ class PlaintextPersistentSystem:
 
     def __init__(self, config: Optional[SystemConfig] = None):
         self.config = config if config is not None else SystemConfig()
-        self.nvm = NonVolatileMemory(self.config.nvm, self.config.clock_ghz)
+        self.nvm = NonVolatileMemory()
         self.pb = SecPB(self.config.secpb, COBCM)
         self.expected: Dict[int, bytes] = {}
 

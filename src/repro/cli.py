@@ -13,9 +13,9 @@ Commands:
 * ``workloads`` — characterize the 18 profiles (PPTI / NWPE / IPC).
 * ``profile`` — cProfile one simulation and report host-time cost per
   component plus the timing model's simulated-cycle breakdown.
-* ``lint`` — run secpb-lint (determinism / scheme-invariant /
-  stats-hygiene / pool-safety / observability static analysis) over the
-  source tree; its flags are those of ``python -m repro.lint``.
+* ``lint`` — run secpb-lint (determinism / stats-hygiene / pool-safety
+  / robustness / observability static analysis) over the source tree;
+  its flags are those of ``python -m repro.lint``.
 * ``faultcampaign`` — seeded fault-injection campaign: adversarial
   crashes, battery brownouts, and post-crash tamper across every scheme,
   with failing-case minimization to replayable JSON reproducers.
@@ -480,23 +480,22 @@ def _cmd_faultcampaign(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     # Lazy: the checker pulls in the campaign and analysis stacks, and
     # `repro.envfault.__init__` deliberately does not re-export it.
-    from .envfault import ALL_KINDS, PlanError
+    from .envfault import PlanError
     from .envfault.check import (
         replay_reproducer,
         soak_check,
+        soak_kinds,
         systematic_check,
     )
 
     kinds = None
     if args.faults != "all":
-        kinds = tuple(k.strip() for k in args.faults.split(",") if k.strip())
-        unknown = [kind for kind in kinds if kind not in ALL_KINDS]
-        if unknown:
-            print(
-                f"error: unknown fault kind(s) {', '.join(unknown)} "
-                f"(known: {', '.join(ALL_KINDS)})",
-                file=sys.stderr,
+        try:
+            kinds = soak_kinds(
+                [k.strip() for k in args.faults.split(",") if k.strip()]
             )
+        except PlanError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
     workdir = args.workdir
     scratch = None
@@ -755,8 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         parents=[common],
         add_help=False,
-        help="secpb-lint static analysis (determinism, scheme invariants, "
-        "stats hygiene, pool safety, observability)",
+        help="secpb-lint static analysis (determinism, stats hygiene, "
+        "pool safety, robustness, observability)",
     )
 
     faultcampaign = sub.add_parser(
@@ -833,7 +832,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--faults",
         default="all",
-        help="comma-separated fault kinds to soak with (default: all)",
+        help="comma-separated fault kinds to soak with (default: all the "
+        "filesystem and process kinds; a soak cannot fire shm kinds)",
     )
     chaos.add_argument(
         "--jobs",

@@ -3,8 +3,10 @@
 Fig. 4 of the paper decomposes a secure persist into five metadata steps —
 counter increment, OTP generation, BMT root update, ciphertext generation,
 MAC generation — each of which a scheme performs **early** (at store-persist
-time, on the critical path) or **late** (post-crash, on battery).  The six
-named schemes are the corners of that space:
+time, on the critical path) or **late** (post-crash, on battery).  A scheme
+splits that chain into an early prefix and a late suffix, so the six named
+schemes are its six suffix splits (the registry below is built from the
+chain):
 
 ========  =============================================  =====================
 Scheme    Early                                          Late
@@ -56,10 +58,10 @@ VALUE_INDEPENDENT_STEPS: FrozenSet[MetadataStep] = frozenset(
 )
 """Steps computable without the data value (once per residency, Sec. IV-A)."""
 
-VALUE_DEPENDENT_STEPS: FrozenSet[MetadataStep] = frozenset(
-    {MetadataStep.CIPHERTEXT, MetadataStep.MAC}
+VALUE_DEPENDENT_STEPS: FrozenSet[MetadataStep] = (
+    frozenset(ALL_STEPS) - VALUE_INDEPENDENT_STEPS
 )
-"""Steps that must reflect every change to the plaintext."""
+"""Steps that must reflect every change to the plaintext (the rest)."""
 
 # Dependency edges of Fig. 4: a step may only run once its inputs exist.
 STEP_DEPENDENCIES: Dict[MetadataStep, FrozenSet[MetadataStep]] = {
@@ -131,38 +133,32 @@ class Scheme:
         return len(self.late_steps)
 
 
-def _scheme(name: str, late: FrozenSet[MetadataStep]) -> Scheme:
+#: One letter per step of ``ALL_STEPS``, in order (Sec. III; the
+#: ciphertext reuses 'c').  A scheme's name spells its late steps.
+_CHAIN_LETTERS = "cobcm"
+
+
+def _suffix_split(split: int) -> Scheme:
+    """The scheme that runs the chain's first ``split`` steps early."""
     return Scheme(
-        name=name,
-        early_steps=frozenset(ALL_STEPS) - late,
-        late_steps=late,
+        name=_CHAIN_LETTERS[split:] or "nogap",
+        early_steps=frozenset(ALL_STEPS[:split]),
+        late_steps=frozenset(ALL_STEPS[split:]),
     )
 
 
-NOGAP = _scheme("nogap", frozenset())
-M = _scheme("m", frozenset({MetadataStep.MAC}))
-CM = _scheme("cm", frozenset({MetadataStep.CIPHERTEXT, MetadataStep.MAC}))
-BCM = _scheme(
-    "bcm",
-    frozenset({MetadataStep.BMT_ROOT, MetadataStep.CIPHERTEXT, MetadataStep.MAC}),
-)
-OBCM = _scheme(
-    "obcm",
-    frozenset(
-        {
-            MetadataStep.OTP,
-            MetadataStep.BMT_ROOT,
-            MetadataStep.CIPHERTEXT,
-            MetadataStep.MAC,
-        }
-    ),
-)
-COBCM = _scheme("cobcm", frozenset(ALL_STEPS))
-
 SCHEMES: Dict[str, Scheme] = {
-    s.name: s for s in (NOGAP, M, CM, BCM, OBCM, COBCM)
+    scheme.name: scheme
+    for scheme in map(_suffix_split, range(len(ALL_STEPS), -1, -1))
 }
-"""Registry of the six schemes, keyed by canonical name."""
+"""Registry of the six schemes, keyed by name, from NoGap to COBCM."""
+
+NOGAP = SCHEMES["nogap"]
+M = SCHEMES["m"]
+CM = SCHEMES["cm"]
+BCM = SCHEMES["bcm"]
+OBCM = SCHEMES["obcm"]
+COBCM = SCHEMES["cobcm"]
 
 SPECTRUM_ORDER: List[str] = ["cobcm", "obcm", "bcm", "cm", "m", "nogap"]
 """Schemes from laziest to most eager (Table IV's row order)."""

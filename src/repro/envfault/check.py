@@ -61,12 +61,26 @@ from ..fault.minimize import _MAX_SHRINK_ATTEMPTS
 from ..runtime.pool import shutdown_shared_pool
 from ..runtime.shm import segment_prefix
 from .context import injected
-from .plan import ALL_KINDS, FaultPlan, FaultSpec, PlanError, random_plan
+from .plan import (
+    ALL_KINDS,
+    FS_KINDS,
+    PROC_KINDS,
+    SHM_KINDS,
+    FaultPlan,
+    FaultSpec,
+    PlanError,
+    random_plan,
+)
 
 logger = logging.getLogger(__name__)
 
 CHAOS_REPRODUCER_VERSION = 1
 """Chaos-reproducer file-format version (plan + campaign shape)."""
+
+#: Fault kinds a soak can fire.  Its armed runs are fault campaigns,
+#: which publish no traces, so no worker attaches shared memory and the
+#: ``shm.attach`` / ``shm.verify`` sites never run.
+SOAK_KINDS = FS_KINDS + PROC_KINDS
 
 #: Byte offsets at which the systematic sweep tears the next record.
 TEAR_OFFSETS = (1, 9)
@@ -724,6 +738,32 @@ def replay_reproducer(
     return report
 
 
+def soak_kinds(kinds: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
+    """The kinds a soak draws from: ``kinds``, or :data:`SOAK_KINDS`.
+
+    Raises:
+        PlanError: ``kinds`` is empty, names an unknown kind, or names a
+            shared-memory kind, which no soak iteration can fire.
+    """
+    if kinds is None:
+        return SOAK_KINDS
+    if not kinds:
+        raise PlanError("no fault kinds to soak with")
+    unknown = [kind for kind in kinds if kind not in ALL_KINDS]
+    if unknown:
+        raise PlanError(
+            f"unknown fault kind(s) {', '.join(unknown)} "
+            f"(known: {', '.join(ALL_KINDS)})"
+        )
+    idle = [kind for kind in kinds if kind in SHM_KINDS]
+    if idle:
+        raise PlanError(
+            f"a soak cannot fire {', '.join(idle)}: its fault campaigns "
+            "publish no traces, so no worker attaches shared memory"
+        )
+    return tuple(kinds)
+
+
 def soak_check(
     workdir: Union[str, Path],
     seed: int = 2023,
@@ -746,12 +786,13 @@ def soak_check(
 
     The ``minutes`` budget is metered on :func:`time.monotonic`; with
     ``max_iterations`` set and time to spare, ``seed`` alone determines
-    the soak.
+    the soak.  ``kinds`` defaults to :data:`SOAK_KINDS` and is checked by
+    :func:`soak_kinds` before any run.
     """
+    allowed = soak_kinds(kinds)
     spec = spec if spec is not None else default_spec()
     workdir = Path(workdir)
     os.makedirs(str(workdir), exist_ok=True)
-    allowed = tuple(kinds) if kinds is not None else ALL_KINDS
     report = CheckReport(mode="soak")
     baseline = run_campaign(spec, jobs=1, minimize=False).to_json()
     deadline = time.monotonic() + minutes * 60.0

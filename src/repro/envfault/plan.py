@@ -249,7 +249,6 @@ def random_plan(
                 index=rng.randrange(horizon),
                 kind=kind,
                 arg=rng.randrange(1, 64) if kind == "torn_write" else 0,
-                count=2 if kind == "attach_enoent" else 1,
             )
         )
     return FaultPlan(seed=seed, specs=tuple(specs))

@@ -1,16 +1,14 @@
 """secpb-lint: static analysis tailored to the SecPB reproduction.
 
-Four checker families guard the invariants the simulator's correctness —
-and the paper artifacts' reproducibility — actually rest on:
+Per-file checker families guard the invariants the simulator's
+correctness — and the paper artifacts' reproducibility — actually rest
+on.  Every rule reads source text only: secpb-lint never imports or runs
+the code it lints.
 
 * **determinism** (SPB101-104): nothing inside ``repro.sim`` /
   ``repro.core`` / ``repro.security`` may consult an RNG, the wall
   clock, hash-randomized set order, or the environment — any of these
   silently breaks the runner's byte-identical-parallel guarantee;
-* **scheme invariants** (SPB201-204): every registered scheme's late
-  set must be a suffix of the Fig. 4 dependency chain, early/late must
-  partition the five steps, names must encode the late set, and the
-  Sec. IV-A coalescing classes must be sound;
 * **stats hygiene** (SPB301-304): counters move only through the
   StatsCollector protocol (add/snapshot/subtract) introduced with the
   warmup-contamination fix, and any function advertising a warmup
@@ -77,7 +75,6 @@ from . import (  # noqa: F401
     pool_safety,
     resilience_hygiene,
     robustness,
-    scheme_invariants,
     stats_hygiene,
 )
 from .base import (

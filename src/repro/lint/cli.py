@@ -29,10 +29,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "secpb-lint: determinism, scheme-invariant, stats-hygiene and "
-            "pool-safety checks for the SecPB reproduction, plus the "
-            "whole-program semantic pass (call-graph taint, artifact-IO "
-            "reachability, cross-module exception flow)"
+            "secpb-lint: determinism, stats-hygiene, pool-safety, "
+            "robustness and observability checks for the SecPB "
+            "reproduction, plus the whole-program semantic pass (call-graph "
+            "taint, artifact-IO reachability, cross-module exception flow); "
+            "it reads the source and never imports or runs it"
         ),
     )
     parser.add_argument(

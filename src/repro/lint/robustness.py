@@ -17,10 +17,11 @@ SPB501    in ``repro.core.crash`` / ``repro.core.recovery`` /
           ``random.*`` calls, ``random.Random()`` / ``default_rng()``
           without a seed, legacy ``numpy.random`` globals, OS entropy)
 SPB504    in ``repro.durability`` / ``repro.runtime``: an ``except``
-          handler naming ``OSError`` / ``IOError`` that neither logs
-          nor re-raises; anywhere in ``repro``: ``os.kill`` /
-          ``signal.signal`` outside the two sanctioned homes
-          (``repro.durability.interrupt``, ``repro.envfault``)
+          handler naming ``OSError`` / ``IOError`` that does not
+          surface the error (:func:`_handler_surfaces_error`, the
+          predicate SPB901 reads too); anywhere in ``repro``:
+          ``os.kill`` / ``signal.signal`` outside the two sanctioned
+          homes (``repro.durability.interrupt``, ``repro.envfault``)
 ========  ==========================================================
 
 The determinism family (SPB101+) already polices ``repro.core``; SPB501
@@ -38,11 +39,12 @@ third signal path would race both.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from .base import LintContext, Rule, in_scope, register_rule
 from .findings import Finding
 from .semantic.dataflow import RNG, classify_call
+from .semantic.project import attribute_chain
 
 ROBUSTNESS_SCOPES: Tuple[str, ...] = (
     "repro.core.crash",
@@ -126,33 +128,57 @@ RAW_SIGNAL_HOMES: Tuple[str, ...] = (
 #: Exception names whose handlers must log or re-raise in OSFAULT_SCOPES.
 _OS_ERROR_NAMES = ("OSError", "IOError", "EnvironmentError")
 
-#: Method names that count as "the handler surfaced the error".
+#: Method names that count as logging (``logger.warning(...)``,
+#: ``warnings.warn(...)``, ...).
 _LOG_METHODS = frozenset(
-    {"debug", "info", "warning", "error", "exception", "critical", "warn"}
+    {"debug", "info", "warning", "warn", "error", "exception", "critical"}
 )
 
 
-def _named_exceptions(node: ast.AST) -> Iterator[str]:
-    """Names an ``except`` clause catches (unpacking tuples)."""
-    if isinstance(node, ast.Name):
-        yield node.id
-    elif isinstance(node, ast.Tuple):
-        for element in node.elts:
-            yield from _named_exceptions(element)
+def _caught_names(handler: ast.ExceptHandler) -> Optional[Set[str]]:
+    """Class names an ``except`` clause catches, each by its last part.
+
+    ``None`` for a bare ``except:`` or a type expression that is not a
+    dotted name or a tuple of them.
+    """
+    if handler.type is None:
+        return None
+    types = (
+        handler.type.elts
+        if isinstance(handler.type, ast.Tuple)
+        else [handler.type]
+    )
+    names: Set[str] = set()
+    for type_node in types:
+        chain = attribute_chain(type_node)
+        if chain is None:
+            return None
+        names.add(chain[-1])
+    return names
 
 
 def _handler_surfaces_error(handler: ast.ExceptHandler) -> bool:
-    """True when the handler re-raises or logs somewhere in its body."""
+    """Does the handler keep the error loud? (SPB504 and SPB901)
+
+    Loud means re-raising (possibly translated), logging (any
+    ``<receiver>.<log method>(...)`` call, ``warnings.warn`` included),
+    printing (CLI front-ends report to stderr; in library code SPB601
+    flags the print itself), or using the bound exception: a handler
+    that folds ``exc`` into a returned or recorded result captured the
+    failure rather than swallowing it.
+    """
     for stmt in handler.body:
         for node in ast.walk(stmt):
             if isinstance(node, ast.Raise):
                 return True
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _LOG_METHODS
-            ):
+            if isinstance(node, ast.Name) and node.id == handler.name:
                 return True
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr in _LOG_METHODS:
+                    return True
+                if isinstance(func, ast.Name) and func.id == "print":
+                    return True
     return False
 
 
@@ -173,10 +199,8 @@ class OsFaultHygieneRule(Rule):
         sanctioned = in_scope(ctx.module, RAW_SIGNAL_HOMES)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ExceptHandler) and swallow_scope:
-                caught = set(
-                    _named_exceptions(node.type) if node.type else ()
-                )
-                if not caught.intersection(_OS_ERROR_NAMES):
+                caught = _caught_names(node)
+                if caught is None or caught.isdisjoint(_OS_ERROR_NAMES):
                     continue
                 if _handler_surfaces_error(node):
                     continue

@@ -17,10 +17,12 @@ SPB901    an ``except`` handler (anywhere in the project) whose try
 
 "May raise" is a call-graph summary: explicit ``raise`` statements of
 named exception classes, propagated caller-ward through call sites that
-are not themselves wrapped in a ``try``.  Handlers that log (any
-``logger.*`` / ``logging.*`` / ``warnings.warn`` call), re-raise, or
-raise a translated error are compliant.  Empty handlers inside the
-robustness scopes stay SPB501's finding (no double-reporting).
+are not themselves wrapped in a ``try``.  A handler is compliant when
+it surfaces the error by the predicate SPB504 reads too
+(:func:`~repro.lint.robustness._handler_surfaces_error`): it re-raises
+(possibly translated), logs, prints, or uses the bound exception.
+Empty handlers inside the robustness scopes stay SPB501's finding (no
+double-reporting).
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..base import ProjectRule, in_scope, register_rule
 from ..findings import Finding, Severity
-from ..robustness import ROBUSTNESS_SCOPES, _handler_only_passes
+from ..robustness import (
+    ROBUSTNESS_SCOPES,
+    _caught_names,
+    _handler_only_passes,
+    _handler_surfaces_error,
+)
 from .callgraph import CallGraph
 from .project import ProjectModel, attribute_chain, iter_own_nodes
 
@@ -43,10 +50,6 @@ RAISER_SCOPES: Tuple[str, ...] = (
 )
 
 _CATCH_ALL = frozenset({"Exception", "BaseException"})
-
-_LOG_METHOD_NAMES = frozenset(
-    {"debug", "info", "warning", "warn", "error", "exception", "critical"}
-)
 
 
 def _direct_raises(info_node: ast.AST) -> Set[str]:
@@ -142,54 +145,6 @@ def _calls_under_try(graph: CallGraph, caller: str, callee: str) -> bool:
     )
 
 
-def _handler_names(handler: ast.ExceptHandler) -> Optional[Set[str]]:
-    """Exception names a handler catches; None means catch-all."""
-    if handler.type is None:
-        return None
-    names: Set[str] = set()
-    types = (
-        handler.type.elts
-        if isinstance(handler.type, ast.Tuple)
-        else [handler.type]
-    )
-    for type_node in types:
-        chain = attribute_chain(type_node)
-        if chain is None:
-            return None  # dynamic type expression: assume catch-all
-        if chain[-1] in _CATCH_ALL:
-            return None
-        names.add(chain[-1])
-    return names
-
-
-def _handler_compliant(handler: ast.ExceptHandler) -> bool:
-    """Does the handler keep the failure loud?
-
-    Loud means: re-raising (possibly translated), logging, printing (CLI
-    front-ends report to stderr; in library code SPB601 flags the print
-    itself), or *referencing the bound exception* — a handler that folds
-    ``exc`` into a returned/recorded result captured the failure rather
-    than swallowing it.
-    """
-    for node in ast.walk(handler):
-        if isinstance(node, ast.Raise):
-            return True
-        if isinstance(node, ast.Name) and node.id == handler.name:
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            chain = attribute_chain(func)
-            if chain is None:
-                continue
-            if chain == ["print"]:
-                return True
-            if chain[-1] in _LOG_METHOD_NAMES and len(chain) >= 2:
-                return True
-            if chain == ["warnings", "warn"]:
-                return True
-    return False
-
-
 @register_rule
 class SwallowedCrashExceptionRule(ProjectRule):
     code = "SPB901"
@@ -220,7 +175,11 @@ class SwallowedCrashExceptionRule(ProjectRule):
                         info.module, ROBUSTNESS_SCOPES
                     ):
                         continue  # SPB501's finding; don't double-report
-                    caught = _handler_names(handler)
+                    caught = _caught_names(handler)
+                    if caught is not None and not caught.isdisjoint(
+                        _CATCH_ALL
+                    ):
+                        caught = None  # catches everything
                     matched = [
                         (callee, exc_name)
                         for callee, exc_names in risky
@@ -229,7 +188,7 @@ class SwallowedCrashExceptionRule(ProjectRule):
                     ]
                     if not matched:
                         continue
-                    if _handler_compliant(handler):
+                    if _handler_surfaces_error(handler):
                         continue
                     callee, exc_name = matched[0]
                     caught_text = (

@@ -76,14 +76,15 @@ class SecPBConfig:
     """Secure persist buffer parameters (Table I, "SecPB" section).
 
     The paper evaluates sizes in {8, 16, 32, 64, 128, 256, 512} entries with a
-    default of 32, a 260 B entry, a 2-cycle access and a 75% drain (high
-    watermark) threshold.  The low watermark is where draining stops; the
-    paper drains "until sufficient entries have been drained to reach a low
-    watermark" — we default it to half the high watermark.
+    default of 32, a 2-cycle access and a 75% drain (high watermark)
+    threshold.  The low watermark is where draining stops; the paper drains
+    "until sufficient entries have been drained to reach a low watermark" —
+    we default it to half the high watermark.  Table I's 260 B entry size is
+    not a field: no model reads it (battery sizing counts each scheme's
+    fields, Fig. 5).
     """
 
     entries: int = 32
-    entry_bytes: int = 260
     access_cycles: int = 2
     high_watermark: float = 0.75
     low_watermark: float = 0.375
@@ -116,13 +117,14 @@ class SecurityConfig:
     also used as the per-level hash latency and the AES/OTP generation
     latency, following the paper's IPC validation for ``gamess`` which uses
     40 cycles for both (8 x 40 = 320-cycle root update, 40-cycle MAC).
+    The split-counter geometry (7-bit minors, 64 per page) is fixed by
+    ``MINOR_BITS`` and ``MINOR_COUNTERS_PER_PAGE`` in
+    :mod:`repro.security.counters`, not configured here.
     """
 
     bmt_levels: int = 8
     mac_latency_cycles: int = 40
     aes_latency_cycles: int = 40
-    counter_bits_minor: int = 7
-    counters_per_block: int = 64
     speculative_verification: bool = True
 
     @property
@@ -133,14 +135,16 @@ class SecurityConfig:
 
 @dataclass(frozen=True)
 class NVMConfig:
-    """PCM main-memory parameters (Table I, "NVM")."""
+    """PCM main-memory parameters (Table I, "NVM").
 
-    size_bytes: int = 8 * 1024**3
+    The latencies are converted to processor cycles by
+    :attr:`SystemConfig.nvm_read_cycles` / :attr:`SystemConfig.nvm_write_cycles`;
+    the write queue bounds the banked model's drain backpressure.
+    """
+
     read_ns: float = 55.0
     write_ns: float = 150.0
-    read_queue_entries: int = 64
     write_queue_entries: int = 128
-    clock_mhz: int = 1200
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,12 @@
-"""Functional + timing model of the persistent main memory (PCM).
+"""Functional model of the persistent main memory (PCM).
 
-The NVM plays two roles in the reproduction:
-
-* **Functional** — it is the durable store that survives crashes.  Data and
-  security metadata written here (and only here, plus battery-backed
-  structures) are visible to the post-crash recovery observer.
-* **Timing** — array read/write latencies from Table I (55 ns read, 150 ns
-  write at a 1200 MHz device clock) and bounded read/write queues used to
-  model drain backpressure.
+The NVM is the durable store that survives crashes.  Data and security
+metadata written here (and only here, plus battery-backed structures) are
+visible to the post-crash recovery observer.  Its timing lives elsewhere:
+the trace simulators read Table I's latencies as
+:attr:`~repro.sim.config.SystemConfig.nvm_read_cycles` /
+``nvm_write_cycles``, and :mod:`repro.sim.nvm_banked` models banks and
+queues.
 
 The functional store is block-granular: 64-byte blocks keyed by block
 address.  Unwritten blocks read as zero-filled, which matches a zeroed
@@ -16,21 +15,12 @@ physical memory image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .config import CACHE_BLOCK_BYTES, NVMConfig
+from .config import CACHE_BLOCK_BYTES
 from .stats import StatsCollector
 
 ZERO_BLOCK = bytes(CACHE_BLOCK_BYTES)
-
-
-@dataclass
-class NVMTiming:
-    """Latency bookkeeping for NVM accesses, in processor cycles."""
-
-    read_cycles: int
-    write_cycles: int
 
 
 class NonVolatileMemory:
@@ -41,19 +31,9 @@ class NonVolatileMemory:
     top (caches, metadata caches) live in their own models.
     """
 
-    def __init__(
-        self,
-        config: Optional[NVMConfig] = None,
-        clock_ghz: float = 4.0,
-        stats: Optional[StatsCollector] = None,
-    ):
-        self.config = config if config is not None else NVMConfig()
+    def __init__(self, stats: Optional[StatsCollector] = None):
         self.stats = stats if stats is not None else StatsCollector()
         self._blocks: Dict[int, bytes] = {}
-        self.timing = NVMTiming(
-            read_cycles=int(round(self.config.read_ns * clock_ghz)),
-            write_cycles=int(round(self.config.write_ns * clock_ghz)),
-        )
 
     # Functional interface -------------------------------------------------
 

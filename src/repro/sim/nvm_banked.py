@@ -4,8 +4,8 @@ The headline simulator abstracts the NVM write path as a single drain
 engine, which is accurate while the device keeps up (gem5's PCM model is
 multi-banked, so per-bank latency rarely bottlenecks drains).  This module
 provides the detailed device model for the ablation that *checks* that
-abstraction: ``Table I``'s 1200 MHz PCM with read/write queues (64/128
-entries) split across independent banks.
+abstraction: ``Table I``'s PCM latencies and 128-entry write queue, split
+across independent banks.
 
 Scheduling follows the classic NVM-controller policy: reads have priority
 (they stall the core) until the write queue crosses a high watermark, at

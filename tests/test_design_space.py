@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.schemes import (
+    ALL_STEPS,
     SCHEMES,
     STEP_DEPENDENCIES,
     MetadataStep,
@@ -33,6 +34,18 @@ class TestEnumeration:
     def test_paper_schemes_are_included_by_name(self, space):
         names = {s.name for s in space}
         assert set(SCHEMES) <= names
+
+    def test_named_schemes_are_the_suffix_splits(self, space):
+        """Sec. III: the six named schemes are exactly the valid splits
+        whose late steps are a suffix of the chain, eager to lazy."""
+        suffixes = {
+            s.name
+            for s in space
+            if s.late_steps == frozenset(ALL_STEPS[len(ALL_STEPS) - s.laziness:])
+        }
+        assert suffixes == set(SCHEMES)
+        assert list(SCHEMES) == ["nogap", "m", "cm", "bcm", "obcm", "cobcm"]
+        assert [s.laziness for s in SCHEMES.values()] == [0, 1, 2, 3, 4, 5]
 
     def test_three_novel_schemes(self, space):
         novel = {s.name for s in space} - set(SCHEMES)

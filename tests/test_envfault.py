@@ -149,6 +149,13 @@ class TestRandomPlan:
         with pytest.raises(PlanError, match="no usable injection sites"):
             random_plan(5, kinds=("enospc",), sites=("shm.attach",))
 
+    def test_every_spec_hits_one_occurrence(self):
+        # attach_trace drops the announcement after the first fault, so
+        # a second consecutive attach fault could never fire.
+        for seed in range(10):
+            plan = random_plan(seed, ops=10, kinds=("attach_enoent", "enospc"))
+            assert all(spec.count == 1 for spec in plan.specs)
+
 
 class _Tracer:
     def __init__(self):
@@ -380,6 +387,52 @@ class TestChaosReproducers:
         path.write_text(path.read_text().replace("enospc", "eio"))
         with pytest.raises(ArtifactError):
             load_chaos_reproducer(path)
+
+
+class TestSoakKinds:
+    """A soak draws only the faults its fault-campaign runs can fire."""
+
+    def test_soak_plans_hold_no_shm_faults(self, tmp_path, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.envfault import check as check_mod
+
+        plans = []
+
+        def record(workdir, spec, plan, baseline, jobs):
+            plans.append(plan)
+            return None, 0
+
+        monkeypatch.setattr(check_mod, "_soak_iteration", record)
+        monkeypatch.setattr(
+            check_mod,
+            "run_campaign",
+            lambda *args, **kwargs: SimpleNamespace(to_json=lambda: "{}"),
+        )
+        report = check_mod.soak_check(
+            tmp_path, seed=2023, ops=3, minutes=1.0, max_iterations=40
+        )
+        assert report.states == len(plans) == 40
+        drawn = [spec for plan in plans for spec in plan.specs]
+        assert drawn
+        assert not [spec for spec in drawn if spec.op.startswith("shm.")]
+
+    def test_default_kinds_are_filesystem_and_process(self):
+        from repro.envfault import FS_KINDS, PROC_KINDS
+        from repro.envfault.check import SOAK_KINDS, soak_kinds
+
+        assert soak_kinds() == SOAK_KINDS == FS_KINDS + PROC_KINDS
+        assert soak_kinds(["enospc"]) == ("enospc",)
+
+    @pytest.mark.parametrize(
+        "kind", ["attach_enoent", "segment_vanish", "digest_mismatch"]
+    )
+    def test_shm_kind_rejected_before_any_run(self, tmp_path, kind):
+        from repro.envfault.check import soak_check
+
+        with pytest.raises(PlanError, match="publish no traces"):
+            soak_check(tmp_path / "work", kinds=("enospc", kind))
+        assert not (tmp_path / "work").exists()
 
 
 class TestShrinkPlan:

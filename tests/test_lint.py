@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from repro.lint import lint_source, select_rules
+from repro.lint import lint_paths, lint_source, select_rules
 from repro.lint.base import module_name_for_path, parse_suppressions
 from repro.lint.findings import findings_to_json
 
@@ -843,6 +843,67 @@ def test_spb504_does_not_police_non_repro_trees():
     assert findings == []
 
 
+# --- SPB504 and SPB901 share one "does the handler surface it?" predicate --
+
+HANDLER_BODIES = [
+    pytest.param("raise", True, id="reraise"),
+    pytest.param("raise RuntimeError('lost') from None", True, id="translate"),
+    pytest.param("logger.warning('lost')", True, id="logger"),
+    pytest.param("logging.getLogger(__name__).error('lost')", True, id="getlogger"),
+    pytest.param("warnings.warn('lost')", True, id="warn"),
+    pytest.param("print('lost')", True, id="print"),
+    pytest.param("return repr(exc)", True, id="bound-exception"),
+    pytest.param("pass", False, id="pass"),
+    pytest.param("return None", False, id="fallback"),
+]
+
+
+@pytest.mark.parametrize("body, surfaces", HANDLER_BODIES)
+def test_spb504_and_spb901_agree_on_surfacing(tmp_path, body, surfaces):
+    # One handler both rules judge: it catches an OSError (SPB504's
+    # business in repro.durability) and a fault exception raised by
+    # another module (SPB901's).
+    tree = {
+        "repro/__init__.py": "",
+        "repro/fault/__init__.py": "",
+        "repro/fault/inject.py": """
+            class CrashVerdictError(Exception):
+                pass
+
+
+            def verify_recovery(state):
+                if not state:
+                    raise CrashVerdictError("recovery left no state")
+                return state
+            """,
+        "repro/durability/__init__.py": "",
+        "repro/durability/guard.py": f"""
+            import logging
+            import warnings
+
+            from ..fault.inject import CrashVerdictError, verify_recovery
+
+            logger = logging.getLogger(__name__)
+
+
+            def guarded(state):
+                try:
+                    verify_recovery(state)
+                except (OSError, CrashVerdictError) as exc:
+                    {body}
+                return state
+            """,
+    }
+    for rel, source in tree.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+    findings = lint_paths(
+        [tmp_path / "repro"], rules=select_rules(select=["SPB504", "SPB901"])
+    )
+    assert sorted(codes(findings)) == ([] if surfaces else ["SPB504", "SPB901"])
+
+
 # --- suppressions ---------------------------------------------------------
 
 
@@ -932,6 +993,20 @@ def test_selected_rules_limit_findings():
     assert set(codes(all_findings)) == {"SPB102", "SPB103"}
     only_clock = lint_sim(source, rules=select_rules(select=["SPB102"]))
     assert codes(only_clock) == ["SPB102"]
+
+
+def test_linting_never_runs_the_linted_code(tmp_path):
+    # A module that defines a top-level SCHEMES table and writes a
+    # marker file when imported: every rule reads its source, none runs it.
+    marker = tmp_path / "imported.marker"
+    module = tmp_path / "schemes_table.py"
+    module.write_text(
+        "from pathlib import Path\n"
+        f"Path({str(marker)!r}).write_text('imported')\n"
+        "SCHEMES = {}\n"
+    )
+    lint_paths([module], rules=select_rules())
+    assert not marker.exists()
 
 
 def test_syntax_error_reported_as_spb001():

@@ -95,10 +95,6 @@ def test_cli_list_rules(capsys):
         "SPB102",
         "SPB103",
         "SPB104",
-        "SPB201",
-        "SPB202",
-        "SPB203",
-        "SPB204",
         "SPB301",
         "SPB302",
         "SPB303",
