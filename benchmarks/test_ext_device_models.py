@@ -37,13 +37,13 @@ def run_bandwidth_audit():
         result = sim.run(trace, 0.3)
         drains = result.stats.get("drain.services", 0.0)
         demand = drains / result.cycles  # blocks per cycle
-        supply_16 = BankedNVM(
-            params=BankedNVMParams(banks=16)
-        ).sustained_write_bandwidth()
+        device_16 = BankedNVM(sim.config, BankedNVMParams(banks=16))
+        supply_16 = device_16.sustained_write_bandwidth()
         supply_64 = BankedNVM(
-            params=BankedNVMParams(banks=64)
+            sim.config, BankedNVMParams(banks=64)
         ).sustained_write_bandwidth()
-        banks_needed = demand * 600  # write_cycles
+        # One bank sustains a write per write_cycles.
+        banks_needed = demand * device_16.write_cycles
         worst_utilization_64 = max(worst_utilization_64, demand / supply_64)
         rows.append(
             [

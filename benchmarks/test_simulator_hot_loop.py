@@ -5,11 +5,12 @@ the six schemes, the SP baseline and strict flush persistency) with
 pytest-benchmark, the measurement the ``simloop-*`` workloads of the
 end-to-end benchmark in ``bench/`` make per configuration (see
 ``bench/README.md``).  These loop cases time the warm loop: the
-hierarchy front end (:func:`repro.sim.hierarchy.front_end`) is memoized
-on the fixture's trace, so only the reference run before each
-measurement replays the cache stack.  A separate case times that replay
-on a fresh trace per round.  The hot-path optimization work holds two
-properties simultaneously:
+hierarchy front end (:func:`repro.sim.hierarchy.front_end`) and the load
+schedule (:func:`repro.core.simulator.load_schedule`) are memoized on the
+fixture's trace, so only the reference run before each measurement
+builds them.  Two separate cases time those builds, each on a fresh
+trace per round.  The hot-path optimization work holds two properties
+simultaneously:
 
 * artifacts stay byte-identical (tests/test_golden_output.py), and
 * single-simulation throughput does not regress (``bench/run.py
@@ -32,7 +33,8 @@ import pytest
 
 from repro.baselines.strict import StrictPersistencySimulator
 from repro.core.schemes import SPECTRUM_ORDER, get_scheme
-from repro.core.simulator import SecurePersistencySimulator
+from repro.core.controller import TimingCalibration
+from repro.core.simulator import SecurePersistencySimulator, load_schedule
 from repro.persistency.flush import FlushBasedSimulator, PersistencyModel
 from repro.sim.config import SystemConfig
 from repro.sim.hierarchy import front_end
@@ -78,12 +80,17 @@ def test_single_simulation_throughput(benchmark, trace, name):
     assert cycles > 0
 
 
+def _fresh_trace(trace):
+    """The fixture's trace without its memos, as pedantic's setup hands it."""
+    return (Trace(trace.name, trace.is_store, trace.block_addr, trace.gap),), {}
+
+
 def test_front_end_replay_throughput(benchmark, trace):
     """One hierarchy replay per round, each on a fresh trace with no memo."""
     builds = []
 
     def fresh_trace():
-        return (Trace(trace.name, trace.is_store, trace.block_addr, trace.gap),), {}
+        return _fresh_trace(trace)
 
     def build(fresh):
         front = front_end(fresh, SystemConfig(), True, 0)
@@ -95,3 +102,32 @@ def test_front_end_replay_throughput(benchmark, trace):
     assert len(builds) > 1
     assert all(later == builds[0] for later in builds[1:])
     assert len(builds[0][0]) == len(trace)
+
+
+def test_load_schedule_build_throughput(benchmark, trace):
+    """One load-schedule build per round, each on a fresh trace.
+
+    The replay it reads is built in the round's setup, so a round times
+    the schedule alone.
+    """
+    config, calibration = SystemConfig(), TimingCalibration()
+    warmup_ops = len(trace) * 3 // 10
+    builds = []
+
+    def replayed_trace():
+        args, kwargs = _fresh_trace(trace)
+        front_end(args[0], config, True, warmup_ops)
+        return args, kwargs
+
+    def build(fresh):
+        schedule = load_schedule(fresh, config, calibration, warmup_ops, False)
+        builds.append(schedule)
+
+    build(*replayed_trace()[0])
+    benchmark.pedantic(build, setup=replayed_trace, rounds=3)
+    # Determinism across builds: every round built the same schedule,
+    # one event per store plus the warmup boundary and the end.
+    assert len(builds) > 1
+    assert all(later == builds[0] for later in builds[1:])
+    assert len(builds[0].events) == trace.num_stores + 2
+    assert builds[0].instructions == trace.instructions

@@ -1,9 +1,10 @@
 """Profiling harness for the simulator inner loop (``repro profile``).
 
 Two complementary views of one simulation run, after the trace's cache
-hierarchy front end (:func:`repro.sim.hierarchy.front_end`) is built and
-timed on its own line: every run of a trace shares that replay, so the
-views below cover what each further run costs.
+hierarchy front end (:func:`repro.sim.hierarchy.front_end`) and its load
+schedule (:func:`repro.core.simulator.load_schedule`) are built and timed
+on their own line: every run of a trace shares both, so the views below
+cover what each further run costs.
 
 * **Host-time profile** — a :mod:`cProfile` capture of the Python-level
   cost of the run, aggregated per simulator component (cache model,
@@ -34,10 +35,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.schemes import Scheme
-from ..core.simulator import SecurePersistencySimulator
+from ..core.simulator import (
+    SecurePersistencySimulator,
+    load_schedule,
+    load_verification_cycles,
+)
 from ..sim.config import SystemConfig
 from ..sim.hierarchy import front_end
-from ..sim.stats import SimulationResult
+from ..sim.stats import SimulationResult, StatsCollector
 
 _STATS_COMPONENT = "sim.stats (counters)"
 
@@ -85,6 +90,7 @@ class ProfileReport:
     elapsed_seconds: float
     ops_per_second: float
     front_end_seconds: float
+    schedule_seconds: float
     counter_calls: int
     component_seconds: Dict[str, float] = field(default_factory=dict)
     hottest: List[FunctionCost] = field(default_factory=list)
@@ -97,8 +103,9 @@ class ProfileReport:
             f"profile: {self.scheme} on {self.benchmark} "
             f"({self.num_ops} refs, {self.elapsed_seconds:.3f}s profiled, "
             f"{self.ops_per_second:,.0f} ops/s un-instrumented)",
-            f"hierarchy front end: {self.front_end_seconds:.3f}s, built once "
-            "per trace and shared by every run below",
+            f"hierarchy front end: {self.front_end_seconds:.3f}s, load schedule: "
+            f"{self.schedule_seconds:.3f}s, each built once per trace and shared "
+            "by every run below",
             f"counter calls: {self.counter_calls:,} into repro/sim/stats.py "
             f"({calls_per_op:.2f} per op)",
             "",
@@ -155,28 +162,34 @@ def profile_simulation(
 ) -> ProfileReport:
     """Profile one trace-driven simulation end to end.
 
-    First builds the trace's hierarchy front end, timed on its own.  Then
-    runs the simulation twice, both warm (front end and trace columns
-    built): once un-instrumented with :func:`time.perf_counter` for an
-    honest throughput figure (cProfile inflates per-call costs
-    several-fold), then once under cProfile for the attribution.  Both
-    runs produce byte-identical artifacts, so the returned
-    :class:`~repro.sim.stats.SimulationResult` is from the profiled run
-    without loss.
+    First builds the trace's hierarchy front end and load schedule, each
+    timed on its own.  Then runs the simulation twice, both warm (front
+    end, schedule and trace columns built), so each times only the loop
+    and the store path: once un-instrumented with
+    :func:`time.perf_counter` for an honest throughput figure (cProfile
+    inflates per-call costs several-fold), then once under cProfile for
+    the attribution.  Both runs produce byte-identical artifacts, so the
+    returned :class:`~repro.sim.stats.SimulationResult` is from the
+    profiled run without loss.
     """
     from ..workloads.spec import build_trace
 
     trace = build_trace(benchmark, num_ops, seed)
     simulator = SecurePersistencySimulator(config=config, scheme=scheme)
+    config = simulator.config
+    warmup_ops = int(len(trace) * warmup_frac)
+    # Whether PM loads verify, as the run decides it: from its path's
+    # metadata caches.
+    mdc = simulator._store_path(StatsCollector()).mdc
+    verify = load_verification_cycles(config, mdc) > 0
 
     start = time.perf_counter()
-    front_end(
-        trace,
-        simulator.config,
-        simulator.persist_region,
-        int(len(trace) * warmup_frac),
-    )
+    front_end(trace, config, simulator.persist_region, warmup_ops)
     front_end_elapsed = time.perf_counter() - start
+
+    start = time.perf_counter()
+    load_schedule(trace, config, simulator.calibration, warmup_ops, verify)
+    schedule_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
     simulator.run(trace, warmup_frac)
@@ -217,6 +230,7 @@ def profile_simulation(
         elapsed_seconds=profiled_elapsed,
         ops_per_second=num_ops / plain_elapsed if plain_elapsed else 0.0,
         front_end_seconds=front_end_elapsed,
+        schedule_seconds=schedule_elapsed,
         counter_calls=counter_calls,
         component_seconds=component_seconds,
         hottest=functions[:top],

@@ -36,13 +36,14 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, NamedTuple, Optional
+from itertools import islice
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..obs.tracing import LANE_DRAIN, LANE_STALLS, LANE_STORES, Tracer
 from ..security.metadata_cache import MetadataCaches
 from ..sim.config import SystemConfig
 from ..sim.engine import BoundedPipeline, BusyResource
-from ..sim.hierarchy import front_end
+from ..sim.hierarchy import MemoryHierarchy, front_end, level_passes
 from ..sim.stats import SimulationResult, StatsCollector
 from ..workloads.trace import Trace
 from .controller import SecPBController, TimingCalibration
@@ -107,15 +108,152 @@ def load_verification_cycles(
     return config.security.aes_latency_cycles + config.security.mac_latency_cycles
 
 
+_END = -1
+"""A schedule event: the trace ends."""
+_WARMUP = -2
+"""A schedule event: the measured region starts."""
+_VERIFY = -3
+"""A schedule event at or below this is a verifying PM load, of the block
+``_VERIFY - event``; a store's event is its block address, never negative."""
+
+
+class LoadSchedule(NamedTuple):
+    """A trace's loads folded into clock addends (see :func:`load_schedule`).
+
+    Entry ``i`` is ``addends[i]``, the clock addends of the ops since the
+    previous event in op order, then ``events[i]``: a store's block
+    address, a verifying load (``_VERIFY - block_addr``), the warmup
+    boundary (``_WARMUP``) or the end (``_END``, always last).  Shared by
+    every run that reads it, so nothing here may be mutated.
+    """
+
+    addends: List[Tuple[float, ...]]
+    events: List[int]
+    instructions: int
+    warmup_instructions: int
+
+
+def load_schedule(
+    trace: Trace,
+    config: SystemConfig,
+    calibration: TimingCalibration,
+    warmup_ops: int,
+    verify: bool,
+) -> LoadSchedule:
+    """The load schedule :meth:`TraceSimulator.run` walks, built at most once.
+
+    Memoized on the trace per geometry, warmup, ``cpi_base``,
+    ``load_blocking_fraction`` and ``verify``: nothing else a load costs
+    depends on the model, so BBB, every scheme, SecPB size and BMF cut, SP
+    and flush share one schedule.
+
+    Args:
+        trace: the memory-reference trace.
+        config: system configuration; only
+            :meth:`~repro.sim.hierarchy.MemoryHierarchy.geometry` matters.
+        calibration: supplies ``cpi_base`` and ``load_blocking_fraction``.
+        warmup_ops: ops before the measured region (``0``: none).
+        verify: whether PM loads verify (non-speculative integrity
+            verification); each one is then an event, not an addend.
+    """
+    key = (
+        MemoryHierarchy.geometry(config),
+        warmup_ops,
+        calibration.cpi_base,
+        calibration.load_blocking_fraction,
+        verify,
+    )
+    memo = trace.__dict__.setdefault("_load_schedules", {})
+    schedule = memo.get(key)
+    if schedule is None:
+        schedule = memo[key] = _build_load_schedule(
+            trace, config, calibration, warmup_ops, verify
+        )
+    return schedule
+
+
+def _build_load_schedule(
+    trace: Trace,
+    config: SystemConfig,
+    calibration: TimingCalibration,
+    warmup_ops: int,
+    verify: bool,
+) -> LoadSchedule:
+    """Fold ``trace``'s ops into per-event addend tuples, in op order.
+
+    An op adds ``gap * cpi_base`` to the clock, dropped when it is
+    ``0.0``: the clock starts at ``+0.0`` and never falls, so adding zero
+    leaves it as it was.  A load then adds its blended latency, one float
+    per distinct latency.  The run adds each addend on its own, in this
+    order, so its clock is the op-by-op loop's, bit for bit.
+    """
+    stores, addrs, gaps = trace.columns()
+    passes = level_passes(trace, config)
+    cpi_base = calibration.cpi_base
+    blocking = calibration.load_blocking_fraction
+    l1_hit = config.l1.access_cycles
+    memory_fill = config.memory_round_trip_cycles
+    # Per distinct gap: its addend, or none when it is 0.0.
+    gap_addend = {}
+    for gap in dict.fromkeys(gaps):
+        addend = gap * cpi_base
+        gap_addend[gap] = (addend,) if addend != 0.0 else ()
+    # Per hierarchy outcome: whether a load verifies, else its addend.
+    load_verifies = [verify and latency >= memory_fill for latency in passes.latency]
+    load_addend = [
+        latency if latency <= l1_hit else l1_hit + blocking * (latency - l1_hit)
+        for latency in passes.latency
+    ]
+
+    addends: List[Tuple[float, ...]] = []
+    events: List[int] = []
+    add_entry, add_event = addends.append, events.append
+    # Equal tuples are stored once: a run of stores with equal gaps, say,
+    # holds one addend tuple.
+    interned = {entry: entry for entry in gap_addend.values()}
+    pending: List[float] = []
+    add, extend = pending.append, pending.extend
+
+    def cut(event: int) -> None:
+        entry = tuple(pending)
+        add_entry(interned.setdefault(entry, entry))
+        add_event(event)
+        pending.clear()
+
+    ops = zip(stores, addrs, gaps, passes.outcome)
+    # The warmup's ops, the boundary, then the measured region's ops.
+    for region in (islice(ops, warmup_ops), ops):
+        for is_store, block_addr, gap, outcome in region:
+            if is_store and not pending:
+                # Right after an event: the store's own gap alone.
+                add_entry(gap_addend[gap])
+                add_event(block_addr)
+                continue
+            extend(gap_addend[gap])
+            if is_store:
+                cut(block_addr)
+            elif load_verifies[outcome]:
+                cut(_VERIFY - block_addr)
+            else:
+                add(load_addend[outcome])
+        if warmup_ops and region is not ops:
+            cut(_WARMUP)
+    cut(_END)
+
+    warmup_instructions = sum(islice(gaps, warmup_ops)) + warmup_ops
+    return LoadSchedule(addends, events, sum(gaps) + len(gaps), warmup_instructions)
+
+
 class TraceSimulator:
     """The single-core trace loop every timing model runs on.
 
     A subclass sets ``config``, ``calibration`` and ``scheme_name``, and
     builds a fresh :class:`StorePath` per run in ``_store_path``.  The
-    cache hierarchy is not part of a run: loads read their latency from
-    the trace's :func:`~repro.sim.hierarchy.front_end`, replayed with
-    ``persist_region`` (False: volatile caches) and shared by every run
-    of the same trace, geometry and warmup.
+    cache hierarchy is not part of a run: loads are folded into the
+    trace's :func:`load_schedule`, and the hierarchy's counters come from
+    its :func:`~repro.sim.hierarchy.front_end`, replayed with
+    ``persist_region`` (False: volatile caches).  Both are shared by
+    every run of the same trace and geometry.
     """
 
     config: SystemConfig
@@ -153,55 +291,48 @@ class TraceSimulator:
         stats = StatsCollector()
         path = self._store_path(stats)
 
-        clock = 0.0
-        instructions = 0
         l1_hit_cycles = config.l1.access_cycles
-        cpi_base = cal.cpi_base
         blocking = cal.load_blocking_fraction
         mdc = path.mdc
         verify_load_cycles = load_verification_cycles(config, mdc)
+        # A verifying load's latency is the memory round trip: no latency
+        # exceeds it, since no level's access latency is negative.
         memory_fill_cycles = config.memory_round_trip_cycles
         count_load_verification = stats.counter("verify.load_verifications")
+        schedule = load_schedule(trace, config, cal, warmup_ops, verify_load_cycles > 0)
 
+        clock = 0.0
         warmup_clock = 0.0
-        warmup_instructions = 0
         warmup_stats: Dict[str, float] = {}
-        op_index = 0
 
-        # Hot-loop bindings: the per-op path resolves these names once per
-        # run instead of chasing attributes per op.
+        # Hot-loop bindings: the per-store path resolves these names once
+        # per run instead of chasing attributes per store.
         store = path.store
         sync = path.sync
         mdc_access_counter = mdc.access_counter if mdc is not None else None
 
-        for (is_store, block_addr, gap), latency in zip(
-            trace.iter_ops(), front.load_latency
-        ):
-            if op_index == warmup_ops and warmup_ops:
-                warmup_clock = clock
-                warmup_instructions = instructions
-                sync()
-                warmup_stats = stats.snapshot()
-            op_index += 1
-            instructions += gap + 1
-            clock += gap * cpi_base
-
-            if not is_store:
-                if latency >= memory_fill_cycles and verify_load_cycles:
-                    # Non-speculative integrity verification (ablation of
-                    # the Table I assumption): data fetched from PM cannot
-                    # be used until its counter is fetched, the OTP is
-                    # regenerated and the MAC checked.
-                    latency += mdc_access_counter(block_addr // 64)
-                    latency += verify_load_cycles
-                    count_load_verification()
+        for addends, event in zip(schedule.addends, schedule.events):
+            for addend in addends:
+                clock += addend
+            if event >= 0:
+                clock = store(clock, event)
+            elif event <= _VERIFY:
+                # Non-speculative integrity verification (ablation of the
+                # Table I assumption): data fetched from PM cannot be used
+                # until its counter is fetched, the OTP is regenerated and
+                # the MAC checked.
+                latency = memory_fill_cycles
+                latency += mdc_access_counter((_VERIFY - event) // 64)
+                latency += verify_load_cycles
+                count_load_verification()
                 if latency <= l1_hit_cycles:
                     clock += latency
                 else:
                     clock += l1_hit_cycles + blocking * (latency - l1_hit_cycles)
-                continue
-
-            clock = store(clock, block_addr)
+            elif event == _WARMUP:
+                warmup_clock = clock
+                sync()
+                warmup_stats = stats.snapshot()
 
         if path.finish is not None:
             clock = path.finish(clock)
@@ -213,13 +344,14 @@ class TraceSimulator:
             # caches) keeps its warmed contents.
             stats.subtract(warmup_stats)
         stats.merge(front.stats)
-        stats.set("instructions", instructions - warmup_instructions)
+        instructions = schedule.instructions - schedule.warmup_instructions
+        stats.set("instructions", instructions)
         result_stats = path.report() if path.report is not None else stats.as_dict()
         return SimulationResult(
             scheme=self.scheme_name,
             benchmark=trace.name,
             cycles=clock - warmup_clock,
-            instructions=instructions - warmup_instructions,
+            instructions=instructions,
             stats=result_stats,
         )
 

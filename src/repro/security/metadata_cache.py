@@ -38,10 +38,7 @@ class MetadataCaches:
         self.mac_cache = Cache(config.mac_cache, self.stats)
         self.bmt_cache = Cache(config.bmt_cache, self.stats)
         self._hit_cycles = config.counter_cache.access_cycles
-        self._miss_cycles = (
-            config.counter_cache.access_cycles
-            + config.ns_to_cycles(config.nvm.read_ns)
-        )
+        self._miss_cycles = config.counter_cache.access_cycles + config.nvm_read_cycles
         # Per-kind counter names resolved once; the counter cache is on
         # the per-store acceptance path, so its accessor avoids building
         # "mdc.<kind>.<event>" strings per access.

@@ -54,6 +54,8 @@ class CacheConfig:
             )
         if self.ways < 1:
             raise ValueError(f"{self.name}: {self.ways} ways; a cache needs at least 1")
+        if self.access_cycles < 0:
+            raise ValueError(f"{self.name}: negative access latency {self.access_cycles}")
         if self.size_bytes < self.block_bytes:
             raise ValueError(
                 f"{self.name}: size {self.size_bytes} smaller than one "
@@ -145,6 +147,13 @@ class NVMConfig:
     read_ns: float = 55.0
     write_ns: float = 150.0
     write_queue_entries: int = 128
+
+    def __post_init__(self) -> None:
+        if self.read_ns < 0 or self.write_ns < 0:
+            raise ValueError(
+                f"NVM latencies must be non-negative: read {self.read_ns} ns, "
+                f"write {self.write_ns} ns"
+            )
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,12 @@ multi-core run gives each core its own trace's replay.
 :func:`front_end` is every timing model's view of the stack: the
 single-core loop's and each core's in the multi-core loop.  An op's
 L1/L2/LLC outcome depends on no timestamp and on no SecPB or metadata
-state, only on the trace, the cache geometry and ``persist_region``.  So
-the front end replays a trace once and keeps the per-op load latencies
-and the hierarchy's counters, memoized on the trace; every configuration
-that shares the geometry (schemes, SecPB sizes, BMF cuts, SP) then reads
-them instead of replaying the stack again.
+state, only on the trace and the cache geometry; ``persist_region`` only
+names what a dirty L1D eviction is.  So a trace is replayed once per
+geometry (:func:`level_passes`), memoized on the trace, and every
+configuration that shares the geometry (schemes, SecPB sizes, BMF cuts,
+SP, flush, any warmup) reads that replay instead of replaying the stack
+again; a front end only splits its miss lists at the warmup op.
 
 The replay streams the trace through one level at a time: the L1D pass
 visits every op, the L2 pass the ops that missed the L1D, in order, and
@@ -50,6 +51,9 @@ from .stats import StatsCollector
 
 _STORE = 4
 """A store's outcome in :func:`_replay`: it reads no latency (``0``)."""
+
+_OP_TYPECODE, _OP_DTYPE = "i", np.intc
+"""The miss lists' element type, a C ``int``: an op index in 4 bytes."""
 
 _TRACE_BLOCK_SHIFT = CACHE_BLOCK_BYTES.bit_length() - 1
 """A trace's ``block_addr`` counts 64-byte blocks: its byte address is
@@ -146,25 +150,56 @@ class MemoryHierarchy:
         return latency, False
 
 
+class LevelPasses(NamedTuple):
+    """One trace's three level passes under one geometry (see :func:`_replay`).
+
+    ``outcome[i]`` is how many levels op ``i`` missed, or ``_STORE``, and
+    ``latency[o]`` the load latency of outcome ``o`` (``0`` for a store).
+    Each miss list holds op indices in op order: the ops that missed the
+    L1D, the L2 and the LLC, and the ops whose L1D fill evicted a dirty
+    line.  Shared by every front end and load schedule of the trace and
+    geometry, so nothing here may be mutated.
+    """
+
+    outcome: bytes
+    latency: Tuple[int, ...]
+    l1_misses: array
+    l2_misses: array
+    l3_misses: array
+    dirty_evictions: array
+
+
 class HierarchyFrontEnd(NamedTuple):
     """One trace's replay through the hierarchy (see :func:`front_end`).
 
-    ``load_latency[i]`` is op ``i``'s load latency in cycles, ``0`` for a
-    store.  ``stats`` holds the hierarchy's counters over the measured
-    region, with the collector's key-presence rule: a counter that fired
-    only during warmup is present as ``0.0``, one that never fired is
-    absent.  Both are shared by every run that reads the front end, so
+    ``stats`` holds the hierarchy's counters over the measured region,
+    with the collector's key-presence rule: a counter that fired only
+    during warmup is present as ``0.0``, one that never fired is absent.
+    Both fields are shared by every run that reads the front end, so
     neither may be mutated.
     """
 
-    load_latency: List[int]
+    passes: LevelPasses
     stats: StatsCollector
+
+    @property
+    def load_latency(self) -> List[int]:
+        """Op ``i``'s load latency in cycles, ``0`` for a store.
+
+        A fresh list per call, kept by no memo: the single-core loop
+        reads the outcomes through its load schedule and never needs it.
+        It holds one int object per distinct latency: a miss's latency
+        is not a cached small int, and a fresh object per miss would
+        bloat it.
+        """
+        passes = self.passes
+        return list(map(passes.latency.__getitem__, passes.outcome))
 
 
 def front_end(
     trace: Trace, config: SystemConfig, persist_region: bool, warmup_ops: int
 ) -> HierarchyFrontEnd:
-    """The hierarchy's outcome for ``trace``, replayed at most once.
+    """The hierarchy's outcome for ``trace``, from its geometry's one replay.
 
     Args:
         trace: the memory-reference trace.
@@ -184,48 +219,65 @@ def front_end(
     memo = trace.__dict__.setdefault("_front_ends", {})
     front = memo.get(key)
     if front is None:
-        front = memo[key] = _replay(trace, config, persist_region, warmup_ops)
+        passes = level_passes(trace, config)
+        stats = _counters(trace, config, passes, persist_region, warmup_ops)
+        front = memo[key] = HierarchyFrontEnd(passes, stats)
     return front
 
 
-def _replay(
-    trace: Trace, config: SystemConfig, persist_region: bool, warmup_ops: int
-) -> HierarchyFrontEnd:
-    """Stream ``trace`` through the L1D, the L2 and the LLC, a level at a time.
+def level_passes(trace: Trace, config: SystemConfig) -> LevelPasses:
+    """The level passes of ``trace`` under ``config``'s geometry, replayed once."""
+    memo = trace.__dict__.setdefault("_level_passes", {})
+    key = MemoryHierarchy.geometry(config)
+    passes = memo.get(key)
+    if passes is None:
+        passes = memo[key] = _replay(trace, config)
+    return passes
 
-    The latency column and every counter follow from the three levels'
-    miss lists; an event is warmup when its op index is below
-    ``warmup_ops``.
-    """
+
+def _replay(trace: Trace, config: SystemConfig) -> LevelPasses:
+    """Stream ``trace`` through the L1D, the L2 and the LLC, a level at a time."""
     stores, addrs, _gaps = trace.columns()
     l1_misses, dirty_evictions = _l1d_pass(config.l1, addrs, stores)
     l2_misses = _read_pass(config.l2, addrs, l1_misses)
     l3_misses = _read_pass(config.l3, addrs, l2_misses)
 
-    # An op's outcome: how many levels it missed, or _STORE.  The column
-    # maps outcomes to one int object per distinct latency: a miss's
-    # latency is not a cached small int, and a fresh object per miss
-    # would bloat the column.
     outcome = np.zeros(len(addrs), dtype=np.uint8)
     for misses in (l1_misses, l2_misses, l3_misses):
-        outcome[np.frombuffer(misses, dtype=np.int64)] += 1
+        outcome[np.frombuffer(misses, dtype=_OP_DTYPE)] += 1
     outcome[np.asarray(trace.is_store, dtype=bool)] = _STORE
     l1_hit = config.l1.access_cycles
     l2_hit = l1_hit + config.l2.access_cycles
     l3_hit = l2_hit + config.l3.access_cycles
     latency = (l1_hit, l2_hit, l3_hit, l3_hit + config.nvm_read_cycles, 0)
-    column = list(map(latency.__getitem__, outcome.tobytes()))
+    return LevelPasses(
+        outcome.tobytes(), latency, l1_misses, l2_misses, l3_misses, dirty_evictions
+    )
+
+
+def _counters(
+    trace: Trace,
+    config: SystemConfig,
+    passes: LevelPasses,
+    persist_region: bool,
+    warmup_ops: int,
+) -> StatsCollector:
+    """The hierarchy's counters over the ops from ``warmup_ops`` on.
+
+    Every counter follows from the level passes' miss lists; an event is
+    warmup when its op index is below ``warmup_ops``.
+    """
 
     def count(ops: Sequence[int]) -> Tuple[int, int]:
         """Events at the sorted op indices ``ops``: (all, in warmup)."""
         return len(ops), bisect_left(ops, warmup_ops)
 
     events: List[Tuple[str, Tuple[int, int]]] = []
-    accessed = count(range(len(addrs)))
+    accessed = count(range(len(passes.outcome)))
     for cache, misses in (
-        (config.l1, l1_misses),
-        (config.l2, l2_misses),
-        (config.l3, l3_misses),
+        (config.l1, passes.l1_misses),
+        (config.l2, passes.l2_misses),
+        (config.l3, passes.l3_misses),
     ):
         missed = count(misses)
         hits = (accessed[0] - missed[0], accessed[1] - missed[1])
@@ -236,12 +288,14 @@ def _replay(
     # A dirty L1D victim holds a store's data.  In a persistent hierarchy
     # the SecPB already persisted it; volatile caches write it back, off
     # the store path when a store's fill evicted it.
+    dirty_evictions = passes.dirty_evictions
     dirty = count(dirty_evictions)
     if persist_region:
         events.append((counter_name(config.l1, "silent_discards"), dirty))
     else:
         events.append((counter_name(config.l1, "writebacks"), dirty))
-        by_stores = array("q", (op for op in dirty_evictions if stores[op]))
+        stores = trace.columns()[0]
+        by_stores = [op for op in dirty_evictions if stores[op]]
         events.append(("hierarchy.victim_writebacks", count(by_stores)))
 
     stats = StatsCollector()
@@ -251,7 +305,7 @@ def _replay(
         # at the end leave.
         if total:
             stats.add(name, float(total - warmup))
-    return HierarchyFrontEnd(column, stats)
+    return stats
 
 
 def _lines(cache: CacheConfig, block_addrs: Iterable[int]) -> Iterable[int]:
@@ -277,7 +331,7 @@ def _l1d_pass(
     """
     num_sets, ways = cache.num_sets, cache.ways
     sets: List[OrderedDict] = [OrderedDict() for _ in range(num_sets)]
-    misses, dirty_evictions = array("q"), array("q")
+    misses, dirty_evictions = array(_OP_TYPECODE), array(_OP_TYPECODE)
     miss, evict_dirty = misses.append, dirty_evictions.append
     for op, (line, is_store) in enumerate(zip(_lines(cache, addrs), stores)):
         resident = sets[line % num_sets]
@@ -301,7 +355,7 @@ def _read_pass(cache: CacheConfig, addrs: Sequence[int], ops: array) -> array:
     """
     num_sets, ways = cache.num_sets, cache.ways
     sets: List[OrderedDict] = [OrderedDict() for _ in range(num_sets)]
-    misses = array("q")
+    misses = array(_OP_TYPECODE)
     miss = misses.append
     for op, line in zip(ops, _lines(cache, map(addrs.__getitem__, ops))):
         resident = sets[line % num_sets]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .config import NVMConfig
+from .config import SystemConfig
 from .engine import BusyResource
 from .stats import StatsCollector
 
@@ -43,21 +43,22 @@ class BankedNVM:
     Requests are issued through :meth:`read` / :meth:`write`, which return
     ``(queue_wait, completion_time)``.  Writes are absorbed by the write
     queue (near-zero acceptance wait) until it saturates; reads queue only
-    behind their bank.
+    behind their bank.  Latencies are the system's own
+    ``nvm_read_cycles`` / ``nvm_write_cycles``, the conversion every
+    simulator reads.
     """
 
     def __init__(
         self,
-        config: Optional[NVMConfig] = None,
+        config: Optional[SystemConfig] = None,
         params: Optional[BankedNVMParams] = None,
-        clock_ghz: float = 4.0,
         stats: Optional[StatsCollector] = None,
     ):
-        self.config = config if config is not None else NVMConfig()
+        self.config = config if config is not None else SystemConfig()
         self.params = params if params is not None else BankedNVMParams()
         self.stats = stats if stats is not None else StatsCollector()
-        self.read_cycles = int(round(self.config.read_ns * clock_ghz))
-        self.write_cycles = int(round(self.config.write_ns * clock_ghz))
+        self.read_cycles = self.config.nvm_read_cycles
+        self.write_cycles = self.config.nvm_write_cycles
         self._banks: List[BusyResource] = [
             BusyResource(f"bank{i}") for i in range(self.params.banks)
         ]
@@ -78,7 +79,7 @@ class BankedNVM:
     def _write_pressure(self, now: float) -> bool:
         """True when writes must drain ahead of reads."""
         self._prune(now)
-        capacity = self.config.write_queue_entries
+        capacity = self.config.nvm.write_queue_entries
         occupancy = len(self._write_completions)
         if self._draining_writes:
             if occupancy <= capacity * self.params.write_low_watermark:
@@ -109,7 +110,7 @@ class BankedNVM:
         self.stats.add("bnvm.writes")
         self._prune(now)
         acceptance_wait = 0.0
-        if len(self._write_completions) >= self.config.write_queue_entries:
+        if len(self._write_completions) >= self.config.nvm.write_queue_entries:
             oldest = min(self._write_completions)
             acceptance_wait = max(0.0, oldest - now)
             now = max(now, oldest)

@@ -128,8 +128,10 @@ class TraceStore:
     def clear(self) -> None:
         """Drop every cached trace and reset the hit/miss counters.
 
-        What is memoized on a trace (its iteration columns and hierarchy
-        front ends, :func:`repro.sim.hierarchy.front_end`) goes with it.
+        What is memoized on a trace (its iteration columns, level passes
+        and front ends, :func:`repro.sim.hierarchy.front_end`, and load
+        schedules, :func:`repro.core.simulator.load_schedule`) goes with
+        it.
         """
         self._traces.clear()
         self._checksums.clear()

@@ -71,6 +71,13 @@ class TestCacheConfig:
         one_line = CacheConfig("one", size_bytes=64, ways=1)
         assert (one_line.num_sets, one_line.ways) == (1, 1)
 
+    def test_negative_access_latency_rejected(self):
+        # No load's latency may exceed the memory round trip, which the
+        # trace loop's non-speculative verification relies on.
+        with pytest.raises(ValueError, match="negative access latency"):
+            CacheConfig("bad", 64, 1, access_cycles=-1)
+        assert CacheConfig("free", 64, 1, access_cycles=0).access_cycles == 0
+
 
 class TestSecPBConfig:
     def test_defaults_match_table1(self):
@@ -152,6 +159,11 @@ class TestSystemConfig:
         assert nvm.read_ns == 55.0
         assert nvm.write_ns == 150.0
         assert nvm.write_queue_entries == 128
+
+    @pytest.mark.parametrize("latency", [{"read_ns": -1.0}, {"write_ns": -0.5}])
+    def test_negative_nvm_latency_rejected(self, latency):
+        with pytest.raises(ValueError, match="non-negative"):
+            NVMConfig(**latency)
 
     def test_block_size_constant(self):
         assert CACHE_BLOCK_BYTES == 64

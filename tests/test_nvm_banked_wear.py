@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.security.metadata_cache import MetadataCaches
+from repro.sim.config import SystemConfig
 from repro.sim.nvm_banked import BankedNVM, BankedNVMParams
 from repro.sim.wear import StartGapWearLeveler, simulate_wear
 
@@ -22,6 +24,15 @@ class TestBankedNVM:
         nvm = BankedNVM()
         assert nvm.read_cycles == 220
         assert nvm.write_cycles == 600
+
+    def test_latencies_follow_the_system_clock(self):
+        """The device converts Table I's nanoseconds as the simulators do."""
+        config = SystemConfig(clock_ghz=3.0)
+        nvm = BankedNVM(config)
+        assert nvm.write_cycles == config.nvm_write_cycles == 450
+        assert nvm.read_cycles == config.nvm_read_cycles == 165
+        # A cold counter-cache access misses: its 2 cycles plus an NVM read.
+        assert MetadataCaches(config).access_counter(0) == 2 + 165
 
     def test_single_bank_serializes(self):
         nvm = BankedNVM(params=BankedNVMParams(banks=1))

@@ -1,8 +1,11 @@
-"""``repro profile``: the front end is timed apart, and counter calls stay few."""
+"""``repro profile``: the front end and load schedule are timed apart, and
+counter calls stay few."""
 
 from repro.analysis.profiling import profile_simulation
+from repro.core import simulator
 from repro.core.schemes import CM
-from repro.core.simulator import run_scheme
+from repro.core.simulator import SecurePersistencySimulator, run_scheme
+from repro.sim import hierarchy
 from repro.workloads.spec import build_trace
 
 
@@ -11,7 +14,29 @@ def test_profiled_run_equals_run_scheme_and_reports_front_end():
     expected = run_scheme(build_trace("gamess", 2000, 1), CM, warmup_frac=0.3)
     assert report.result == expected
     assert report.front_end_seconds > 0.0
+    assert report.schedule_seconds > 0.0
     assert "\nhierarchy front end: " in report.render()
+    assert ", load schedule: " in report.render()
+
+
+def test_timed_runs_build_no_replay_and_no_schedule(monkeypatch):
+    """Both timed runs start warm: they time only the loop and the store path."""
+    events = []
+
+    def recorded(owner, name, event):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(event)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    recorded(hierarchy, "_replay", "replay")
+    recorded(simulator, "_build_load_schedule", "schedule")
+    recorded(SecurePersistencySimulator, "run", "run")
+    profile_simulation("mcf", CM, num_ops=2000, seed=1, warmup_frac=0.3)
+    assert events == ["replay", "schedule", "run", "run"]
 
 
 def test_cm_store_path_counts_in_locals():

@@ -15,8 +15,13 @@ These tests pin that structure and the differential oracles it implies:
   through a live :class:`MemoryHierarchy`, key presence included, and so
   do the front end's load-latency column and counters, also over cache
   geometries Table I never reaches;
-* the hierarchy is replayed once per (trace, geometry, ``persist_region``,
-  warmup), however many models run on the trace, and a warmup that
+* the loop, which walks the trace's load schedule, equals the op-by-op
+  loop it replaced (kept here as ``_reference_run``) on cycles, exactly,
+  instructions and every counter, over every model and the warmup
+  boundaries and trace shapes that cut a schedule differently;
+* the hierarchy's level passes run once per (trace, geometry), however
+  many models, warmups and ``persist_region`` settings read them, one
+  load schedule serves every model of a calibration, and a warmup that
   reaches the end of the trace leaves every count out;
 * without speculative verification, every model whose store path carries
   metadata caches verifies PM loads — SP and secure flush included.
@@ -28,15 +33,21 @@ import numpy as np
 import pytest
 
 from repro.baselines.strict import StrictPersistencySimulator
+from repro.core import simulator
+from repro.core.controller import TimingCalibration
 from repro.core.multicore import MultiCoreSecPBSimulator
 from repro.core.schemes import CM, NOGAP, SPECTRUM_ORDER, get_scheme
-from repro.core.simulator import SecurePersistencySimulator, TraceSimulator
+from repro.core.simulator import (
+    SecurePersistencySimulator,
+    TraceSimulator,
+    load_verification_cycles,
+)
 from repro.persistency.flush import FlushBasedSimulator, PersistencyModel
 from repro.security.bmf import ForestTimingModel
 from repro.sim import hierarchy
 from repro.sim.config import SECPB_SIZE_SWEEP, CacheConfig, SystemConfig
 from repro.sim.hierarchy import MemoryHierarchy, front_end
-from repro.sim.stats import StatsCollector
+from repro.sim.stats import SimulationResult, StatsCollector
 from repro.workloads.spec import build_trace
 from repro.workloads.store import TraceStore
 from repro.workloads.synthetic import zipf_trace
@@ -140,6 +151,78 @@ def _reference_replay(trace, config, persist_region, warmups):
     return column, counters
 
 
+def _simloop_models():
+    """The nine configurations the ``simloop`` benchmark workloads run."""
+    models = [SecurePersistencySimulator()]
+    models += [SecurePersistencySimulator(scheme=get_scheme(n)) for n in SPECTRUM_ORDER]
+    return models + [StrictPersistencySimulator(), FlushBasedSimulator()]
+
+
+def _reference_run(model, trace, warmup_frac):
+    """The op-by-op trace loop that :meth:`TraceSimulator.run` replaced.
+
+    Each op adds its gap's cycles and, for a load, its blended latency,
+    read from the front end's column, to the clock one op at a time, and
+    verifies a PM load when the model does.  Kept as the oracle the
+    schedule-walking loop must equal.
+    """
+    config, cal = model.config, model.calibration
+    warmup_ops = int(len(trace) * warmup_frac)
+    front = front_end(trace, config, model.persist_region, warmup_ops)
+    stats = StatsCollector()
+    path = model._store_path(stats)
+
+    clock = 0.0
+    instructions = 0
+    l1_hit_cycles = config.l1.access_cycles
+    cpi_base = cal.cpi_base
+    blocking = cal.load_blocking_fraction
+    mdc = path.mdc
+    verify_load_cycles = load_verification_cycles(config, mdc)
+    memory_fill_cycles = config.memory_round_trip_cycles
+    count_load_verification = stats.counter("verify.load_verifications")
+    warmup_clock = 0.0
+    warmup_instructions = 0
+    warmup_stats = {}
+    for op_index, ((is_store, block_addr, gap), latency) in enumerate(
+        zip(trace.iter_ops(), front.load_latency)
+    ):
+        if op_index == warmup_ops and warmup_ops:
+            warmup_clock = clock
+            warmup_instructions = instructions
+            path.sync()
+            warmup_stats = stats.snapshot()
+        instructions += gap + 1
+        clock += gap * cpi_base
+        if not is_store:
+            if latency >= memory_fill_cycles and verify_load_cycles:
+                latency += mdc.access_counter(block_addr // 64)
+                latency += verify_load_cycles
+                count_load_verification()
+            if latency <= l1_hit_cycles:
+                clock += latency
+            else:
+                clock += l1_hit_cycles + blocking * (latency - l1_hit_cycles)
+            continue
+        clock = path.store(clock, block_addr)
+
+    if path.finish is not None:
+        clock = path.finish(clock)
+    path.sync()
+    if warmup_ops:
+        stats.subtract(warmup_stats)
+    stats.merge(front.stats)
+    stats.set("instructions", instructions - warmup_instructions)
+    result_stats = path.report() if path.report is not None else stats.as_dict()
+    return SimulationResult(
+        scheme=model.scheme_name,
+        benchmark=trace.name,
+        cycles=clock - warmup_clock,
+        instructions=instructions - warmup_instructions,
+        stats=result_stats,
+    )
+
+
 class TestOneLoop:
     @pytest.mark.parametrize("cls", SIMULATORS)
     def test_subclasses_the_loop_directly(self, cls):
@@ -181,6 +264,120 @@ class TestLoadOnlyOracle:
         assert views[0][2]  # the cache counters are really compared
         for view in views[1:]:
             assert view == views[0]
+
+
+def _with_stores(trace, is_store, name):
+    return Trace(name, np.asarray(is_store, dtype=bool), trace.block_addr, trace.gap)
+
+
+def _boundary_at(trace, warmup_ops):
+    """A warmup fraction whose boundary falls at op ``warmup_ops``."""
+    warmup_frac = (warmup_ops + 0.5) / len(trace)
+    assert int(len(trace) * warmup_frac) == warmup_ops
+    return warmup_frac
+
+
+def _first_op(trace, pattern):
+    """The first op ``i`` whose ops ``i - len(pattern) + 1 .. i`` match.
+
+    ``pattern`` spells stores ``s`` and loads ``l``, in op order.
+    """
+    spelled = "".join("s" if store else "l" for store in trace.is_store)
+    return spelled.index(pattern, len(trace) // 4) + len(pattern) - 1
+
+
+def _oracle_cases():
+    """(trace, warmup fraction) per case: each cuts a schedule differently.
+
+    The mixed trace holds mcf's PM fills (so non-speculative models
+    verify loads) and gamess's store runs.
+    """
+    mixed = build_trace("mcf", 1500, 3).concat(build_trace("gamess", 1500, 3))
+    n = len(mixed)
+    ends_in_loads = mixed.is_store.copy()
+    ends_in_loads[-40:] = False
+    zero_gaps = Trace("zero_gaps", mixed.is_store, mixed.block_addr,
+                      np.zeros_like(mixed.gap))
+    empty = Trace("empty", np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64),
+                  np.zeros(0, dtype=np.int32))
+    return {
+        "warmup_0": (mixed, 0.0),
+        "boundary_on_store_after_store": (mixed, _boundary_at(mixed, _first_op(mixed, "ss"))),
+        "boundary_on_load_after_store": (mixed, _boundary_at(mixed, _first_op(mixed, "sl"))),
+        "boundary_on_load_in_a_run": (mixed, _boundary_at(mixed, _first_op(mixed, "lll"))),
+        "boundary_after_a_run_of_loads": (mixed, _boundary_at(mixed, _first_op(mixed, "llls"))),
+        "boundary_on_the_last_op": (mixed, _boundary_at(mixed, n - 1)),
+        "ends_in_loads": (_with_stores(mixed, ends_in_loads, "ends_in_loads"), WARMUP),
+        "all_stores": (_with_stores(mixed, np.ones(n), "all_stores"), WARMUP),
+        "all_loads": (_with_stores(mixed, np.zeros(n), "all_loads"), WARMUP),
+        "empty": (empty, WARMUP),
+        "zero_gaps": (zero_gaps, WARMUP),
+    }
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+INEXACT = TimingCalibration(cpi_base=0.1, load_blocking_fraction=0.3)
+"""Addends the clock cannot sum exactly: the default calibration's are
+multiples of small powers of two, whose sums are exact in any order, so
+only this one shows a change of summation order."""
+
+
+def _oracle_models():
+    """The nine simloop configurations, plus non-speculative CM, SP and
+    secure flush (each verifies PM loads), and CM and SP on ``INEXACT``."""
+    return _simloop_models() + [
+        SecurePersistencySimulator(_nonspec(), CM),
+        StrictPersistencySimulator(_nonspec()),
+        FlushBasedSimulator(PersistencyModel.EPOCH, secure=True, config=_nonspec()),
+        SecurePersistencySimulator(scheme=CM, calibration=INEXACT),
+        StrictPersistencySimulator(_nonspec(), calibration=INEXACT),
+    ]
+
+
+class TestScheduleOracle:
+    """The schedule-walking loop equals the op-by-op loop it replaced."""
+
+    @staticmethod
+    def _check(model, trace, warmup_frac):
+        result = model.run(trace, warmup_frac)
+        reference = _reference_run(model, trace, warmup_frac)
+        name = model.scheme_name
+        assert result.cycles == reference.cycles, name  # exact, not approx
+        assert result.instructions == reference.instructions, name
+        assert set(result.stats) == set(reference.stats), name
+        assert result.stats == reference.stats, name
+        assert result == reference, name
+        return result
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_equals_the_op_by_op_loop(self, case):
+        trace, warmup_frac = ORACLE_CASES[case]
+        for model in _oracle_models():
+            self._check(model, trace, warmup_frac)
+
+    def test_cases_reach_what_they_name(self):
+        mixed, _ = ORACLE_CASES["warmup_0"]
+        verified = self._check(SecurePersistencySimulator(_nonspec(), CM), mixed, WARMUP)
+        assert verified.stats["verify.load_verifications"] > 0
+        assert all(ORACLE_CASES["ends_in_loads"][0].is_store[-40:] == 0)
+        assert ORACLE_CASES["all_stores"][0].num_loads == 0
+        assert ORACLE_CASES["all_loads"][0].num_stores == 0
+        empty = self._check(SecurePersistencySimulator(scheme=CM), *ORACLE_CASES["empty"])
+        assert (empty.cycles, empty.instructions) == (0.0, 0)
+
+    def test_calibration_is_part_of_the_memo_key(self):
+        trace = build_trace("mcf", 2000, 4)
+        default = SecurePersistencySimulator(scheme=CM).run(trace, WARMUP)
+        assert trace.__dict__["_load_schedules"]  # the default is memoized
+        for calibration in (
+            TimingCalibration(cpi_base=0.1),
+            TimingCalibration(load_blocking_fraction=0.3),
+        ):
+            model = SecurePersistencySimulator(scheme=CM, calibration=calibration)
+            result = self._check(model, trace, WARMUP)
+            assert result.cycles != default.cycles
 
 
 class TestOneCoreMulticoreOracle:
@@ -316,30 +513,62 @@ class TestOneReplayPerTrace:
         monkeypatch.setattr(hierarchy, "_replay", counted)
         return replayed
 
-    def test_one_replay_serves_every_persistent_model(self, replays):
-        trace = build_trace("gamess", 3000, 5)
+    @staticmethod
+    def _every_persistent_model():
+        """BBB, every scheme, every Fig. 7 SecPB size, every Fig. 9 BMF cut, SP."""
         config = SystemConfig()
         models = [SecurePersistencySimulator()]
         models += [
             SecurePersistencySimulator(scheme=get_scheme(n)) for n in SPECTRUM_ORDER
         ]
         models += [
-            StrictPersistencySimulator(),
-            StrictPersistencySimulator(bmt_levels_fn=_bmf_levels(2)),
-        ]
-        models += [
             SecurePersistencySimulator(config.with_secpb_entries(n), CM)
             for n in SECPB_SIZE_SWEEP
         ]
-        for model in models:
+        for cut in (2, 5):
+            models += [
+                SecurePersistencySimulator(scheme=CM, bmt_levels_fn=_bmf_levels(cut)),
+                StrictPersistencySimulator(bmt_levels_fn=_bmf_levels(cut)),
+            ]
+        models.append(StrictPersistencySimulator())
+        return models
+
+    def test_one_replay_serves_every_persistent_model(self, replays):
+        trace = build_trace("gamess", 3000, 5)
+        for model in self._every_persistent_model():
             model.run(trace, WARMUP)
         assert replays == [trace.name]
 
-        # Volatile caches are another replay, and so is another warmup.
+        # Volatile caches and another warmup read the same level passes;
+        # only another geometry replays.
         FlushBasedSimulator().run(trace, WARMUP)
-        assert len(replays) == 2
+        assert len(replays) == 1
         SecurePersistencySimulator(scheme=CM).run(trace, 0.0)
-        assert len(replays) == 3
+        assert len(replays) == 1
+        SecurePersistencySimulator(GEOMETRIES["single_set_l2"], CM).run(trace, WARMUP)
+        assert len(replays) == 2
+
+    def test_one_schedule_serves_every_persistent_model(self, monkeypatch):
+        built = []
+        original = simulator._build_load_schedule
+
+        def counted(trace, *args):
+            built.append(trace.name)
+            return original(trace, *args)
+
+        monkeypatch.setattr(simulator, "_build_load_schedule", counted)
+        trace = build_trace("mcf", 3000, 5)
+        for model in self._every_persistent_model():
+            model.run(trace, WARMUP)
+        assert built == [trace.name]
+        # Volatile caches price loads alike; non-speculative verification
+        # and another warmup each build their own.
+        FlushBasedSimulator().run(trace, WARMUP)
+        assert len(built) == 1
+        SecurePersistencySimulator(_nonspec(), CM).run(trace, WARMUP)
+        assert len(built) == 2
+        SecurePersistencySimulator(scheme=CM).run(trace, 0.0)
+        assert len(built) == 3
 
     @pytest.mark.parametrize("beyond", [0, 1, 500])
     def test_warmup_past_the_trace_excludes_every_count(self, beyond):
