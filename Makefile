@@ -38,12 +38,17 @@ lint:
 # instrumented-run smoke, the resume smoke (deadline checkpoint ->
 # resume -> byte-identical report), and the chaos smoke (systematic
 # crash-consistency sweep + seeded envfault soak; mirrors
-# .github/workflows/ci.yml).
+# .github/workflows/ci.yml).  The quick smoke rewrites QUICK_RESULTS,
+# what the fault plane fired among them; they must stay as committed.
+QUICK_RESULTS := $(addprefix benchmarks/results/,chaos_systematic.txt \
+	chaos_soak.txt fault_smoke.txt quick_smoke.txt)
+
 ci: lint test
 	$(PYTHON) -m pytest tests/test_golden_output.py tests/test_cli.py -q -p no:cacheprovider
 	$(PYTHON) -m pytest bench/test_bench.py -q -p no:cacheprovider
 	$(MAKE) --no-print-directory bench-digests | diff -u tests/data/bench_digests.txt -
 	$(PYTHON) -m pytest benchmarks -m quick -q -p no:cacheprovider
+	git diff --exit-code -- $(QUICK_RESULTS)
 	work=$$(mktemp -d) && trap 'rm -rf "$$work"' EXIT && \
 	$(PYTHON) -m repro experiment table4 --num-ops 2000 --jobs 1 > "$$work/jobs1.txt" && \
 	$(PYTHON) -m repro experiment table4 --num-ops 2000 --jobs 2 > "$$work/jobs2.txt" && \

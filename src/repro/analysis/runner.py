@@ -79,7 +79,6 @@ from ..core.controller import TimingCalibration
 from ..core.schemes import SCHEMES
 from ..core.simulator import SecurePersistencySimulator
 from ..durability.interrupt import RunInterrupted, StopToken
-from ..envfault import context as _envfault
 from ..envfault import procfault as _procfault
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import LANE_STORES, Tracer
@@ -629,11 +628,10 @@ def _run_batch(
     trace-store deltas ``(built, attach_hits)`` for the runner's
     observability counters.
 
-    When the fault plane is armed (:mod:`repro.envfault`), each task
-    boundary is a ``worker.task`` injection site — a due
-    ``worker_sigkill`` takes the whole process down mid-batch, exactly
-    like the OOM killer, and the parent must absorb the resulting
-    :class:`BrokenProcessPool`.
+    Each task boundary is a ``worker.task`` injection site of the fault
+    plane (:mod:`repro.envfault`): a due ``worker_sigkill`` takes the
+    whole process down mid-batch, exactly like the OOM killer, and the
+    parent must absorb the resulting :class:`BrokenProcessPool`.
     """
     if setup is not None:
         try:
@@ -643,8 +641,7 @@ def _run_batch(
     built_before, attached_before = store_counters()
     outcomes: List[_Outcome] = []
     for task in tasks:
-        if _envfault.CURRENT is not None:
-            _procfault.maybe_kill_worker("worker.task", _envfault.CURRENT)
+        _procfault.maybe_kill_worker("worker.task")
         outcomes.append(_execute(fn, task))
     built_after, attached_after = store_counters()
     return (
@@ -706,14 +703,11 @@ def _run_pool(
             retry: List[Any] = []
             for batch_index, (batch, future) in enumerate(futures):
                 try:
-                    if _envfault.CURRENT is not None:
-                        # The harvest is a `runner.harvest` injection
-                        # site: a due `broken_pool` storm raises here,
-                        # inside the try, so it flows through the same
-                        # mark-unhealthy/retry path a real one would.
-                        _procfault.maybe_break_pool(
-                            "runner.harvest", _envfault.CURRENT
-                        )
+                    # The harvest is a `runner.harvest` injection site:
+                    # a due `broken_pool` storm raises here, inside the
+                    # try, so it flows through the same
+                    # mark-unhealthy/retry path a real one would.
+                    _procfault.maybe_break_pool("runner.harvest")
                     # Harvest in submission order; the per-task timeout
                     # is measured from when the harvest starts waiting on
                     # the future (batch size is 1 whenever a timeout is

@@ -832,8 +832,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--faults",
         default="all",
-        help="comma-separated fault kinds to soak with (default: all the "
-        "filesystem and process kinds; a soak cannot fire shm kinds)",
+        help="comma-separated fault kinds to soak with (default: all, "
+        "i.e. every filesystem and process kind)",
     )
     chaos.add_argument(
         "--jobs",

@@ -114,7 +114,8 @@ _WARMUP = -2
 """A schedule event: the measured region starts."""
 _VERIFY = -3
 """A schedule event at or below this is a verifying PM load, of the block
-``_VERIFY - event``; a store's event is its block address, never negative."""
+``_VERIFY - event``; a store's event is its block address, which
+:class:`~repro.workloads.trace.Trace` keeps non-negative."""
 
 
 class LoadSchedule(NamedTuple):

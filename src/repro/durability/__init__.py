@@ -19,10 +19,12 @@ loss mid-campaign loses at most the jobs that were in flight:
   shared by the fault campaign and the experiment runner.
 
 Layering: this package imports nothing from the rest of ``repro``
-except the stdlib-only fault-injection leaves
-(:mod:`repro.envfault.context` / :mod:`repro.envfault.fsfault`, the
-opt-in OS-fault shims) — the runner (:mod:`repro.analysis.runner`), the
-fault campaign (:mod:`repro.fault.campaign`), the trace store
+except the stdlib-only filesystem shims (:mod:`repro.envfault.fsfault`),
+through which every journal and artifact write, fsync and rename runs:
+with no fault armed they are the plain syscalls, so the path the chaos
+checker grades is the one every run takes.  The runner
+(:mod:`repro.analysis.runner`), the fault campaign
+(:mod:`repro.fault.campaign`), the trace store
 (:mod:`repro.workloads.store`), and the CLI all build on it.
 """
 

@@ -5,7 +5,9 @@ the next consumer deserializes garbage or, worse, half a report that
 parses.  Every artifact here is therefore written with the classic
 write-ahead discipline — write a temporary file in the *same directory*,
 flush, ``fsync``, then ``os.replace`` over the destination (atomic on
-POSIX), then fsync the directory so the rename itself is durable.
+POSIX), then fsync the directory so the rename itself is durable.  Each
+step runs through :mod:`repro.envfault.fsfault`, the one path the chaos
+checker grades; with no fault armed it is the plain syscall.
 
 :func:`write_artifact` additionally writes a sidecar manifest
 (``<name>.sha256``) holding the artifact's SHA-256 digest and size, and
@@ -24,9 +26,8 @@ import logging
 import os
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
-from ..envfault import context as _envfault
 from ..envfault import fsfault as _fsfault
 
 logger = logging.getLogger(__name__)
@@ -58,10 +59,7 @@ class ArtifactError(Exception):
         self.status = status
 
 
-def _fsync_dir(
-    directory: Path,
-    envfault: Optional[_envfault.EnvFaultContext] = None,
-) -> None:
+def _fsync_dir(directory: Path) -> None:
     """Make a completed rename in ``directory`` durable (POSIX fsync)."""
     try:
         fd = os.open(str(directory), os.O_RDONLY)
@@ -72,19 +70,12 @@ def _fsync_dir(
         logger.debug("cannot fsync directory %s: %s", directory, exc)
         return
     try:
-        if envfault is not None:
-            _fsfault.fsync(fd, "artifact.dir_fsync", envfault)
-        else:
-            os.fsync(fd)
+        _fsfault.fsync(fd, "artifact.dir_fsync")
     finally:
         os.close(fd)
 
 
-def atomic_write_bytes(
-    path: Union[str, Path],
-    data: bytes,
-    envfault: Optional[_envfault.EnvFaultContext] = None,
-) -> Path:
+def atomic_write_bytes(path: Union[str, Path], data: bytes) -> Path:
     """Write ``data`` to ``path`` atomically (temp → fsync → rename).
 
     A reader never observes a partial file: either the old content (or
@@ -93,25 +84,14 @@ def atomic_write_bytes(
     filesystems.
     """
     path = Path(path)
-    context = _envfault.current(envfault)
     tmp = path.parent / f".{path.name}.tmp.{os.getpid()}"
     fd = os.open(str(tmp), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
     try:
         with os.fdopen(fd, "wb") as handle:
-            if context is not None:
-                _fsfault.write(handle, data, "artifact.write", context)
-                handle.flush()
-                _fsfault.fsync(
-                    handle.fileno(), "artifact.fsync", context
-                )
-            else:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-        if context is not None:
-            _fsfault.replace(str(tmp), str(path), "artifact.rename", context)
-        else:
-            os.replace(str(tmp), str(path))
+            _fsfault.write(handle, data, "artifact.write")
+            handle.flush()
+            _fsfault.fsync(handle.fileno(), "artifact.fsync")
+        _fsfault.replace(str(tmp), str(path), "artifact.rename")
     except BaseException:
         try:
             os.unlink(str(tmp))
@@ -120,17 +100,13 @@ def atomic_write_bytes(
             # but a lingering temp file is worth a trace in the log.
             logger.debug("cannot remove temp file %s: %s", tmp, exc)
         raise
-    _fsync_dir(path.parent, envfault=context)
+    _fsync_dir(path.parent)
     return path
 
 
-def atomic_write_text(
-    path: Union[str, Path],
-    text: str,
-    envfault: Optional[_envfault.EnvFaultContext] = None,
-) -> Path:
+def atomic_write_text(path: Union[str, Path], text: str) -> Path:
     """Atomic UTF-8 text write (see :func:`atomic_write_bytes`)."""
-    return atomic_write_bytes(path, text.encode("utf-8"), envfault=envfault)
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def manifest_path(path: Union[str, Path]) -> Path:
@@ -144,11 +120,7 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def write_artifact(
-    path: Union[str, Path],
-    data: Union[str, bytes],
-    envfault: Optional[_envfault.EnvFaultContext] = None,
-) -> Path:
+def write_artifact(path: Union[str, Path], data: Union[str, bytes]) -> Path:
     """Atomically write an artifact plus its SHA-256 sidecar manifest.
 
     The artifact lands first, the manifest second (both atomic): a crash
@@ -159,7 +131,7 @@ def write_artifact(
     if isinstance(data, str):
         data = data.encode("utf-8")
     path = Path(path)
-    atomic_write_bytes(path, data, envfault=envfault)
+    atomic_write_bytes(path, data)
     manifest: Dict[str, object] = {
         "algorithm": "sha256",
         "digest": _digest(data),
@@ -167,9 +139,7 @@ def write_artifact(
         "size": len(data),
     }
     atomic_write_text(
-        manifest_path(path),
-        json.dumps(manifest, sort_keys=True) + "\n",
-        envfault=envfault,
+        manifest_path(path), json.dumps(manifest, sort_keys=True) + "\n"
     )
     return path
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, IO, Optional, Union
 
-from ..envfault import context as _envfault
 from ..envfault import fsfault as _fsfault
 
 JOURNAL_VERSION = 1
@@ -186,30 +185,20 @@ class JournalWriter:
     validated.  Works as a context manager; :meth:`close` is idempotent.
     """
 
-    def __init__(
-        self,
-        path: Path,
-        handle: IO[str],
-        envfault: Optional[_envfault.EnvFaultContext] = None,
-    ):
+    def __init__(self, path: Path, handle: IO[str]):
         self.path = path
         self._handle: Optional[IO[str]] = handle
-        self._envfault = envfault
 
     @classmethod
     def create(
-        cls,
-        path: Union[str, Path],
-        kind: str,
-        spec: Dict[str, Any],
-        envfault: Optional[_envfault.EnvFaultContext] = None,
+        cls, path: Union[str, Path], kind: str, spec: Dict[str, Any]
     ) -> "JournalWriter":
         """Start a new journal for ``spec``, truncating any existing file."""
         path = Path(path)
         if path.parent and not path.parent.is_dir():
             os.makedirs(str(path.parent), exist_ok=True)
         handle = open(str(path), "w", encoding="utf-8")
-        writer = cls(path, handle, envfault=envfault)
+        writer = cls(path, handle)
         writer._write_line(
             _canonical(
                 {
@@ -223,11 +212,7 @@ class JournalWriter:
         return writer
 
     @classmethod
-    def append_to(
-        cls,
-        path: Union[str, Path],
-        envfault: Optional[_envfault.EnvFaultContext] = None,
-    ) -> "JournalWriter":
+    def append_to(cls, path: Union[str, Path]) -> "JournalWriter":
         """Continue an existing journal (validated via :func:`read_journal`).
 
         A torn trailing line from a previous crash is first truncated
@@ -243,20 +228,14 @@ class JournalWriter:
                 repair.flush()
                 os.fsync(repair.fileno())
         handle = open(str(path), "a", encoding="utf-8")
-        return cls(path, handle, envfault=envfault)
+        return cls(path, handle)
 
     def _write_line(self, line: str) -> None:
         if self._handle is None:
             raise JournalError(f"journal {self.path} is closed")
-        context = _envfault.current(self._envfault)
-        if context is not None:
-            _fsfault.write(self._handle, line + "\n", "journal.write", context)
-            self._handle.flush()
-            _fsfault.fsync(self._handle.fileno(), "journal.fsync", context)
-            return
-        self._handle.write(line + "\n")
+        _fsfault.write(self._handle, line + "\n", "journal.write")
         self._handle.flush()
-        os.fsync(self._handle.fileno())
+        _fsfault.fsync(self._handle.fileno(), "journal.fsync")
 
     def append(self, key: Any, payload: Dict[str, Any]) -> None:
         """Durably record one completed job's payload under ``key``."""

@@ -3,20 +3,19 @@
 ``repro.envfault`` turns the ROADMAP's "handle as many scenarios as you
 can imagine" north star on the harness itself: it injects the operating
 system's failure modes — ENOSPC mid-journal-append, EIO on fsync, torn
-writes, failed renames, vanished shared-memory segments, worker SIGKILL
-storms — into the durability and runtime layers, deterministically and
-replayably, and then *checks* that the PR 5 crash-safety invariants
-survive them.
+writes, failed renames, worker SIGKILL storms — into the durability
+layer and the runner's pool, deterministically and replayably, and then
+*checks* that the harness's crash-safety invariants survive them.
 
 Layout:
 
 - :mod:`~repro.envfault.plan` — fault schedules keyed by
   ``(seed, op-occurrence)``; JSON round-trip; ``random_plan``.
 - :mod:`~repro.envfault.context` — the process-wide armed context and
-  the ``SECPB_ENVFAULT`` env gate (a leaf module the durability layer
-  may import).
+  the ``SECPB_ENVFAULT`` env gate (a leaf module; the shims read it).
 - :mod:`~repro.envfault.fsfault` / :mod:`~repro.envfault.procfault` —
-  the shims injection sites run only when armed.
+  the shims every injection site calls, armed or not: with no fault
+  due they run the plain syscall, so there is one code path per site.
 - :mod:`~repro.envfault.check` — the systematic crash-consistency
   sweep and the randomized chaos soak (``repro chaos``).  Imported
   lazily by the CLI; **not** re-exported here, because it pulls in
@@ -31,8 +30,6 @@ from .context import (
     EnvFaultContext,
     FiredFault,
     activate,
-    current,
-    deactivate,
     injected,
 )
 from .plan import (
@@ -43,7 +40,6 @@ from .plan import (
     KINDS_FOR_OP,
     PLAN_VERSION,
     PROC_KINDS,
-    SHM_KINDS,
     FaultPlan,
     FaultSpec,
     PlanError,
@@ -65,10 +61,7 @@ __all__ = [
     "PLAN_VERSION",
     "PROC_KINDS",
     "PlanError",
-    "SHM_KINDS",
     "activate",
-    "current",
-    "deactivate",
     "injected",
     "load_plan",
     "random_plan",

@@ -63,9 +63,6 @@ from ..runtime.shm import segment_prefix
 from .context import injected
 from .plan import (
     ALL_KINDS,
-    FS_KINDS,
-    PROC_KINDS,
-    SHM_KINDS,
     FaultPlan,
     FaultSpec,
     PlanError,
@@ -76,11 +73,6 @@ logger = logging.getLogger(__name__)
 
 CHAOS_REPRODUCER_VERSION = 1
 """Chaos-reproducer file-format version (plan + campaign shape)."""
-
-#: Fault kinds a soak can fire.  Its armed runs are fault campaigns,
-#: which publish no traces, so no worker attaches shared memory and the
-#: ``shm.attach`` / ``shm.verify`` sites never run.
-SOAK_KINDS = FS_KINDS + PROC_KINDS
 
 #: Byte offsets at which the systematic sweep tears the next record.
 TEAR_OFFSETS = (1, 9)
@@ -543,9 +535,7 @@ def _soak_iteration(
             try:
                 # Exercise the artifact path under the same plan (the
                 # campaign itself only appends to the journal).
-                write_artifact(
-                    artifact_path, report.to_json(), envfault=context
-                )
+                write_artifact(artifact_path, report.to_json())
             except OSError:
                 pass  # graded below: valid-or-quarantined
             fired = len(context.fired)
@@ -739,14 +729,13 @@ def replay_reproducer(
 
 
 def soak_kinds(kinds: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
-    """The kinds a soak draws from: ``kinds``, or :data:`SOAK_KINDS`.
+    """The kinds a soak draws from: ``kinds``, or every kind.
 
     Raises:
-        PlanError: ``kinds`` is empty, names an unknown kind, or names a
-            shared-memory kind, which no soak iteration can fire.
+        PlanError: ``kinds`` is empty or names an unknown kind.
     """
     if kinds is None:
-        return SOAK_KINDS
+        return ALL_KINDS
     if not kinds:
         raise PlanError("no fault kinds to soak with")
     unknown = [kind for kind in kinds if kind not in ALL_KINDS]
@@ -754,12 +743,6 @@ def soak_kinds(kinds: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
         raise PlanError(
             f"unknown fault kind(s) {', '.join(unknown)} "
             f"(known: {', '.join(ALL_KINDS)})"
-        )
-    idle = [kind for kind in kinds if kind in SHM_KINDS]
-    if idle:
-        raise PlanError(
-            f"a soak cannot fire {', '.join(idle)}: its fault campaigns "
-            "publish no traces, so no worker attaches shared memory"
         )
     return tuple(kinds)
 
@@ -786,7 +769,7 @@ def soak_check(
 
     The ``minutes`` budget is metered on :func:`time.monotonic`; with
     ``max_iterations`` set and time to spare, ``seed`` alone determines
-    the soak.  ``kinds`` defaults to :data:`SOAK_KINDS` and is checked by
+    the soak.  ``kinds`` defaults to every kind and is checked by
     :func:`soak_kinds` before any run.
     """
     allowed = soak_kinds(kinds)

@@ -1,19 +1,20 @@
 """The live fault-injection context and its ``SECPB_ENVFAULT`` env gate.
 
-This module is the *only* thing the hot paths in
-:mod:`repro.durability` and :mod:`repro.runtime` import from the fault
-plane, and it is deliberately a leaf: it depends on nothing in
+This module is the *only* state the fault shims in
+:mod:`repro.envfault.fsfault` and :mod:`repro.envfault.procfault`
+consult, and it is deliberately a leaf: it depends on nothing in
 ``repro`` beyond :mod:`repro.envfault.plan` (itself pure stdlib), so
 the durability package's import-light layering survives.
 
-When no context is active (the default), every injection site costs a
-single ``CURRENT is not None`` check and takes its original code path —
-byte-identical behaviour, guarded by the golden tests.  A context is
-activated either programmatically (:func:`activate` /
-:func:`injected`) or by setting ``SECPB_ENVFAULT`` to a fault-plan JSON
-file (or inline JSON), which installs the plan at import time in every
-process — including forked pool workers, which is how worker-side
-faults (``worker_sigkill``) reach their targets.
+Every injection site has one code path: it calls its shim, and the
+shim reads :data:`CURRENT`.  When no context is active (the default),
+or none of its faults is due at this occurrence, the shim runs the
+plain syscall sequence, so a disarmed run executes exactly the path the
+chaos checker grades.  A context is activated either programmatically
+(:func:`activate` / :func:`injected`) or by setting ``SECPB_ENVFAULT``
+to a fault-plan JSON file (or inline JSON), which installs the plan at
+import time in every process — including forked pool workers, which is
+how worker-side faults (``worker_sigkill``) reach their targets.
 
 Firing is bookkept per op name: each call to
 :meth:`EnvFaultContext.fire` increments that op's occurrence counter
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from contextlib import contextmanager
 
@@ -48,10 +49,6 @@ class FiredFault:
 class EnvFaultContext:
     """Tracks op occurrences against a plan and reports what fired.
 
-    ``tracer`` may be any object with an ``instant(name, **kw)`` method
-    (duck-typed so this module stays a leaf — no :mod:`repro.obs`
-    import); each fired fault emits one instant event.
-
     ``scratch`` names a directory for cross-process one-shot markers
     (:meth:`claim_once`): forked pool workers each inherit their *own
     copy* of this context, so without coordination a ``worker_sigkill``
@@ -61,14 +58,8 @@ class EnvFaultContext:
     process system-wide.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        tracer: Optional[Any] = None,
-        scratch: Optional[str] = None,
-    ):
+    def __init__(self, plan: FaultPlan, scratch: Optional[str] = None):
         self.plan = plan
-        self._tracer = tracer
         self._scratch = scratch
         self._counts: Dict[str, int] = {}
         self.fired: List[FiredFault] = []
@@ -80,12 +71,6 @@ class EnvFaultContext:
         for spec in self.plan.specs:
             if spec.op == op and spec.hits(occurrence):
                 self.fired.append(FiredFault(op, occurrence, spec))
-                if self._tracer is not None:
-                    self._tracer.instant(
-                        f"envfault.{spec.kind}",
-                        cat="envfault",
-                        args={"op": op, "occurrence": occurrence},
-                    )
                 return spec
         return None
 
@@ -108,20 +93,6 @@ class EnvFaultContext:
             return False
         return True
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Deterministic summary: op counts plus the fired-fault log."""
-        return {
-            "counts": dict(sorted(self._counts.items())),
-            "fired": [
-                {
-                    "kind": hit.spec.kind,
-                    "occurrence": hit.occurrence,
-                    "op": hit.op,
-                }
-                for hit in self.fired
-            ],
-        }
-
 
 #: The process-wide active context; ``None`` means faults are off.
 CURRENT: Optional[EnvFaultContext] = None
@@ -134,27 +105,25 @@ def activate(context: EnvFaultContext) -> EnvFaultContext:
     return context
 
 
-def deactivate() -> None:
-    """Turn the fault plane off (injection sites revert to no-ops)."""
-    global CURRENT
-    CURRENT = None
+def due(op: str) -> Optional[FaultSpec]:
+    """Count one occurrence of ``op`` against :data:`CURRENT`, if armed.
 
-
-def current(override: Optional[EnvFaultContext] = None) -> Optional[EnvFaultContext]:
-    """The context an injection site should consult: kwarg beats global."""
-    return override if override is not None else CURRENT
+    Returns the fault due at this occurrence, or ``None`` — always
+    ``None`` when the plane is off.  Every filesystem and pool-harvest
+    shim starts here.
+    """
+    context = CURRENT
+    return context.fire(op) if context is not None else None
 
 
 @contextmanager
 def injected(
-    plan: FaultPlan,
-    tracer: Optional[Any] = None,
-    scratch: Optional[str] = None,
+    plan: FaultPlan, scratch: Optional[str] = None
 ) -> Iterator[EnvFaultContext]:
     """Activate a fresh context for ``plan`` for the duration of a block."""
     global CURRENT
     previous = CURRENT
-    context = activate(EnvFaultContext(plan, tracer=tracer, scratch=scratch))
+    context = activate(EnvFaultContext(plan, scratch=scratch))
     try:
         yield context
     finally:

@@ -1,12 +1,11 @@
-"""Filesystem fault shims: the code the hot paths run *only* when armed.
+"""Filesystem fault shims: the one code path of every durability write.
 
-Each helper mirrors one primitive the durability layer performs —
-write, fsync, rename — and consults the active
-:class:`~repro.envfault.context.EnvFaultContext` for a fault due at
-this occurrence of the named op.  When none is due, the helper performs
-the original syscall sequence; callers only reach these helpers after
-their own ``context is not None`` check, so the disarmed hot path never
-enters this module at all.
+Each helper performs one primitive the durability layer needs — write,
+fsync, rename — and first counts one occurrence of the named op
+against the armed :class:`~repro.envfault.context.EnvFaultContext`
+(:func:`~repro.envfault.context.due`).  When the plane is off, or no
+fault is due at this occurrence, the helper performs the plain syscall,
+so normal runs take exactly the path the chaos checker grades.
 
 Fault semantics:
 
@@ -28,7 +27,7 @@ import errno
 import os
 from typing import IO, Union
 
-from .context import EnvFaultContext
+from .context import due
 
 
 def _raise_for(kind: str, detail: str) -> None:
@@ -44,13 +43,10 @@ def _raise_for(kind: str, detail: str) -> None:
 
 
 def write(
-    handle: IO[Union[str, bytes]],
-    data: Union[str, bytes],
-    op: str,
-    context: EnvFaultContext,
+    handle: IO[Union[str, bytes]], data: Union[str, bytes], op: str
 ) -> None:
     """``handle.write(data)``, possibly failing or tearing mid-record."""
-    spec = context.fire(op)
+    spec = due(op)
     if spec is None:
         handle.write(data)
         return
@@ -65,9 +61,9 @@ def write(
     _raise_for(spec.kind, op)
 
 
-def fsync(fd: int, op: str, context: EnvFaultContext) -> None:
+def fsync(fd: int, op: str) -> None:
     """``os.fsync(fd)``, possibly failing — or lying and skipping it."""
-    spec = context.fire(op)
+    spec = due(op)
     if spec is None:
         os.fsync(fd)
         return
@@ -76,10 +72,9 @@ def fsync(fd: int, op: str, context: EnvFaultContext) -> None:
     _raise_for(spec.kind, op)
 
 
-def replace(src: str, dst: str, op: str, context: EnvFaultContext) -> None:
+def replace(src: str, dst: str, op: str) -> None:
     """``os.replace(src, dst)``, possibly failing before publishing."""
-    spec = context.fire(op)
-    if spec is not None:
+    if due(op) is not None:
         raise OSError(
             errno.EIO, f"envfault: rename {src!r} -> {dst!r} failed"
         )

@@ -2,8 +2,8 @@
 
 PR 4's fault campaigns attack the *simulated* NVM; this module attacks
 the harness's own durability and runtime layers — the journal appends,
-artifact renames, shared-memory attaches, and worker pools whose good
-behaviour the resume-byte-identical guarantee silently assumes.
+artifact renames, and worker pools whose good behaviour the
+resume-byte-identical guarantee silently assumes.
 
 A :class:`FaultPlan` is a seed plus a tuple of :class:`FaultSpec`
 entries.  Each spec names an injection *site* (an ``op`` string such as
@@ -27,7 +27,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 PLAN_VERSION = 1
 """Fault-plan file-format version (bump on incompatible changes)."""
@@ -35,13 +35,10 @@ PLAN_VERSION = 1
 #: Filesystem fault kinds (interpreted by :mod:`repro.envfault.fsfault`).
 FS_KINDS = ("enospc", "eio", "eintr", "fsync_drop", "torn_write", "rename_fail")
 
-#: Shared-memory fault kinds (interpreted by :mod:`repro.runtime.shm`).
-SHM_KINDS = ("attach_enoent", "segment_vanish", "digest_mismatch")
-
 #: Process fault kinds (interpreted by :mod:`repro.envfault.procfault`).
 PROC_KINDS = ("worker_sigkill", "broken_pool")
 
-ALL_KINDS = FS_KINDS + SHM_KINDS + PROC_KINDS
+ALL_KINDS = FS_KINDS + PROC_KINDS
 
 #: Injection site -> fault kinds that site knows how to interpret.
 KINDS_FOR_OP: Dict[str, Tuple[str, ...]] = {
@@ -51,8 +48,6 @@ KINDS_FOR_OP: Dict[str, Tuple[str, ...]] = {
     "artifact.fsync": ("enospc", "eio", "fsync_drop"),
     "artifact.rename": ("rename_fail",),
     "artifact.dir_fsync": ("eio", "fsync_drop"),
-    "shm.attach": ("attach_enoent", "segment_vanish"),
-    "shm.verify": ("digest_mismatch",),
     "worker.task": ("worker_sigkill",),
     "runner.harvest": ("broken_pool",),
 }
@@ -194,17 +189,14 @@ def load_plan(source: Union[str, Path]) -> FaultPlan:
 
 
 def random_plan(
-    seed: int,
-    ops: int = 3,
-    kinds: Optional[Iterable[str]] = None,
-    sites: Optional[Sequence[str]] = None,
-    horizon: int = DEFAULT_HORIZON,
+    seed: int, ops: int = 3, kinds: Optional[Iterable[str]] = None
 ) -> FaultPlan:
-    """Derive a fault plan from ``seed``: ``ops`` faults over ``sites``.
+    """Derive a fault plan from ``seed``: ``ops`` faults over the sites.
 
     Restricting ``kinds`` (e.g. to filesystem faults only) drops sites
-    that can no longer fire anything.  The same ``(seed, ops, kinds,
-    sites, horizon)`` always yields the same plan.
+    that can no longer fire anything.  The same ``(seed, ops, kinds)``
+    always yields the same plan; each fault lands in the first
+    :data:`DEFAULT_HORIZON` occurrences of its op.
 
     Two structural guarantees keep generated plans *absorbable* (the
     soak grades un-absorbed faults as violations, so the generator must
@@ -223,12 +215,10 @@ def random_plan(
             f"unknown fault kind(s) {', '.join(sorted(unknown))} "
             f"(known: {', '.join(ALL_KINDS)})"
         )
-    site_pool = tuple(sites) if sites is not None else ALL_OPS
     usable = [
         op
-        for op in site_pool
-        if op in KINDS_FOR_OP
-        and any(kind in allowed for kind in KINDS_FOR_OP[op])
+        for op in ALL_OPS
+        if any(kind in allowed for kind in KINDS_FOR_OP[op])
     ]
     if not usable:
         raise PlanError(
@@ -246,7 +236,7 @@ def random_plan(
         specs.append(
             FaultSpec(
                 op=op,
-                index=rng.randrange(horizon),
+                index=rng.randrange(DEFAULT_HORIZON),
                 kind=kind,
                 arg=rng.randrange(1, 64) if kind == "torn_write" else 0,
             )

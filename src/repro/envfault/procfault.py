@@ -19,10 +19,10 @@ import signal
 
 from concurrent.futures.process import BrokenProcessPool
 
-from .context import EnvFaultContext
+from . import context as _context
 
 
-def maybe_kill_worker(op: str, context: EnvFaultContext) -> None:
+def maybe_kill_worker(op: str) -> None:
     """SIGKILL the *current* process if a worker fault is due at ``op``.
 
     Called by pool workers at task boundaries; the parent observes a
@@ -34,22 +34,19 @@ def maybe_kill_worker(op: str, context: EnvFaultContext) -> None:
     generation would re-execute the kill and defeat the retry budget
     the fault is supposed to exercise.
     """
-    spec = context.fire(op)
-    if spec is None or spec.kind != "worker_sigkill":
+    context = _context.CURRENT
+    if context is None or context.fire(op) is None:
         return
-    occurrence = context.fired[-1].occurrence
-    if not context.claim_once(op, occurrence):
-        return
-    os.kill(os.getpid(), signal.SIGKILL)
+    if context.claim_once(op, context.fired[-1].occurrence):
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
-def maybe_break_pool(op: str, context: EnvFaultContext) -> None:
+def maybe_break_pool(op: str) -> None:
     """Raise :class:`BrokenProcessPool` if a storm is due at ``op``.
 
     Models the executor reporting every in-flight future dead at
     harvest time without any worker of ours having crashed — the
     parent-side face of a worker storm.
     """
-    spec = context.fire(op)
-    if spec is not None and spec.kind == "broken_pool":
+    if _context.due(op) is not None:
         raise BrokenProcessPool(f"envfault: injected pool breakage at {op}")

@@ -56,7 +56,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..durability import register_emergency_cleanup
-from ..envfault import context as _envfault
 from ..workloads.trace import Trace
 
 logger = logging.getLogger(__name__)
@@ -313,13 +312,7 @@ def attach_trace(key: TraceKey) -> Optional[Tuple[Trace, str]]:
         return cached[1], info.digest
     from multiprocessing.shared_memory import SharedMemory
 
-    context = _envfault.CURRENT
     try:
-        fault = context.fire("shm.attach") if context is not None else None
-        if fault is not None:
-            raise FileNotFoundError(
-                f"envfault: segment {info.segment} missing ({fault.kind})"
-            )
         segment = SharedMemory(name=info.segment)
     except FileNotFoundError:
         logger.debug(
@@ -342,12 +335,7 @@ def attach_trace(key: TraceKey) -> Optional[Tuple[Trace, str]]:
     )
     from ..workloads.store import trace_digest
 
-    observed = trace_digest(trace)
-    if context is not None:
-        fault = context.fire("shm.verify")
-        if fault is not None:
-            observed = f"envfault:{observed}"
-    if observed != info.digest:
+    if trace_digest(trace) != info.digest:
         # A recycled or torn segment must never feed a simulation.
         logger.warning(
             "segment %s failed digest verification; rebuilding %s locally",

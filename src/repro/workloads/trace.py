@@ -3,7 +3,9 @@
 A :class:`Trace` is a columnar record of a core's memory references:
 
 * ``is_store[i]``   — True for stores, False for loads;
-* ``block_addr[i]`` — 64-byte-block address of the reference;
+* ``block_addr[i]`` — 64-byte-block address of the reference (never
+  negative: the simulator's load schedule reserves negative values for
+  its own events);
 * ``gap[i]``        — non-memory instructions retired since the previous
   memory reference (models the compute between memory ops, from which the
   baseline retire rate and PPTI-style densities emerge).
@@ -39,6 +41,8 @@ class Trace:
             )
         if n and self.gap.min() < 0:
             raise ValueError("instruction gaps must be non-negative")
+        if n and self.block_addr.min() < 0:
+            raise ValueError("block addresses must be non-negative")
 
     def __len__(self) -> int:
         return len(self.is_store)

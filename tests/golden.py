@@ -15,7 +15,9 @@ means: canonical JSON renderings of
   verification, and
 * full multi-core results: BBB and every scheme over 1/2/4/8 cores and
   two SecPB sizes on sharing traces, plus a mix of unequal-length
-  benchmark traces whose shortest core ends inside the warmup rounds.
+  benchmark traces whose shortest core ends inside the warmup rounds, and
+* a selection of the above at a calibration whose clock addends do not
+  sum exactly (``INEXACT``), so a change of summation order shows.
 
 ``tests/data/golden_*.json`` are the checked-in references, produced by
 ``tools/regen_golden.py`` *before* an optimization lands.  The test in
@@ -35,6 +37,7 @@ from typing import Dict
 from repro.analysis.experiments import run_fig8, run_table4
 from repro.analysis.serialize import result_to_dict
 from repro.baselines.strict import StrictPersistencySimulator
+from repro.core.controller import TimingCalibration
 from repro.core.multicore import MultiCoreSecPBSimulator, sharing_traces
 from repro.core.schemes import CM, SPECTRUM_ORDER, get_scheme
 from repro.core.simulator import SecurePersistencySimulator, run_scheme
@@ -57,6 +60,11 @@ MULTICORE_SHARE = 0.5
 MULTICORE_SEED = 3
 MULTICORE_MIX = (("gamess", 3000), ("mcf", 800), ("povray", 2000))
 MULTICORE_MIX_WARMUP = 0.5
+INEXACT = TimingCalibration(cpi_base=0.1, load_blocking_fraction=0.3)
+INEXACT_BENCHMARKS = ["hmmer", "gamess"]
+INEXACT_SMALL_SECPB = ("povray", 2)
+INEXACT_CORES = 4
+INEXACT_MULTICORE_SCHEMES = ("cobcm", "cm")
 
 
 def canonical_json(result) -> str:
@@ -155,12 +163,55 @@ def build_multicore() -> str:
     return json.dumps(runs, indent=2, sort_keys=True) + "\n"
 
 
+def build_inexact() -> str:
+    """Full results at ``INEXACT``, whose addends the clock cannot sum exactly.
+
+    The default calibration's clock addends are multiples of small powers
+    of two, so their sums are exact in any order; at ``INEXACT`` a change
+    of summation order in the trace loop or in the backflow accounting
+    moves the last ulp.  The runs: hmmer and gamess at Table I (BBB, the
+    six schemes and SP), povray with a 2-entry SecPB (BBB and the six
+    schemes; its backflow stalls are frequent) and 4-core sharing traces
+    under COBCM and CM.
+    """
+    from repro.workloads.spec import build_trace
+
+    schemes = [None] + [get_scheme(name) for name in SPECTRUM_ORDER]
+    runs: Dict[str, dict] = {}
+    for benchmark in INEXACT_BENCHMARKS:
+        trace = build_trace(benchmark, NUM_OPS, SEED)
+        for scheme in schemes:
+            result = run_scheme(trace, scheme, calibration=INEXACT, warmup_frac=WARMUP)
+            runs[f"{benchmark}/{result.scheme}"] = result_to_dict(result)
+        result = StrictPersistencySimulator(calibration=INEXACT).run(trace, WARMUP)
+        runs[f"{benchmark}/sp"] = result_to_dict(result)
+    benchmark, entries = INEXACT_SMALL_SECPB
+    trace = build_trace(benchmark, NUM_OPS, SEED)
+    config = SystemConfig().with_secpb_entries(entries)
+    for scheme in schemes:
+        result = run_scheme(
+            trace, scheme, config, calibration=INEXACT, warmup_frac=WARMUP
+        )
+        runs[f"{benchmark}/{result.scheme}/{entries}e"] = result_to_dict(result)
+    traces = sharing_traces(
+        INEXACT_CORES, MULTICORE_OPS, share_fraction=MULTICORE_SHARE, seed=MULTICORE_SEED
+    )
+    for name in INEXACT_MULTICORE_SCHEMES:
+        simulator = MultiCoreSecPBSimulator(
+            INEXACT_CORES, get_scheme(name), calibration=INEXACT
+        )
+        result = simulator.run(traces, WARMUP)
+        runs[f"{result.scheme}/{INEXACT_CORES}c"] = dataclasses.asdict(result)
+    return json.dumps(runs, indent=2, sort_keys=True) + "\n"
+
+
 GOLDEN_BUILDERS = {
     "golden_table4.json": build_table4,
     "golden_fig8.json": build_fig8,
     "golden_runs.json": build_runs,
     "golden_baselines.json": build_baselines,
     "golden_multicore.json": build_multicore,
+    "golden_inexact.json": build_inexact,
 }
 
 

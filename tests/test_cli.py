@@ -690,11 +690,11 @@ class TestChaosCommand:
         assert "unknown fault kind" in capsys.readouterr().err
 
     def test_shm_fault_kind_exits_two(self, capsys):
-        # A soak's fault campaigns publish no traces: an shm fault could
-        # never fire, so asking for one checks nothing.
+        # The fault plane has no shared-memory kinds: nothing could fire
+        # them, so the old names are unknown kinds.
         assert main(["chaos", "--faults", "attach_enoent"]) == 2
         captured = capsys.readouterr()
-        assert "publish no traces" in captured.err
+        assert "unknown fault kind(s) attach_enoent" in captured.err
         assert captured.out == ""
 
     def test_empty_fault_list_exits_two(self, capsys):

@@ -36,6 +36,7 @@ from repro.durability import (
     verify_artifact,
     write_artifact,
 )
+from repro.envfault import FaultPlan, FaultSpec, injected
 
 
 class TestAtomicWrites:
@@ -122,6 +123,21 @@ class TestArtifacts:
         assert moved.name == "report.json.quarantined"
         assert moved.read_text() == "suspect bytes"
         assert (tmp_path / "report.json.sha256.quarantined").is_file()
+
+    def test_quarantine_dir_fsync_is_an_artifact_dir_fsync(self, tmp_path):
+        # One path per seam: the quarantine's directory fsync is the
+        # injection site every artifact write's directory fsync is.
+        path = tmp_path / "report.json"
+        write_artifact(path, "suspect bytes")
+        plan = FaultPlan(
+            seed=0,
+            specs=(FaultSpec(op="artifact.dir_fsync", index=0, kind="fsync_drop"),),
+        )
+        with injected(plan) as context:
+            quarantine_artifact(path)
+        assert [(f.op, f.occurrence) for f in context.fired] == [
+            ("artifact.dir_fsync", 0)
+        ]
 
 
 class TestFingerprint:

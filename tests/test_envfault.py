@@ -29,9 +29,6 @@ from repro.envfault import (
     FaultPlan,
     FaultSpec,
     PlanError,
-    activate,
-    current,
-    deactivate,
     injected,
     load_plan,
     random_plan,
@@ -44,7 +41,7 @@ PLAN = FaultPlan(
     seed=7,
     specs=(
         FaultSpec(op="journal.write", index=2, kind="enospc"),
-        FaultSpec(op="shm.attach", index=0, kind="attach_enoent", count=2),
+        FaultSpec(op="artifact.fsync", index=0, kind="fsync_drop", count=2),
     ),
 )
 
@@ -67,7 +64,7 @@ class TestFaultSpec:
             FaultSpec(op="journal.write", index=0, kind="enospc", count=0)
 
     def test_hits_window(self):
-        spec = FaultSpec(op="shm.attach", index=3, kind="attach_enoent", count=2)
+        spec = FaultSpec(op="artifact.fsync", index=3, kind="eio", count=2)
         assert [spec.hits(i) for i in range(6)] == [
             False, False, False, True, True, False,
         ]
@@ -147,22 +144,12 @@ class TestRandomPlan:
 
     def test_no_usable_sites_rejected(self):
         with pytest.raises(PlanError, match="no usable injection sites"):
-            random_plan(5, kinds=("enospc",), sites=("shm.attach",))
+            random_plan(5, kinds=())
 
     def test_every_spec_hits_one_occurrence(self):
-        # attach_trace drops the announcement after the first fault, so
-        # a second consecutive attach fault could never fire.
         for seed in range(10):
-            plan = random_plan(seed, ops=10, kinds=("attach_enoent", "enospc"))
+            plan = random_plan(seed, ops=10)
             assert all(spec.count == 1 for spec in plan.specs)
-
-
-class _Tracer:
-    def __init__(self):
-        self.events = []
-
-    def instant(self, name, cat=None, args=None):
-        self.events.append((name, cat, args))
 
 
 class TestContext:
@@ -177,7 +164,7 @@ class TestContext:
 
     def test_count_spans_consecutive_occurrences(self):
         context = EnvFaultContext(PLAN)
-        hits = [context.fire("shm.attach") is not None for _ in range(4)]
+        hits = [context.fire("artifact.fsync") is not None for _ in range(4)]
         assert hits == [True, True, False, False]
 
     def test_ops_counted_independently(self):
@@ -185,26 +172,6 @@ class TestContext:
         for _ in range(3):
             context.fire("artifact.write")
         assert context.fire("journal.write") is None  # occurrence 0
-
-    def test_tracer_sees_fired_faults(self):
-        tracer = _Tracer()
-        context = EnvFaultContext(PLAN, tracer=tracer)
-        for _ in range(3):
-            context.fire("journal.write")
-        assert tracer.events == [
-            ("envfault.enospc", "envfault",
-             {"op": "journal.write", "occurrence": 2}),
-        ]
-
-    def test_snapshot_is_deterministic_summary(self):
-        context = EnvFaultContext(PLAN)
-        for _ in range(3):
-            context.fire("journal.write")
-        snap = context.snapshot()
-        assert snap["counts"] == {"journal.write": 3}
-        assert snap["fired"] == [
-            {"kind": "enospc", "occurrence": 2, "op": "journal.write"},
-        ]
 
     def test_claim_once_without_scratch_always_wins(self):
         context = EnvFaultContext(PLAN)
@@ -224,29 +191,25 @@ class TestContext:
         assert context_mod.CURRENT is None
         with injected(PLAN) as context:
             assert context_mod.CURRENT is context
-            assert current() is context
         assert context_mod.CURRENT is None
 
-    def test_current_override_beats_global(self):
-        override = EnvFaultContext(PLAN)
-        with injected(PLAN):
-            assert current(override) is override
-        assert current(override) is override
-
-    def test_activate_deactivate(self):
-        context = activate(EnvFaultContext(PLAN))
-        try:
-            assert current() is context
-        finally:
-            deactivate()
-        assert current() is None
+    def test_due_counts_only_against_an_armed_context(self):
+        # Disarmed, an occurrence is counted nowhere: a context armed
+        # afterwards still sees its occurrence 0 first.
+        assert context_mod.CURRENT is None
+        assert context_mod.due("journal.write") is None
+        with injected(PLAN) as context:
+            due = [context_mod.due("journal.write") for _ in range(3)]
+        assert due[:2] == [None, None] and due[2].kind == "enospc"
+        assert [f.occurrence for f in context.fired] == [2]
+        assert context_mod.due("journal.write") is None
 
 
 class TestEnvGate:
     @pytest.fixture(autouse=True)
-    def clean_context(self):
-        yield
-        deactivate()
+    def clean_context(self, monkeypatch):
+        # Restored after each test, whatever the gate armed.
+        monkeypatch.setattr(context_mod, "CURRENT", None)
 
     def test_unset_or_zero_is_off(self, monkeypatch):
         for value in ("", "0", "  "):
@@ -277,62 +240,73 @@ class TestEnvGate:
             context_mod._install_from_env()
 
 
-def _context_for(op, kind, index=0, arg=0):
+def _armed(op, kind, index=0, arg=0):
+    """Arm a one-fault plan for a ``with`` block; yields its context."""
     plan = FaultPlan(
         seed=0, specs=(FaultSpec(op=op, index=index, kind=kind, arg=arg),)
     )
-    return EnvFaultContext(plan)
+    return injected(plan)
 
 
 class TestFsFault:
+    def test_disarmed_shims_run_the_plain_sequence(self, tmp_path):
+        assert context_mod.CURRENT is None
+        src, dst = tmp_path / "tmp", tmp_path / "final"
+        with open(src, "w") as handle:
+            fsfault.write(handle, "hello\n", "artifact.write")
+            handle.flush()
+            fsfault.fsync(handle.fileno(), "artifact.fsync")
+        fsfault.replace(str(src), str(dst), "artifact.rename")
+        assert dst.read_text() == "hello\n" and not src.exists()
+
     def test_clean_occurrence_writes_through(self, tmp_path):
-        context = _context_for("journal.write", "enospc", index=1)
         path = tmp_path / "out.txt"
-        with open(path, "w") as handle:
-            fsfault.write(handle, "hello\n", "journal.write", context)
+        with _armed("journal.write", "enospc", index=1) as context:
+            with open(path, "w") as handle:
+                fsfault.write(handle, "hello\n", "journal.write")
         assert path.read_text() == "hello\n"
+        assert context.fired == []
 
     def test_enospc_strikes_before_bytes_move(self, tmp_path):
-        context = _context_for("journal.write", "enospc")
         path = tmp_path / "out.txt"
-        with open(path, "w") as handle:
+        with _armed("journal.write", "enospc"), open(path, "w") as handle:
             with pytest.raises(OSError, match="no space left"):
-                fsfault.write(handle, "hello\n", "journal.write", context)
+                fsfault.write(handle, "hello\n", "journal.write")
         assert path.read_text() == ""
 
     def test_torn_write_leaves_exact_prefix(self, tmp_path):
-        context = _context_for("journal.write", "torn_write", arg=3)
         path = tmp_path / "out.txt"
-        with open(path, "w") as handle:
-            with pytest.raises(OSError, match="torn after 3"):
-                fsfault.write(handle, "hello\n", "journal.write", context)
+        with _armed("journal.write", "torn_write", arg=3):
+            with open(path, "w") as handle:
+                with pytest.raises(OSError, match="torn after 3"):
+                    fsfault.write(handle, "hello\n", "journal.write")
         assert path.read_text() == "hel"
 
     def test_eintr_is_interrupted_error(self, tmp_path):
-        context = _context_for("journal.write", "eintr")
-        with open(tmp_path / "out.txt", "w") as handle:
-            with pytest.raises(InterruptedError):
-                fsfault.write(handle, "x", "journal.write", context)
+        with _armed("journal.write", "eintr"):
+            with open(tmp_path / "out.txt", "w") as handle:
+                with pytest.raises(InterruptedError):
+                    fsfault.write(handle, "x", "journal.write")
 
     def test_fsync_drop_lies_quietly(self, tmp_path):
-        context = _context_for("journal.fsync", "fsync_drop")
-        with open(tmp_path / "out.txt", "w") as handle:
-            fsfault.fsync(handle.fileno(), "journal.fsync", context)
+        with _armed("journal.fsync", "fsync_drop") as context:
+            with open(tmp_path / "out.txt", "w") as handle:
+                fsfault.fsync(handle.fileno(), "journal.fsync")
         assert [f.spec.kind for f in context.fired] == ["fsync_drop"]
 
     def test_rename_fail_leaves_target_unpublished(self, tmp_path):
-        context = _context_for("artifact.rename", "rename_fail")
         src, dst = tmp_path / "tmp", tmp_path / "final"
         src.write_text("data")
-        with pytest.raises(OSError, match="rename"):
-            fsfault.replace(str(src), str(dst), "artifact.rename", context)
+        with _armed("artifact.rename", "rename_fail"):
+            with pytest.raises(OSError, match="rename"):
+                fsfault.replace(str(src), str(dst), "artifact.rename")
         assert src.exists() and not dst.exists()
 
     def test_rename_clean_occurrence_publishes(self, tmp_path):
-        context = _context_for("artifact.rename", "rename_fail", index=1)
         src, dst = tmp_path / "tmp", tmp_path / "final"
         src.write_text("data")
-        fsfault.replace(str(src), str(dst), "artifact.rename", context)
+        with _armed("artifact.rename", "rename_fail", index=1):
+            fsfault.replace(str(src), str(dst), "artifact.rename")
         assert dst.read_text() == "data"
 
 
@@ -390,12 +364,22 @@ class TestChaosReproducers:
 
 
 class TestSoakKinds:
-    """A soak draws only the faults its fault-campaign runs can fire."""
+    """A soak draws from the kinds it is given, every kind by default."""
+
+    def test_default_kinds_are_filesystem_and_process(self):
+        from repro.envfault import ALL_KINDS, FS_KINDS, PROC_KINDS
+        from repro.envfault.check import soak_kinds
+
+        assert soak_kinds() == ALL_KINDS == FS_KINDS + PROC_KINDS
+        assert soak_kinds(["enospc"]) == ("enospc",)
 
     def test_soak_plans_hold_no_shm_faults(self, tmp_path, monkeypatch):
+        # A soak's fault campaigns publish no traces, so a shared-memory
+        # fault could never fire; the plane has no such site to draw.
         from types import SimpleNamespace
 
         from repro.envfault import check as check_mod
+        from repro.envfault.plan import ALL_OPS
 
         plans = []
 
@@ -415,22 +399,17 @@ class TestSoakKinds:
         assert report.states == len(plans) == 40
         drawn = [spec for plan in plans for spec in plan.specs]
         assert drawn
+        assert not [op for op in ALL_OPS if op.startswith("shm.")]
         assert not [spec for spec in drawn if spec.op.startswith("shm.")]
-
-    def test_default_kinds_are_filesystem_and_process(self):
-        from repro.envfault import FS_KINDS, PROC_KINDS
-        from repro.envfault.check import SOAK_KINDS, soak_kinds
-
-        assert soak_kinds() == SOAK_KINDS == FS_KINDS + PROC_KINDS
-        assert soak_kinds(["enospc"]) == ("enospc",)
 
     @pytest.mark.parametrize(
         "kind", ["attach_enoent", "segment_vanish", "digest_mismatch"]
     )
     def test_shm_kind_rejected_before_any_run(self, tmp_path, kind):
+        # The retired shared-memory kinds are unknown kinds now.
         from repro.envfault.check import soak_check
 
-        with pytest.raises(PlanError, match="publish no traces"):
+        with pytest.raises(PlanError, match=f"unknown fault kind\\(s\\) {kind}"):
             soak_check(tmp_path / "work", kinds=("enospc", kind))
         assert not (tmp_path / "work").exists()
 
@@ -442,7 +421,7 @@ class TestShrinkPlan:
         culprit = FaultSpec(op="journal.write", index=9, kind="enospc")
         noise = (
             FaultSpec(op="artifact.fsync", index=4, kind="fsync_drop"),
-            FaultSpec(op="shm.attach", index=1, kind="attach_enoent"),
+            FaultSpec(op="artifact.rename", index=1, kind="rename_fail"),
         )
         plan = FaultPlan(seed=3, specs=(noise[0], culprit, noise[1]))
         reference = check_mod.Violation(

@@ -59,3 +59,10 @@ class TestGoldenEquivalence:
         # SecPB sizes, plus a mix whose shortest core ends inside warmup:
         # the shared engines, migration and flush costs are pinned here.
         assert golden.build_multicore() == _golden_bytes("golden_multicore.json")
+
+    def test_inexact_calibration_matches_golden(self):
+        # The default calibration's clock addends sum exactly in any
+        # order, so the goldens above cannot see a change of summation
+        # order.  These runs (Table I, a 2-entry SecPB that backflows
+        # often, four cores) are at a calibration whose sums round.
+        assert golden.build_inexact() == _golden_bytes("golden_inexact.json")

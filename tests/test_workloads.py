@@ -38,6 +38,36 @@ class TestTrace:
                 np.array([-1], dtype=np.int32),
             )
 
+    # -1, -2 and -3 are the load schedule's end, warmup and first
+    # verifying-load events: a store to one of them would run as that
+    # event instead of as a store.
+    @pytest.mark.parametrize("addr", [-1, -2, -3, -(2**40)])
+    def test_negative_block_addresses_rejected(self, addr):
+        with pytest.raises(ValueError, match="block addresses must be non-negative"):
+            Trace(
+                "t",
+                np.array([True, True]),
+                np.array([0, addr], dtype=np.int64),
+                np.array([0, 0], dtype=np.int32),
+            )
+
+    def test_from_ops_rejects_negative_block_address(self):
+        with pytest.raises(ValueError, match="block addresses must be non-negative"):
+            Trace.from_ops("x", iter([(True, 5, 2), (True, -1, 0)]))
+
+    def test_load_rejects_negative_block_address(self, tmp_path):
+        # A trace file is input from outside the program.
+        path = str(tmp_path / "bad.npz")
+        np.savez_compressed(
+            path,
+            name=np.array("bad"),
+            is_store=np.array([True, False]),
+            block_addr=np.array([3, -2], dtype=np.int64),
+            gap=np.array([0, 1], dtype=np.int32),
+        )
+        with pytest.raises(ValueError, match="block addresses must be non-negative"):
+            Trace.load(path)
+
     def test_counts(self):
         trace = self._trace()
         assert len(trace) == 3
