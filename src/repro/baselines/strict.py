@@ -21,7 +21,7 @@ from ..core.controller import TimingCalibration
 from ..core.simulator import StorePath, TraceSimulator
 from ..security.metadata_cache import MetadataCaches
 from ..sim.config import SystemConfig
-from ..sim.engine import BoundedPipeline, BusyResource
+from ..sim.engine import BoundedPipeline
 from ..sim.stats import SimulationResult, StatsCollector
 from ..workloads.trace import Trace
 
@@ -55,7 +55,9 @@ class StrictPersistencySimulator(TraceSimulator):
         config = self.config
         cal = self.calibration
         mdc = MetadataCaches(config, stats)
-        mc_engine = BusyResource("mc-tuple-engine")
+        # The MC's tuple engine is a single-server FIFO: updates serialize
+        # on one free_at point.
+        mc_free_at = 0.0
         store_buffer = BoundedPipeline("store-buffer", config.store_buffer_entries)
         transit_to_mc = (
             config.l1.access_cycles
@@ -75,7 +77,7 @@ class StrictPersistencySimulator(TraceSimulator):
             # flush transit and the MAC latency pipeline with younger
             # stores (PLP's persist-level parallelism); the counter access
             # and the single-in-flight BMT update serialize.
-            nonlocal stores
+            nonlocal stores, mc_free_at
             stores += 1
             page = block_addr // 64
             ctr_latency = mdc.access_counter(page)
@@ -86,7 +88,8 @@ class StrictPersistencySimulator(TraceSimulator):
                 + max(aes_cycles, levels * hash_cycles)
                 + cal.xor_cycles
             )
-            _, busy_done = mc_engine.request(clock, service)
+            start = mc_free_at if mc_free_at > clock else clock
+            mc_free_at = busy_done = start + service
             completion = busy_done + transit_to_mc + hash_cycles  # + MAC
 
             stall = store_buffer.push(clock, completion)

@@ -14,7 +14,9 @@ or metadata item may reside in.  The protocol:
   owner.  No replication ever exists.
 
 Ownership is residency: the directory keeps no map of its own, and a
-block's owner is the core whose SecPB holds it.  This module is the
+block's owner is the core whose SecPB holds it.  It asks only residency
+(``in``, ``resident_blocks``), so it serves the timing model's SecPBs,
+which hold no entries, as well as the functional ones.  This module is the
 functional protocol (the coherence tests and example drive it), and it
 answers every ownership question of the multi-core timing model
 (:mod:`repro.core.multicore`), which audits it after each run.  The
@@ -71,7 +73,7 @@ class SecPBDirectory:
     def owner_of(self, block_addr: int) -> Optional[int]:
         """Core whose SecPB holds the block, or None."""
         for core_id, secpb in enumerate(self.secpbs):
-            if secpb.lookup(block_addr) is not None:
+            if block_addr in secpb:
                 return core_id
         return None
 
@@ -83,13 +85,13 @@ class SecPBDirectory:
         """
         seen: Dict[int, int] = {}
         for core_id, secpb in enumerate(self.secpbs):
-            for entry in secpb.entries():
-                if entry.block_addr in seen:
+            for block_addr in secpb.resident_blocks():
+                if block_addr in seen:
                     raise CoherenceError(
-                        f"block {entry.block_addr:#x} replicated in SecPBs "
-                        f"of cores {seen[entry.block_addr]} and {core_id}"
+                        f"block {block_addr:#x} replicated in SecPBs "
+                        f"of cores {seen[block_addr]} and {core_id}"
                     )
-                seen[entry.block_addr] = core_id
+                seen[block_addr] = core_id
 
     # Protocol ------------------------------------------------------------
 

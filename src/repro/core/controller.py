@@ -17,12 +17,16 @@ Latency structure (per scheme):
 * **drains** hand the block to the MC, where any late steps execute on the
   pipelined MC crypto engine — off the store's critical path, but a source
   of backpressure when drains cannot keep up (COBCM's "backflow").
+
+The simulator's store path prices through :meth:`SecPBController.compile_pricing`,
+built once per run; the ``price_*`` methods are the reference it equals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+import math
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from ..security.metadata_cache import MetadataCaches
 from ..sim.config import SystemConfig
@@ -80,6 +84,57 @@ class TimingCalibration:
     secpb_double_access_cycles: int = 2
     """OBCM's extra SecPB access to check the counter valid bit
     (Sec. VI-B: 'the SecPB access latency being incurred twice')."""
+
+    def __post_init__(self) -> None:
+        """Reject constants no machine has.
+
+        Every cycle constant and ``cpi_base`` must be a non-negative
+        number, and ``load_blocking_fraction`` must lie in [0, 1].  The
+        timing model relies on it: a negative drain or engine service
+        would let completions run backwards, which the store path's FIFO
+        drain and acceptance queues do not allow.
+        """
+        if not 0.0 <= self.cpi_base < math.inf:
+            raise ValueError(f"cpi_base must be a non-negative number, got {self.cpi_base!r}")
+        if not 0.0 <= self.load_blocking_fraction <= 1.0:
+            raise ValueError(
+                "load_blocking_fraction must be in [0, 1], "
+                f"got {self.load_blocking_fraction!r}"
+            )
+        for spec in fields(self):
+            if spec.name.endswith("_cycles"):
+                value = getattr(self, spec.name)
+                if not 0 <= value < math.inf:
+                    raise ValueError(
+                        f"{spec.name} must be a non-negative cycle count, got {value!r}"
+                    )
+
+
+class CompiledPricing(NamedTuple):
+    """One run's pricing, compiled from the scheme by
+    :meth:`SecPBController.compile_pricing`.
+
+    ``new_entry(accept_start, block_addr)`` and ``coalesced(accept_start,
+    block_addr)`` return the cycles until the unblocking signal for a
+    store that allocates an entry and for one that coalesces into it,
+    bit for bit what :meth:`~SecPBController.price_new_entry` and
+    :meth:`~SecPBController.price_coalesced_store` return; either is
+    ``None`` when that store runs no early step (0 cycles).
+
+    A drain's MC service is ``drain_service``, plus
+    ``drain_levels(page) * drain_hash_cycles`` when the BMT update is late
+    and its height is per page (``drain_levels`` is ``None`` otherwise).
+    With the counter step late, a drain also accesses the CTR$ through
+    ``drain_counter(page)`` and does not wait for it (``None`` when the
+    counter step is early).  Together that is :meth:`~SecPBController.price_drain`.
+    """
+
+    new_entry: Optional[Callable[[float, int], float]]
+    coalesced: Optional[Callable[[float, int], float]]
+    drain_service: float
+    drain_counter: Optional[Callable[[int], int]]
+    drain_levels: Optional[Callable[[int], int]]
+    drain_hash_cycles: int
 
 
 class SecPBController:
@@ -214,6 +269,116 @@ class SecPBController:
             bmt_updates = drains
         mac_generations = new_entries + coalesced if self._early_mac else drains
         return bmt_updates, mac_generations
+
+    # Compiled pricing ---------------------------------------------------
+
+    def compile_pricing(self) -> CompiledPricing:
+        """This controller's pricing as closures the store path calls.
+
+        Built once per run.  The scheme's early steps are resolved here,
+        scheme-constant terms are folded, and the closures touch no
+        :class:`~repro.core.secpb.SecPBEntry`: they return exactly what
+        the ``price_*`` methods return for the same engine state.  They
+        read and write the BMT and MAC engines' ``free_at`` in place, so
+        cores that share the engines (:mod:`repro.core.multicore`) keep
+        contending on them.
+
+        Every early step needs the counter (Fig. 4), so a scheme with any
+        early step runs it first.  ``max(latency, otp_done, bmt_done)`` of
+        the methods folds to ``counter_ready + extra`` then one compare:
+        of the OTP's AES and OBCM's double SecPB access, exactly one
+        applies, and adding a non-negative constant never lowers a float.
+        """
+        new_entry = coalesced = None
+        if not self._no_early_steps:
+            aes_extra = max(0, self._aes_cycles) if self._early_otp else 0
+            new_entry = self._compile_value_independent(
+                aes_extra if self._early_otp else max(0, self._double_access),
+                self._hash_cycles,
+            )
+            if not self.value_independent_coalescing:
+                coalesced = self._compile_value_independent(aes_extra, self._mac_initiation)
+            elif self._early_mac or self._early_ciphertext:
+                coalesced = self._compile_value_dependent()
+        return CompiledPricing(
+            new_entry,
+            coalesced,
+            self._drain_const,
+            None if self._early_counter else self._access_counter,
+            self._bmt_levels_fn if self._drain_bmt_dynamic else None,
+            self.calibration.mc_hash_initiation_cycles,
+        )
+
+    def _compile_value_independent(
+        self, extra: int, mac_cycles: int
+    ) -> Callable[[float, int], float]:
+        """Counter, then {OTP or double access || BMT}, then the
+        value-dependent tail: :meth:`price_new_entry`, and the coalesced
+        store without the Sec. IV-A optimization."""
+        access_counter = self._access_counter
+        increment = float(self._counter_increment)
+        early_bmt = self._early_bmt
+        bmt_engine = self.bmt_engine
+        bmt_service = self._bmt_service_const
+        levels_fn = self._bmt_levels_fn
+        hash_cycles = self._hash_cycles
+        xor_cycles = self._xor_cycles if self._early_ciphertext else None
+        mac_engine = self.mac_engine if self._early_mac else None
+
+        def price(now: float, block_addr: int) -> float:
+            page = block_addr // 64
+            counter_ready = access_counter(page) + increment
+            latency = counter_ready + extra
+            if early_bmt:
+                # The single-in-flight BMT engine (BusyResource.request).
+                start = now + counter_ready
+                free_at = bmt_engine.free_at
+                if free_at > start:
+                    start = free_at
+                if bmt_service is None:
+                    start += levels_fn(page) * hash_cycles
+                else:
+                    start += bmt_service
+                bmt_engine.free_at = start
+                bmt_done = start - now
+                if bmt_done > latency:
+                    latency = bmt_done
+            if xor_cycles is not None:
+                latency += xor_cycles
+            if mac_engine is not None:
+                start = now + latency
+                free_at = mac_engine.free_at
+                if free_at > start:
+                    start = free_at
+                start += mac_cycles
+                mac_engine.free_at = start
+                latency = start - now
+            return latency
+
+        return price
+
+    def _compile_value_dependent(self) -> Callable[[float, int], float]:
+        """The value-dependent steps alone: :meth:`price_coalesced_store`
+        with the Sec. IV-A optimization."""
+        base = 0.0
+        if self._early_ciphertext:
+            base += self._xor_cycles
+        mac_engine = self.mac_engine if self._early_mac else None
+        mac_initiation = self._mac_initiation
+
+        def price(now: float, block_addr: int) -> float:
+            if mac_engine is None:
+                return base
+            # Pipelined: one initiation interval on the MAC engine.
+            start = now + base
+            free_at = mac_engine.free_at
+            if free_at > start:
+                start = free_at
+            start += mac_initiation
+            mac_engine.free_at = start
+            return start - now
+
+        return price
 
     # Eager path ---------------------------------------------------------
 

@@ -171,17 +171,16 @@ class MultiCoreSecPBSimulator:
                     else:
                         clock += l1_hit_cycles + blocking * (latency - l1_hit_cycles)
                 else:
-                    migrated = None
                     if remote:
                         # Remote write: migrate the entry (Sec. IV-C-c).
-                        migrated = secpbs[owner].remove(block_addr)
+                        secpbs[owner].remove(block_addr)
                         clock += migration_transit
                         if eager_value_dependent:
                             # Ciphertext/MAC must be regenerated by the new
                             # owner; value-independent metadata travelled.
                             clock += cal.xor_cycles
                         stats.add("coherence.migrations")
-                    clock = paths[core_id].store(clock, block_addr, migrated)
+                    clock = paths[core_id].store(clock, block_addr, remote)
                 clocks[core_id] = clock
 
         # Shared counters (engine contention, coherence traffic) cover only

@@ -22,6 +22,16 @@ completely on battery.
 
 This module is purely structural/functional — latencies live in
 :mod:`repro.core.controller` and :mod:`repro.core.simulator`.
+
+Residency versus entries: a :class:`SecPB` keeps one FIFO map from block
+address to entry, oldest first.  The functional models (crash, recovery,
+the coherence protocol) store a :class:`SecPBEntry` per block, with its
+writes, plaintext and valid bits.  The timing model keeps only
+residency: its store path maps each resident block to ``None``, because
+no timing decision reads an entry's fields (a migrated entry's counter
+is valid exactly when the scheme runs the counter step early).  On such
+a buffer only the residency queries apply: ``in``, :attr:`occupancy`,
+:meth:`resident_blocks`, :meth:`remove` and :meth:`drain_targets`.
 """
 
 from __future__ import annotations
@@ -55,9 +65,10 @@ class SecPBEntry:
     keeps ever become valid.  ``writes`` counts coalesced stores for the
     NWPE statistic; ``asid`` supports the drain-process crash policy.
 
-    A ``__slots__`` class: one entry is allocated per SecPB residency on
-    the simulator's hot store path, and the controller touches ``valid``
-    and ``writes`` on every priced store.
+    A ``__slots__`` class: the functional models allocate one per
+    residency.  The timing model allocates none (see the module
+    docstring); the controller's ``price_*`` methods, its reference,
+    still set ``valid``.
     """
 
     __slots__ = ("block_addr", "asid", "writes", "plaintext", "valid")
@@ -149,7 +160,9 @@ class SecPB:
         self.config = config
         self.scheme = scheme
         self.stats = stats if stats is not None else StatsCollector()
-        self._entries: "OrderedDict[int, SecPBEntry]" = OrderedDict()
+        # Block address -> entry, oldest first; the timing model's store
+        # path stores None (residency only; see the module docstring).
+        self._entries: "OrderedDict[int, Optional[SecPBEntry]]" = OrderedDict()
         # Hot-path constants, resolved once: buffer geometry and the
         # scheme's eagerly kept fields (for drain-time completeness
         # checks without per-drain enum lookups).
@@ -177,8 +190,16 @@ class SecPB:
     def above_high_watermark(self) -> bool:
         return self.occupancy >= self.config.high_watermark_entries
 
+    def __contains__(self, block_addr: int) -> bool:
+        """Whether the block is resident (holds on every SecPB)."""
+        return block_addr in self._entries
+
     def lookup(self, block_addr: int) -> Optional[SecPBEntry]:
         return self._entries.get(block_addr)
+
+    def resident_blocks(self) -> List[int]:
+        """Resident block addresses, oldest first (holds on every SecPB)."""
+        return list(self._entries)
 
     def entries(self) -> List[SecPBEntry]:
         """All entries, oldest first."""
@@ -231,13 +252,14 @@ class SecPB:
 
     # Hot-path variants -----------------------------------------------------
     #
-    # The timing model's SecPB store path calls these per store.  They
-    # split :meth:`write` at the lookup the caller already performed (the
+    # The object store path kept as the timing model's reference
+    # (tests/test_store_path.py) calls these per store; the timing model
+    # keeps only residency and calls none of them.  They split
+    # :meth:`write` at the lookup the caller already performed (the
     # backflow check needs the hit/miss answer *before* the write) and
     # drop the metadata-only conveniences (plaintext, ASID) the timing
     # path never uses.  They count nothing: the caller counts the writes,
-    # allocations and drains that write()/drain_oldest() would, and adds
-    # them to the stats itself (``StorePath.sync``).
+    # allocations and drains that write()/drain_oldest() would.
 
     def coalesce(self, entry: SecPBEntry) -> None:
         """Apply a store to an entry the caller just looked up.

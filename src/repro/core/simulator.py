@@ -34,10 +34,10 @@ same watermarks, no security metadata anywhere.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
-from heapq import heappop, heappush
 from itertools import islice
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from ..obs.tracing import LANE_DRAIN, LANE_STALLS, LANE_STORES, Tracer
 from ..security.metadata_cache import MetadataCaches
@@ -46,9 +46,9 @@ from ..sim.engine import BoundedPipeline, BusyResource
 from ..sim.hierarchy import MemoryHierarchy, front_end, level_passes
 from ..sim.stats import SimulationResult, StatsCollector
 from ..workloads.trace import Trace
-from .controller import SecPBController, TimingCalibration
+from .controller import CompiledPricing, SecPBController, TimingCalibration
 from .schemes import ALL_STEPS, COBCM, MetadataStep, Scheme
-from .secpb import SecPB, SecPBEntry
+from .secpb import SecPB
 
 BBB_SCHEME_NAME = "bbb"
 
@@ -79,9 +79,10 @@ class StorePath(NamedTuple):
 
     A SecPB path also exposes what Sec. IV-C's coherence needs
     (:mod:`repro.core.multicore`).  ``secpb`` is the buffer whose
-    residency is the core's ownership; a remote write removes the entry
-    from it and passes that entry to the new owner's ``store`` as a
-    third argument.  ``flush(now, block_addr)`` serves a remote read.
+    residency is the core's ownership; a remote write removes the block
+    from it and calls the new owner's ``store`` with ``True`` as a third
+    argument (the entry migrated).  ``flush(now, block_addr)`` serves a
+    remote read.
     """
 
     store: Callable[..., float]
@@ -408,17 +409,28 @@ class SecurePersistencySimulator(TraceSimulator):
         The multi-core model builds one path per core and passes the
         metadata caches and the BMT/MAC engines that live at the shared
         MC; by default the path has its own.
+
+        A store calls nothing of the SecPB but :meth:`SecPB.drain_targets`
+        (at the high watermark and in a backflow wait), nothing of the
+        engines or the stats, and at most one compiled pricing closure
+        (:meth:`SecPBController.compile_pricing`); a CTR$ access calls the
+        metadata caches.  Residency is the keys of the SecPB's FIFO map
+        (no :class:`~repro.core.secpb.SecPBEntry` per residency), and the
+        in-flight drains' completions are a FIFO ``deque``: each drain
+        starts no earlier than the drain engine frees, so they never
+        decrease.
         """
         config = self.config
         cal = self.calibration
-        secure = self.scheme is not None
+        scheme = self.scheme
+        secure = scheme is not None
 
         if secure:
             if mdc is None:
                 mdc = MetadataCaches(config, stats)
             controller = SecPBController(
                 config,
-                self.scheme,
+                scheme,
                 mdc,
                 bmt_levels_fn=self._bmt_levels_fn,
                 calibration=cal,
@@ -426,56 +438,56 @@ class SecurePersistencySimulator(TraceSimulator):
                 bmt_engine=bmt_engine,
                 mac_engine=mac_engine,
             )
-            secpb = SecPB(config.secpb, self.scheme, stats)
+            pricing = controller.compile_pricing()
+            secpb = SecPB(config.secpb, scheme, stats)
         else:
             mdc = None
             controller = None
             # The BBB persist buffer has the same geometry, no metadata
             # (COBCM is structure-only here; its fields go unused).
+            pricing = CompiledPricing(
+                None, None, float(cal.drain_transfer_cycles), None, None, 0
+            )
             secpb = SecPB(config.secpb, COBCM, stats)
+        price_new_entry, price_coalesced = pricing.new_entry, pricing.coalesced
+        drain_service = pricing.drain_service
+        drain_counter = pricing.drain_counter
+        drain_levels = pricing.drain_levels
+        drain_hash_cycles = pricing.drain_hash_cycles
+        # Sec. IV-C-c: a migrated entry brings its value-independent
+        # metadata; its counter is valid exactly when the scheme runs the
+        # counter step early, and it is then priced as a coalesced store.
+        adopts = secure and scheme.is_early(MetadataStep.COUNTER)
 
         store_buffer = BoundedPipeline("store-buffer", config.store_buffer_entries)
         accept_free_at = 0.0  # SecPB acceptance serialization point
-        # In-flight drain completion times, kept as a min-heap: the seed's
-        # per-check list filter ("drop every t <= now") becomes "pop while
-        # the heap root is <= now", and min(pending) becomes the root.
-        # Both views describe the same multiset, so the backflow/forced
-        # drain accounting is unchanged (pinned by
-        # tests/test_drain_accounting.py against seed-captured values).
-        drain_completions: List[float] = []
+        # In-flight drain completion times, oldest first.  Retiring
+        # "every t <= now" pops from the left, and the oldest is the
+        # earliest (tests/test_drain_accounting.py pins the accounting).
+        drain_completions: Deque[float] = deque()
+        retire = drain_completions.popleft
         capacity = config.secpb.entries
-        drain_transfer = float(cal.drain_transfer_cycles)
+        # The drain engine is a single-server FIFO: drains serialize on
+        # one free_at point.
+        drain_free_at = 0.0
+        peak_effective_occupancy = 0
 
         # Per-event counts, added to ``stats`` by ``sync``: every store,
         # new allocations, migrated entries priced as coalesced stores,
-        # drains (each is one ``secpb.drains`` and one ``drain.services``)
-        # and remote-read flushes.
+        # drains (each is one ``secpb.drains`` and one ``drain.services``),
+        # remote-read flushes, backflow stalls and forced drains.
         stores = allocations = adopted = drains = flushes = 0
+        backflow_stalls = forced_drains = 0
+        # Float sums go to the collector per event, in event order.
+        cycle_sums = stats.sums()
 
-        # Hot-loop bindings: the per-store path resolves these names once
-        # per run instead of chasing attributes per store.
-        # ``secpb_entries`` is the buffer's backing table — its length IS
-        # secpb.occupancy.
-        secpb_entries = secpb._entries
-        count_forced_drain = stats.counter("secpb.forced_drains")
-        count_backflow_stall = stats.counter("secpb.backflow_stalls")
-        add_backflow_cycles = stats.counter("secpb.backflow_cycles")
-        drain_oldest_addr = secpb.drain_oldest_addr
+        # Hot-loop bindings: residency is the keys of the SecPB's map, so
+        # its length IS secpb.occupancy.
+        resident = secpb._entries
+        pop_oldest = resident.popitem
         drain_targets = secpb.drain_targets
-        price_drain = controller.price_drain if controller is not None else None
         high_watermark_entries = config.secpb.high_watermark_entries
-        # The drain engine is a single-server FIFO (BusyResource), inlined
-        # into the closure below: drains serialize on one free_at point.
-        drain_free_at = 0.0
-        peak_effective_occupancy = 0
-        secpb_entries_get = secpb_entries.get
-        secpb_coalesce = secpb.coalesce
-        secpb_allocate = secpb.allocate
         push_store = store_buffer.push
-        price_new_entry = controller.price_new_entry if secure else None
-        price_coalesced = controller.price_coalesced_store if secure else None
-        add_new_entry_cycles = stats.counter("secpb.new_entry_cycles")
-        add_coalesced_cycles = stats.counter("secpb.coalesced_cycles")
 
         # Optional tracing: bind emit closures once per run; every site
         # below guards on ``hook is not None`` so an untraced run pays
@@ -483,10 +495,9 @@ class SecurePersistencySimulator(TraceSimulator):
         # back into timing or stats.
         tracer = self.tracer
         if tracer is not None:
-            scheme = self.scheme
             step_sets = (
                 (scheme.early_steps, scheme.late_steps, scheme.eager_value_dependent)
-                if scheme is not None
+                if secure
                 else ((), (), ())
             )
             early_names, late_names, coalesce_names = (
@@ -509,47 +520,40 @@ class SecurePersistencySimulator(TraceSimulator):
             trace_accept = trace_coalesce = trace_drain = None
             trace_backflow = trace_sb_stall = trace_forced = trace_occupancy = None
 
-        def drain_one(now: float) -> None:
-            """Drain the oldest entry; its slot frees at MC completion."""
+        def drain(now: float, count: int) -> None:
+            """Drain the ``count`` oldest entries; each slot frees at MC
+            completion."""
             nonlocal drain_free_at, drains
-            addr = drain_oldest_addr()
-            if price_drain is not None:
-                service = price_drain(addr)
-            else:
-                service = drain_transfer
-            start = drain_free_at if drain_free_at > now else now
-            completion = start + service
-            drain_free_at = completion
-            heappush(drain_completions, completion)
-            drains += 1
-            if trace_drain is not None:
-                trace_drain(
-                    start,
-                    service,
-                    {
-                        "addr": addr,
-                        "late_steps": late_names,
-                        "occupancy": len(secpb_entries),
-                    },
-                )
+            for _ in range(count):
+                addr = pop_oldest(False)[0]
+                service = drain_service
+                if drain_counter is not None:
+                    drain_counter(addr // 64)
+                if drain_levels is not None:
+                    service += drain_levels(addr // 64) * drain_hash_cycles
+                start = drain_free_at if drain_free_at > now else now
+                drain_free_at = start + service
+                drain_completions.append(drain_free_at)
+                drains += 1
+                if trace_drain is not None:
+                    trace_drain(
+                        start,
+                        service,
+                        {"addr": addr, "late_steps": late_names, "occupancy": len(resident)},
+                    )
 
-        def start_drains(now: float) -> None:
-            """Watermark policy: drain oldest entries down to the low mark."""
-            for _ in range(drain_targets()):
-                drain_one(now)
-
-        def store(
-            clock: float, block_addr: int, migrated: Optional[SecPBEntry] = None
-        ) -> float:
+        def store(clock: float, block_addr: int, migrated: bool = False) -> float:
             """The SecPB write, accepted in parallel with the L1D access.
 
-            ``migrated`` is the entry a remote write took from its owner.
+            ``migrated``: a remote write took the block's entry from its
+            owner (the block is not resident here).
             """
             nonlocal accept_free_at, peak_effective_occupancy
-            nonlocal stores, allocations, adopted
+            nonlocal stores, allocations, adopted, backflow_stalls, forced_drains
             stores += 1
-            entry = secpb_entries_get(block_addr)
-            if entry is None:
+            if block_addr in resident:
+                new_entry = False
+            else:
                 # Backflow: a physical slot frees only when its drain
                 # completes at the MC; a full buffer stalls the allocation
                 # (the COBCM-class overhead of Sec. VI-A).
@@ -557,73 +561,71 @@ class SecurePersistencySimulator(TraceSimulator):
                     # Retire finished drains, then test effective occupancy
                     # (structural entries + slots held by in-flight drains).
                     while drain_completions and drain_completions[0] <= clock:
-                        heappop(drain_completions)
-                    if len(secpb_entries) + len(drain_completions) < capacity:
+                        retire()
+                    if len(resident) + len(drain_completions) < capacity:
                         break
-                    start_drains(clock)
+                    drain(clock, drain_targets())
                     while drain_completions and drain_completions[0] <= clock:
-                        heappop(drain_completions)
+                        retire()
                     if not drain_completions:
-                        if not secpb_entries:
+                        if not resident:
                             break  # every slot already freed by instant drains
                         # The watermark policy can yield zero targets while
                         # occupied slots block the allocation (e.g. in-flight
                         # drains holding slots below the high watermark, or a
                         # 1-entry buffer).  Force one drain so the loop makes
                         # progress and the buffer can never be over-committed.
-                        drain_one(clock)
-                        count_forced_drain()
+                        drain(clock, 1)
+                        forced_drains += 1
                         if trace_forced is not None:
                             trace_forced(clock, {"addr": block_addr})
                         continue
                     release = drain_completions[0]
-                    count_backflow_stall()
-                    add_backflow_cycles(release - clock)
+                    backflow_stalls += 1
+                    cycle_sums["secpb.backflow_cycles"] += release - clock
                     if trace_backflow is not None:
                         trace_backflow(clock, release - clock, {"addr": block_addr})
                     clock = release
 
-                entry = secpb_allocate(block_addr)
+                resident[block_addr] = None
                 allocations += 1
-                allocated = True
-                if migrated is not None:
-                    # Sec. IV-C-c: value-independent metadata travelled with
-                    # the entry; with its counter valid, only the
-                    # value-dependent steps run, as for a coalesced store.
-                    entry.adopt_value_independent(migrated)
-                    if entry.is_marked(MetadataStep.COUNTER):
-                        allocated = False
-                        adopted += 1
+                new_entry = True
+                if migrated and adopts:
+                    new_entry = False
+                    adopted += 1
                 while drain_completions and drain_completions[0] <= clock:
-                    heappop(drain_completions)
-                occupancy_now = len(secpb_entries) + len(drain_completions)
+                    retire()
+                occupancy_now = len(resident) + len(drain_completions)
                 if occupancy_now > peak_effective_occupancy:
                     peak_effective_occupancy = occupancy_now
                 if trace_occupancy is not None:
                     trace_occupancy(clock, {"effective": occupancy_now})
-            else:
-                secpb_coalesce(entry)
-                allocated = False
 
             accept_start = clock if clock > accept_free_at else accept_free_at
-            if secure:
-                if allocated:
-                    if trace_accept is not None:
-                        misses_before = read_counter_misses()
-                    unblock = price_new_entry(accept_start, block_addr, entry)
-                    add_new_entry_cycles(unblock)
+            if not secure:
+                # Insecure BBB: the pipelined buffer write has no metadata
+                # work, so acceptance never serializes and the store
+                # completes the moment it is accepted.
+                completion = accept_start
+            elif new_entry:
+                if trace_accept is not None:
+                    misses_before = read_counter_misses()
+                if price_new_entry is not None:
+                    unblock = price_new_entry(accept_start, block_addr)
                 else:
-                    unblock = price_coalesced(accept_start, entry)
-                    add_coalesced_cycles(unblock)
+                    unblock = 0.0
+                cycle_sums["secpb.new_entry_cycles"] += unblock
                 completion = accept_start + unblock
             else:
-                # Insecure BBB fast path: the pipelined buffer write has
-                # no metadata work, so acceptance never serializes and
-                # the store completes the moment it is accepted.
-                completion = accept_start
+                if price_coalesced is not None:
+                    unblock = price_coalesced(accept_start, block_addr)
+                else:
+                    unblock = 0.0
+                cycle_sums["secpb.coalesced_cycles"] += unblock
+                completion = accept_start + unblock
             accept_free_at = completion
             if trace_accept is not None:
-                if allocated:
+                if new_entry:
                     trace_accept(
                         accept_start,
                         completion - accept_start,
@@ -648,8 +650,8 @@ class SecurePersistencySimulator(TraceSimulator):
             if trace_sb_stall is not None and stall > 0.0:
                 trace_sb_stall(clock - stall - 1.0, stall, {"addr": block_addr})
 
-            if len(secpb_entries) >= high_watermark_entries:
-                start_drains(clock)
+            if len(resident) >= high_watermark_entries:
+                drain(clock, drain_targets())
             return clock
 
         def flush(now: float, block_addr: int) -> None:
@@ -659,11 +661,12 @@ class SecurePersistencySimulator(TraceSimulator):
             counts no drain service.
             """
             nonlocal drain_free_at, flushes
-            secpb.remove(block_addr)
-            if price_drain is not None:
-                service = price_drain(block_addr)
-            else:
-                service = drain_transfer
+            resident.pop(block_addr, None)
+            service = drain_service
+            if drain_counter is not None:
+                drain_counter(block_addr // 64)
+            if drain_levels is not None:
+                service += drain_levels(block_addr // 64) * drain_hash_cycles
             start = drain_free_at if drain_free_at > now else now
             drain_free_at = start + service
             flushes += 1
@@ -671,11 +674,14 @@ class SecurePersistencySimulator(TraceSimulator):
         def sync() -> None:
             """Add the counts kept since the last sync to ``stats``."""
             nonlocal stores, allocations, adopted, drains, flushes
+            nonlocal backflow_stalls, forced_drains
             counts = [
                 ("secpb.writes", stores),
                 ("secpb.allocations", allocations),
                 ("secpb.drains", drains),
                 ("drain.services", drains),
+                ("secpb.backflow_stalls", backflow_stalls),
+                ("secpb.forced_drains", forced_drains),
             ]
             if controller is not None:
                 new_entries = allocations - adopted
@@ -686,6 +692,7 @@ class SecurePersistencySimulator(TraceSimulator):
                 counts.append(("mac.generations", mac_generations))
             stats.add_counts(counts)
             stores = allocations = adopted = drains = flushes = 0
+            backflow_stalls = forced_drains = 0
 
         def report() -> Dict[str, float]:
             """Occupancy gauges and PPTI/NWPE over the measured region.

@@ -16,7 +16,7 @@ from .config import (
     SecurityConfig,
     SystemConfig,
 )
-from .engine import BoundedPipeline, BusyResource, CycleClock
+from .engine import BoundedPipeline, BusyResource
 from .hierarchy import MemoryHierarchy
 from .nvm import NonVolatileMemory
 from .nvm_banked import BankedNVM, BankedNVMParams
@@ -40,7 +40,6 @@ __all__ = [
     "Cache",
     "CacheBlock",
     "CacheConfig",
-    "CycleClock",
     "DEFAULT_CONFIG",
     "EvictionRecord",
     "MemoryHierarchy",

@@ -6,13 +6,17 @@ by a pipeline model in which the core retires instructions at a base rate
 and stalls when the store path backs up.  This module provides the
 pieces that model needs:
 
-* :class:`CycleClock` — a monotonically advancing cycle counter,
 * :class:`BusyResource` — a single-server resource (e.g. the SecPB's one
   in-flight BMT-update engine, the NVM write port) on which work items
   serialize; requesting the resource returns both the wait and the
   completion time, and
 * :class:`BoundedPipeline` — the store buffer: a bounded FIFO window of
   outstanding completions whose push returns the core's stall.
+
+Hot store paths keep a single-server FIFO as a ``free_at`` float of their
+own, or read and write a shared :class:`BusyResource`'s ``free_at`` in
+place (the SecPB's compiled pricing, :meth:`repro.core.controller.SecPBController.compile_pricing`);
+``request`` is the reference they equal.
 """
 
 from __future__ import annotations
@@ -23,38 +27,17 @@ from typing import Deque, Tuple
 
 
 @dataclass
-class CycleClock:
-    """Monotonic cycle counter."""
-
-    now: float = 0.0
-
-    def advance(self, cycles: float) -> float:
-        """Move time forward by ``cycles`` (must be non-negative)."""
-        if cycles < 0:
-            raise ValueError(f"cannot advance time by {cycles} cycles")
-        self.now += cycles
-        return self.now
-
-    def advance_to(self, when: float) -> float:
-        """Move time forward to ``when`` if it is in the future."""
-        if when > self.now:
-            self.now = when
-        return self.now
-
-
-@dataclass
 class BusyResource:
     """A single-server FIFO resource with service latency per request.
 
     Models structural hazards such as "one in-flight BMT update" (paper
     Sec. VI-B: "the overheads observed stem from constraining the system to
-    one in-flight BMT update").
+    one in-flight BMT update").  ``free_at`` is all its state: when the
+    last request finishes.
     """
 
     name: str
     free_at: float = 0.0
-    total_busy: float = field(default=0.0)
-    requests: int = field(default=0)
 
     def request(self, now: float, service_cycles: float) -> Tuple[float, float]:
         """Occupy the resource for ``service_cycles`` starting no earlier
@@ -70,15 +53,7 @@ class BusyResource:
         wait = start - now
         completion = start + service_cycles
         self.free_at = completion
-        self.total_busy += service_cycles
-        self.requests += 1
         return wait, completion
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` cycles the resource was busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.total_busy / elapsed)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Mapping, Tuple
+from typing import Callable, Dict, Iterable, Mapping, MutableMapping, Tuple
 
 
 class StatsCollector:
@@ -47,6 +47,19 @@ class StatsCollector:
             counters[name] += amount
 
         return bump
+
+    def sums(self) -> MutableMapping[str, float]:
+        """The live mapping behind :meth:`add`, for per-event float sums.
+
+        A hot loop adds to it inline: ``sums[name] += amount`` is
+        ``add(name, amount)``, a missing name starting at zero, without
+        the call.  The adds land in this collector, so the warmup
+        snapshot and subtract see them as they see :meth:`add`'s.  A
+        float sum must be added per event, in event order, when its
+        order is pinned (the store path's acceptance and backflow cycles,
+        which cores of the multi-core model share).
+        """
+        return self._counters
 
     def add_counts(self, counts: Iterable[Tuple[str, int]]) -> None:
         """Add integer counts kept outside the collector, skipping zeros.

@@ -175,3 +175,62 @@ class TestCalibrationDefaults:
         ctl.mdc.access_counter(0)
         entry = SecPBEntry(0)
         assert ctl.price_new_entry(0.0, 0, entry) >= 320 + 10
+
+
+class TestCalibrationValidation:
+    """A calibration no machine has is rejected when it is built."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cpi_base", -1.0),
+            ("load_blocking_fraction", -2.0),
+            ("xor_cycles", -1),
+            ("counter_increment_cycles", -1),
+            ("drain_transfer_cycles", -5),
+            ("mc_hash_initiation_cycles", -1),
+            ("mc_aes_initiation_cycles", -1),
+            ("mac_pipeline_initiation_cycles", -24),
+            ("mc_counter_fetch_cycles", -2),
+            ("secpb_double_access_cycles", -2),
+        ],
+    )
+    def test_negative_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TimingCalibration(**{field: value})
+
+    @pytest.mark.parametrize("value", [1.5, float("nan")])
+    def test_blocking_fraction_above_one_rejected(self, value):
+        with pytest.raises(ValueError, match="load_blocking_fraction"):
+            TimingCalibration(load_blocking_fraction=value)
+
+    def test_nan_cpi_rejected(self):
+        with pytest.raises(ValueError, match="cpi_base"):
+            TimingCalibration(cpi_base=float("nan"))
+
+    def test_every_field_is_checked(self):
+        """Each field of the calibration has a case above."""
+        import dataclasses
+
+        checked = {
+            "cpi_base", "load_blocking_fraction", "xor_cycles",
+            "counter_increment_cycles", "drain_transfer_cycles",
+            "mc_hash_initiation_cycles", "mc_aes_initiation_cycles",
+            "mac_pipeline_initiation_cycles", "mc_counter_fetch_cycles",
+            "secpb_double_access_cycles",
+        }
+        assert {f.name for f in dataclasses.fields(TimingCalibration)} == checked
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"cpi_base": 0.1, "load_blocking_fraction": 0.3},
+            {"cpi_base": 1.0, "load_blocking_fraction": 0.5},
+            {"cpi_base": 0.0, "load_blocking_fraction": 0.0},
+            {"load_blocking_fraction": 1.0},
+            {"drain_transfer_cycles": 0},
+            {"xor_cycles": 10},
+        ],
+    )
+    def test_calibrations_in_use_stay_valid(self, kwargs):
+        TimingCalibration(**kwargs)

@@ -1,26 +1,8 @@
-"""Tests for repro.sim.engine — clock, busy resource, bounded pipeline."""
+"""Tests for repro.sim.engine — busy resource, bounded pipeline."""
 
 import pytest
 
-from repro.sim.engine import BoundedPipeline, BusyResource, CycleClock
-
-
-class TestCycleClock:
-    def test_advance(self):
-        clock = CycleClock()
-        assert clock.advance(10) == 10
-        assert clock.advance(5) == 15
-
-    def test_advance_rejects_negative(self):
-        with pytest.raises(ValueError):
-            CycleClock().advance(-1)
-
-    def test_advance_to_only_moves_forward(self):
-        clock = CycleClock(now=100)
-        clock.advance_to(50)
-        assert clock.now == 100
-        clock.advance_to(150)
-        assert clock.now == 150
+from repro.sim.engine import BoundedPipeline, BusyResource
 
 
 class TestBusyResource:
@@ -45,17 +27,6 @@ class TestBusyResource:
     def test_negative_service_rejected(self):
         with pytest.raises(ValueError):
             BusyResource("r").request(0, -1)
-
-    def test_utilization(self):
-        res = BusyResource("r")
-        res.request(0, 50)
-        assert res.utilization(100) == pytest.approx(0.5)
-        assert res.utilization(0) == 0.0
-
-    def test_utilization_caps_at_one(self):
-        res = BusyResource("r")
-        res.request(0, 200)
-        assert res.utilization(100) == 1.0
 
 
 class TestBoundedPipeline:

@@ -40,11 +40,14 @@ def test_timed_runs_build_no_replay_and_no_schedule(monkeypatch):
 
 
 def test_cm_store_path_counts_in_locals():
-    """CM makes at most 1.5 calls per op into repro/sim/stats.py.
+    """CM makes at most 1 call per op into repro/sim/stats.py.
 
     The store path keeps its per-store counts in locals and adds them once
-    per sync; one per-event counter put back on the path exceeds the bound.
+    per sync, and adds its acceptance-cycle sums inline on the collector's
+    mapping; what remains are the CTR$ hit/miss counters (about 0.7 per
+    op).  One per-store counter call put back on the path exceeds the
+    bound.
     """
     report = profile_simulation("gamess", CM, num_ops=8000, seed=1)
-    assert 0 < report.counter_calls <= 1.5 * report.num_ops
+    assert 0 < report.counter_calls <= 1.0 * report.num_ops
     assert f"\ncounter calls: {report.counter_calls:,} " in report.render()
