@@ -7,9 +7,12 @@ it for the eager schemes and measures the cost — the paper predicts it is
 would update BMT root often".
 """
 
+import dataclasses
+
 from repro.analysis.report import format_table
 from repro.core.schemes import get_scheme
 from repro.core.simulator import SecurePersistencySimulator
+from repro.sim.config import SystemConfig
 from repro.sim.stats import geometric_mean
 from repro.workloads.spec import build_trace
 
@@ -25,12 +28,16 @@ def run_ablation():
     baselines = {n: bbb.run(t, WARMUP) for n, t in traces.items()}
 
     results = {}
+    table1 = SystemConfig()
     for scheme_name in ("cm", "m", "nogap"):
         for coalescing in (True, False):
-            sim = SecurePersistencySimulator(
-                scheme=get_scheme(scheme_name),
-                value_independent_coalescing=coalescing,
+            config = dataclasses.replace(
+                table1,
+                secpb=dataclasses.replace(
+                    table1.secpb, value_independent_coalescing=coalescing
+                ),
             )
+            sim = SecurePersistencySimulator(config, get_scheme(scheme_name))
             slowdowns = [
                 sim.run(trace, WARMUP).slowdown_vs(baselines[name])
                 for name, trace in traces.items()

@@ -16,17 +16,10 @@ import sys
 from repro import SecurePersistencySimulator, SystemConfig, build_trace, get_scheme
 from repro.analysis.report import format_table
 from repro.baselines.strict import StrictPersistencySimulator
-from repro.security.bmf import ForestTimingModel
 from repro.sim.stats import geometric_mean
 
 BENCHMARKS = ["gamess", "povray", "hmmer", "h264ref"]
 WARMUP = 0.3
-
-
-def forest(cut: int, config: SystemConfig) -> ForestTimingModel:
-    return ForestTimingModel(
-        full_height=config.security.bmt_levels, cut_height=cut
-    )
 
 
 def main() -> None:
@@ -46,19 +39,14 @@ def main() -> None:
     cm = get_scheme("cm")
 
     def cm_runner(cut):
-        model = forest(cut, config) if cut else None
+        # Each run starts from an empty BMF root cache.
         sim = SecurePersistencySimulator(
-            config=config,
-            scheme=cm,
-            bmt_levels_fn=model.levels if model else None,
+            config=config.with_bmf_cut(cut) if cut else config, scheme=cm
         )
         return lambda trace: sim.run(trace, WARMUP)
 
     def sp_runner(cut):
-        model = forest(cut, config) if cut else None
-        sim = StrictPersistencySimulator(
-            config=config, bmt_levels_fn=model.levels if model else None
-        )
+        sim = StrictPersistencySimulator(config=config.with_bmf_cut(cut))
         return lambda trace: sim.run(trace, WARMUP)
 
     rows = [

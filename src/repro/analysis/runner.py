@@ -84,7 +84,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import LANE_STORES, Tracer
 from ..runtime.pool import WorkerPool, discard_shared_pool, get_shared_pool
 from ..runtime.shm import TraceAttachSetup, shared_registry
-from ..security.bmf import ForestTimingModel
 from ..sim.config import SystemConfig
 from ..sim.stats import SimulationResult
 from ..workloads.store import DEFAULT_STORE, get_trace, store_counters
@@ -133,10 +132,11 @@ class SimSpec:
         scheme: registry name of the SecPB scheme; ``None`` is the
             insecure BBB baseline (``simulator="secure"`` only).
         secpb_entries: optional SecPB size override (Fig. 7 sweeps).
-        bmf_cut: optional BMF cut height — builds a fresh
-            :class:`~repro.security.bmf.ForestTimingModel` per run
-            (Fig. 9's DBMF=2 / SBMF=5 variants).
-        root_cache_bytes: BMF root-cache size when ``bmf_cut`` is set.
+        bmf_cut: optional BMF cut height override (Fig. 9's DBMF=2 /
+            SBMF=5 variants); it sets ``config.security.bmf_cut``.
+        root_cache_bytes: BMF root-cache size, set as
+            ``config.security.bmf_root_cache_bytes`` with a ``bmf_cut``
+            and ignored without one.
         config: optional base system configuration (default Table I).
         calibration: optional timing calibration (default constants).
     """
@@ -184,9 +184,9 @@ class _SimContent:
     """Everything that determines a job's result, with defaults resolved.
 
     Two jobs with equal content simulate the same thing whatever their
-    keys, so this is the key of the result memo.  ``bmf`` is ``(cut
-    height, root-cache bytes)``, or ``None`` without a BMF cut, where the
-    simulator never reads the root-cache size.
+    keys, so this is the key of the result memo.  ``config`` carries the
+    spec's overrides: the SecPB size and, with a BMF cut, the cut and the
+    root-cache size.
     """
 
     benchmark: str
@@ -195,7 +195,6 @@ class _SimContent:
     warmup_frac: float
     simulator: str
     scheme: Optional[str]
-    bmf: Optional[Tuple[int, int]]
     config: SystemConfig
     calibration: TimingCalibration
 
@@ -206,6 +205,10 @@ def _resolve(job: SimJob) -> _SimContent:
     config = spec.config if spec.config is not None else SystemConfig()
     if spec.secpb_entries is not None:
         config = config.with_secpb_entries(spec.secpb_entries)
+    if spec.bmf_cut is not None:
+        # Without a cut the simulator never reads the root-cache size, so
+        # it stays out of the key.
+        config = config.with_bmf_cut(spec.bmf_cut, spec.root_cache_bytes)
     return _SimContent(
         benchmark=job.benchmark,
         num_ops=job.num_ops,
@@ -213,11 +216,6 @@ def _resolve(job: SimJob) -> _SimContent:
         warmup_frac=job.warmup_frac,
         simulator=spec.simulator,
         scheme=spec.scheme,
-        bmf=(
-            (spec.bmf_cut, spec.root_cache_bytes)
-            if spec.bmf_cut is not None
-            else None
-        ),
         config=config,
         calibration=(
             spec.calibration
@@ -232,28 +230,14 @@ def execute_job(job: SimJob) -> SimulationResult:
     content = _resolve(job)
     config = content.config
     trace = get_trace(content.benchmark, content.num_ops, content.seed)
-    bmt_levels_fn = None
-    if content.bmf is not None:
-        cut_height, root_cache_bytes = content.bmf
-        forest = ForestTimingModel(
-            full_height=config.security.bmt_levels,
-            cut_height=cut_height,
-            root_cache_bytes=root_cache_bytes,
-        )
-        bmt_levels_fn = forest.levels
     if content.simulator == "strict":
         simulator = StrictPersistencySimulator(
-            config=config,
-            calibration=content.calibration,
-            bmt_levels_fn=bmt_levels_fn,
+            config=config, calibration=content.calibration
         )
     else:
         scheme = SCHEMES[content.scheme] if content.scheme is not None else None
         simulator = SecurePersistencySimulator(
-            config=config,
-            scheme=scheme,
-            calibration=content.calibration,
-            bmt_levels_fn=bmt_levels_fn,
+            config=config, scheme=scheme, calibration=content.calibration
         )
     return simulator.run(trace, content.warmup_frac)
 
@@ -952,10 +936,10 @@ def run_jobs(
 
     A simulation this process has already run is not run again.  Results
     are memoized by job *content*, not by ``job.key``: benchmark,
-    num_ops, seed, warmup_frac, simulator, scheme, bmf_cut,
-    ``root_cache_bytes`` (only with a ``bmf_cut``), and the resolved
-    ``SystemConfig`` (after ``secpb_entries``) and ``TimingCalibration``
-    (``None`` is the default).  Before dispatch, a job whose content is
+    num_ops, seed, warmup_frac, simulator, scheme, and the resolved
+    ``SystemConfig`` (after ``secpb_entries`` and, only with a
+    ``bmf_cut``, the cut and ``root_cache_bytes``) and
+    ``TimingCalibration`` (``None`` is the default).  Before dispatch, a job whose content is
     memoized is answered without running; only the misses reach the
     pool, and only their traces are published.  ``on_result`` still
     fires for every answered key, so a journal covers the whole call,

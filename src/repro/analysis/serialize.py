@@ -12,7 +12,7 @@ import dataclasses
 import json
 from typing import Any, Dict
 
-from ..durability import ArtifactError, ArtifactStatus, verify_artifact, write_artifact
+from ..durability import read_checked, write_artifact
 from ..sim.stats import SimulationResult
 
 
@@ -84,11 +84,7 @@ def load_result(path: str) -> Dict[str, Any]:
     deserializing garbage.  Unmanifested files (hand-written or from
     older builds) load as before.
     """
-    status = verify_artifact(path)
-    if status is ArtifactStatus.MISMATCH:
-        raise ArtifactError(path, status)
-    with open(path) as handle:
-        return json.load(handle)
+    return json.loads(read_checked(path))
 
 
 def simulation_result_to_payload(result: SimulationResult) -> Dict[str, Any]:

@@ -15,7 +15,7 @@ vs cm_dbmf vs cm_sbmf) differ only in the mechanisms under study.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core.controller import TimingCalibration
 from ..core.simulator import StorePath, TraceSimulator
@@ -30,10 +30,9 @@ class StrictPersistencySimulator(TraceSimulator):
     """Trace-driven timing model of PLP-style SP (SPoP at the MC).
 
     Args:
-        config: Table I system configuration.
+        config: Table I system configuration; a ``security.bmf_cut``
+            prices each BMT update on the forest (sp_dbmf / sp_sbmf).
         calibration: shared free timing constants.
-        bmt_levels_fn: per-page BMT update height (BMF hook for sp_dbmf /
-            sp_sbmf); defaults to the full configured height.
     """
 
     scheme_name = "sp"
@@ -42,13 +41,11 @@ class StrictPersistencySimulator(TraceSimulator):
         self,
         config: Optional[SystemConfig] = None,
         calibration: Optional[TimingCalibration] = None,
-        bmt_levels_fn: Optional[Callable[[int], int]] = None,
     ):
         self.config = config if config is not None else SystemConfig()
         self.calibration = (
             calibration if calibration is not None else TimingCalibration()
         )
-        self._bmt_levels_fn = bmt_levels_fn
 
     def _store_path(self, stats: StatsCollector) -> StorePath:
         """The tuple update at the MC, then the store-buffer push."""
@@ -66,7 +63,8 @@ class StrictPersistencySimulator(TraceSimulator):
         )
         hash_cycles = config.security.mac_latency_cycles
         aes_cycles = config.security.aes_latency_cycles
-        levels_fn = self._bmt_levels_fn
+        # Per-block BMT heights exist only under a BMF cut.
+        bmt_levels = mdc.bmt_levels if mdc.forest is not None else None
         full_levels = config.security.bmt_levels
         # Each store updates the BMT root and generates a MAC once; the
         # count reaches ``stats`` through ``sync``.
@@ -79,9 +77,8 @@ class StrictPersistencySimulator(TraceSimulator):
             # and the single-in-flight BMT update serialize.
             nonlocal stores, mc_free_at
             stores += 1
-            page = block_addr // 64
-            ctr_latency = mdc.access_counter(page)
-            levels = levels_fn(page) if levels_fn is not None else full_levels
+            ctr_latency = mdc.access_counter(block_addr)
+            levels = bmt_levels(block_addr) if bmt_levels is not None else full_levels
             service = (
                 ctr_latency
                 + cal.counter_increment_cycles
@@ -110,7 +107,6 @@ def run_sp(
     trace: Trace,
     config: Optional[SystemConfig] = None,
     calibration: Optional[TimingCalibration] = None,
-    bmt_levels_fn: Optional[Callable[[int], int]] = None,
 ) -> SimulationResult:
     """Convenience one-shot SP run."""
-    return StrictPersistencySimulator(config, calibration, bmt_levels_fn).run(trace)
+    return StrictPersistencySimulator(config, calibration).run(trace)

@@ -53,6 +53,7 @@ from .core.schemes import SPECTRUM_ORDER, get_scheme
 from .core.simulator import run_scheme
 from .durability import (
     EXIT_RESUMABLE,
+    ArtifactError,
     DeadlineToken,
     JournalError,
     RunInterrupted,
@@ -399,10 +400,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_faultcampaign(args: argparse.Namespace) -> int:
     from .fault import CampaignSpec, run_campaign, save_reproducer
-    from .fault.minimize import replay_with_verdict
+    from .fault.campaign import execute_case
+    from .fault.minimize import ReplayOutcome, read_reproducer
 
     if args.replay:
-        outcome = replay_with_verdict(args.replay)
+        try:
+            case, recorded = read_reproducer(args.replay)
+        except (OSError, ValueError, TypeError, ArtifactError) as exc:
+            print(f"error: unusable reproducer: {exc}", file=sys.stderr)
+            return 2
+        outcome = ReplayOutcome(execute_case(case), recorded)
         result = outcome.result
         if outcome.diverged:
             # The replayed verdict is not what the campaign recorded —
@@ -505,8 +512,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         scratch = tempfile.mkdtemp(prefix="secpb_chaos_")
         workdir = scratch
     if args.replay:
-        from .durability import ArtifactError
-
         try:
             report = replay_reproducer(args.replay, workdir, jobs=args.jobs)
         except (OSError, ValueError, PlanError, KeyError, ArtifactError) as exc:

@@ -122,11 +122,12 @@ class CompiledPricing(NamedTuple):
     ``None`` when that store runs no early step (0 cycles).
 
     A drain's MC service is ``drain_service``, plus
-    ``drain_levels(page) * drain_hash_cycles`` when the BMT update is late
-    and its height is per page (``drain_levels`` is ``None`` otherwise).
-    With the counter step late, a drain also accesses the CTR$ through
-    ``drain_counter(page)`` and does not wait for it (``None`` when the
-    counter step is early).  Together that is :meth:`~SecPBController.price_drain`.
+    ``drain_levels(block_addr) * drain_hash_cycles`` when the BMT update is
+    late and its height is per page, under a BMF cut (``drain_levels`` is
+    ``None`` otherwise).  With the counter step late, a drain also accesses
+    the CTR$ through ``drain_counter(block_addr)`` and does not wait for it
+    (``None`` when the counter step is early).  Together that is
+    :meth:`~SecPBController.price_drain`.
     """
 
     new_entry: Optional[Callable[[float, int], float]]
@@ -145,12 +146,15 @@ class SecPBController:
     counts into BMT root updates and MAC generations.
 
     Args:
-        config: system configuration (Table I).
+        config: system configuration (Table I).  Its
+            ``secpb.value_independent_coalescing`` switches the Sec. IV-A
+            optimization (off for the ablation: the value-independent
+            steps re-run on every store).
         scheme: the persistency scheme being run.
         metadata_caches: MC-side CTR$/MAC$/BMT$ model (shared with drains).
-        bmt_levels_fn: returns the number of hash levels a given page's
-            BMT update must recompute — constant-height by default, or a
-            Merkle-forest hook for the Fig. 9 BMF study.
+            Under a BMF cut its forest prices each BMT update
+            (:meth:`MetadataCaches.bmt_levels`); otherwise every update
+            recomputes the configured ``bmt_levels``.
         calibration: free timing constants.
     """
 
@@ -159,18 +163,11 @@ class SecPBController:
         config: SystemConfig,
         scheme: Scheme,
         metadata_caches: MetadataCaches,
-        bmt_levels_fn: Optional[Callable[[int], int]] = None,
         calibration: Optional[TimingCalibration] = None,
-        value_independent_coalescing: bool = True,
         bmt_engine: Optional[BusyResource] = None,
         mac_engine: Optional[BusyResource] = None,
     ):
-        """``value_independent_coalescing`` enables the Sec. IV-A
-        optimization (counter/OTP/BMT root once per residency).  Disabling
-        it re-runs those steps on *every* store — the naive design the
-        paper argues against — and exists for the ablation study.
-
-        ``bmt_engine``/``mac_engine`` may be injected so multiple cores'
+        """``bmt_engine``/``mac_engine`` may be injected so multiple cores'
         controllers contend on the shared MC-side engines (the multi-core
         simulator does this); by default each controller gets private
         engines, which is exact for the single-core configuration.
@@ -179,8 +176,11 @@ class SecPBController:
         self.scheme = scheme
         self.mdc = metadata_caches
         self.calibration = calibration if calibration is not None else TimingCalibration()
-        self.value_independent_coalescing = value_independent_coalescing
-        self._bmt_levels_fn = bmt_levels_fn
+        self.value_independent_coalescing = config.secpb.value_independent_coalescing
+        # Per-block BMT heights exist only under a BMF cut; without one
+        # every update recomputes the configured height, folded below.
+        forest = metadata_caches.forest is not None
+        self._bmt_levels = metadata_caches.bmt_levels if forest else None
         self.bmt_engine = bmt_engine if bmt_engine is not None else BusyResource("bmt-engine")
         self.mac_engine = mac_engine if mac_engine is not None else BusyResource("mac-engine")
         self._hash_cycles = config.security.mac_latency_cycles
@@ -206,12 +206,10 @@ class SecPBController:
         self._double_access = cal.secpb_double_access_cycles
         self._mc_hash_initiation = cal.mc_hash_initiation_cycles
         self._access_counter = self.mdc.access_counter
-        # BMT update service is constant unless a Merkle-forest hook
-        # supplies per-page heights (the Fig. 9 BMF study).
+        # BMT update service is constant unless a Merkle forest prices
+        # it per page (the Fig. 9 BMF study).
         self._bmt_service_const = (
-            None
-            if bmt_levels_fn is not None
-            else config.security.bmt_levels * self._hash_cycles
+            None if forest else config.security.bmt_levels * self._hash_cycles
         )
         # Drain service: the block transfer plus every scheme-constant
         # late-step initiation cost, pre-summed (integer cycle counts, so
@@ -222,14 +220,14 @@ class SecPBController:
             drain_const += cal.counter_increment_cycles
         if not self._early_otp:
             drain_const += cal.mc_aes_initiation_cycles
-        if not self._early_bmt and bmt_levels_fn is None:
+        if not self._early_bmt and not forest:
             drain_const += config.security.bmt_levels * cal.mc_hash_initiation_cycles
         if not self._early_ciphertext:
             drain_const += cal.xor_cycles
         if not self._early_mac:
             drain_const += cal.mc_hash_initiation_cycles
         self._drain_const = drain_const
-        self._drain_bmt_dynamic = not self._early_bmt and bmt_levels_fn is not None
+        self._drain_bmt_dynamic = not self._early_bmt and forest
         # Fully lazy schemes (COBCM) run no early step at all: every
         # priced store degenerates to "latency 0" — worth a dedicated
         # early-out on the acceptance path.
@@ -305,7 +303,7 @@ class SecPBController:
             coalesced,
             self._drain_const,
             None if self._early_counter else self._access_counter,
-            self._bmt_levels_fn if self._drain_bmt_dynamic else None,
+            self._bmt_levels if self._drain_bmt_dynamic else None,
             self.calibration.mc_hash_initiation_cycles,
         )
 
@@ -320,14 +318,13 @@ class SecPBController:
         early_bmt = self._early_bmt
         bmt_engine = self.bmt_engine
         bmt_service = self._bmt_service_const
-        levels_fn = self._bmt_levels_fn
+        bmt_levels = self._bmt_levels
         hash_cycles = self._hash_cycles
         xor_cycles = self._xor_cycles if self._early_ciphertext else None
         mac_engine = self.mac_engine if self._early_mac else None
 
         def price(now: float, block_addr: int) -> float:
-            page = block_addr // 64
-            counter_ready = access_counter(page) + increment
+            counter_ready = access_counter(block_addr) + increment
             latency = counter_ready + extra
             if early_bmt:
                 # The single-in-flight BMT engine (BusyResource.request).
@@ -336,7 +333,7 @@ class SecPBController:
                 if free_at > start:
                     start = free_at
                 if bmt_service is None:
-                    start += levels_fn(page) * hash_cycles
+                    start += bmt_levels(block_addr) * hash_cycles
                 else:
                     start += bmt_service
                 bmt_engine.free_at = start
@@ -402,7 +399,7 @@ class SecPBController:
 
         counter_ready = latency
         if self._early_counter:
-            ctr_latency = self._access_counter(block_addr // 64)
+            ctr_latency = self._access_counter(block_addr)
             counter_ready = latency + ctr_latency + self._counter_increment
             latency = counter_ready
             valid["C"] = True
@@ -420,7 +417,7 @@ class SecPBController:
         if self._early_bmt:
             service = self._bmt_service_const
             if service is None:
-                service = self._bmt_levels_fn(block_addr // 64) * self._hash_cycles
+                service = self._bmt_levels(block_addr) * self._hash_cycles
             _, completion = self.bmt_engine.request(now + counter_ready, service)
             bmt_done = completion - now
             valid["B"] = True
@@ -455,7 +452,7 @@ class SecPBController:
         if not self.value_independent_coalescing:
             counter_ready = 0.0
             if self._early_counter:
-                ctr_latency = self._access_counter(entry.block_addr // 64)
+                ctr_latency = self._access_counter(entry.block_addr)
                 counter_ready = ctr_latency + self._counter_increment
             otp_done = counter_ready
             if self._early_otp:
@@ -464,7 +461,7 @@ class SecPBController:
             if self._early_bmt:
                 service = self._bmt_service_const
                 if service is None:
-                    service = self._bmt_levels_fn(entry.block_addr // 64) * self._hash_cycles
+                    service = self._bmt_levels(entry.block_addr) * self._hash_cycles
                 _, completion = self.bmt_engine.request(now + counter_ready, service)
                 bmt_done = completion - now
             latency = max(counter_ready, otp_done, bmt_done)
@@ -495,7 +492,7 @@ class SecPBController:
             # Track cache contents (for stats) but charge the pipelined
             # fetch cost (already folded into the constant): drains have
             # no ordering constraint, so misses overlap with other work.
-            self._access_counter(block_addr // 64)
+            self._access_counter(block_addr)
         if self._drain_bmt_dynamic:
-            service += self._bmt_levels_fn(block_addr // 64) * self._mc_hash_initiation
+            service += self._bmt_levels(block_addr) * self._mc_hash_initiation
         return service

@@ -163,7 +163,7 @@ class MultiCoreSecPBSimulator:
                         clock += migration_transit
                     latency = latencies[core_id][index]
                     if latency >= memory_fill_cycles and verify_load_cycles:
-                        latency += mdc.access_counter(block_addr // 64)
+                        latency += mdc.access_counter(block_addr)
                         latency += verify_load_cycles
                         count_load_verification()
                     if latency <= l1_hit_cycles:

@@ -324,7 +324,7 @@ class TraceSimulator:
                 # until its counter is fetched, the OTP is regenerated and
                 # the MAC checked.
                 latency = memory_fill_cycles
-                latency += mdc_access_counter((_VERIFY - event) // 64)
+                latency += mdc_access_counter(_VERIFY - event)
                 latency += verify_load_cycles
                 count_load_verification()
                 if latency <= l1_hit_cycles:
@@ -362,12 +362,11 @@ class SecurePersistencySimulator(TraceSimulator):
     """One configured (scheme, system) pair, runnable over traces.
 
     Args:
-        config: Table I system configuration.
+        config: Table I system configuration, with the design options
+            (``secpb.value_independent_coalescing``, ``security.bmf_cut``).
         scheme: one of the six SecPB schemes, or ``None`` for the insecure
             BBB baseline.
         calibration: free timing constants (shared across schemes).
-        bmt_levels_fn: optional per-page BMT update height (the BMF hook
-            for the Fig. 9 study).
         tracer: optional :class:`repro.obs.Tracer` receiving the store
             lifecycle (accept/coalesce/drain with the scheme's early/late
             step split, backflow and store-buffer stalls) keyed by
@@ -382,15 +381,11 @@ class SecurePersistencySimulator(TraceSimulator):
         config: Optional[SystemConfig] = None,
         scheme: Optional[Scheme] = None,
         calibration: Optional[TimingCalibration] = None,
-        bmt_levels_fn: Optional[Callable[[int], int]] = None,
-        value_independent_coalescing: bool = True,
         tracer: Optional[Tracer] = None,
     ):
         self.config = config if config is not None else SystemConfig()
         self.scheme = scheme
         self.calibration = calibration if calibration is not None else TimingCalibration()
-        self.value_independent_coalescing = value_independent_coalescing
-        self._bmt_levels_fn = bmt_levels_fn
         self.tracer = tracer
 
     @property
@@ -408,7 +403,8 @@ class SecurePersistencySimulator(TraceSimulator):
 
         The multi-core model builds one path per core and passes the
         metadata caches and the BMT/MAC engines that live at the shared
-        MC; by default the path has its own.
+        MC; by default the path has its own, so every run starts from
+        empty metadata caches and an empty BMF root cache.
 
         A store calls nothing of the SecPB but :meth:`SecPB.drain_targets`
         (at the high watermark and in a backflow wait), nothing of the
@@ -432,9 +428,7 @@ class SecurePersistencySimulator(TraceSimulator):
                 config,
                 scheme,
                 mdc,
-                bmt_levels_fn=self._bmt_levels_fn,
                 calibration=cal,
-                value_independent_coalescing=self.value_independent_coalescing,
                 bmt_engine=bmt_engine,
                 mac_engine=mac_engine,
             )
@@ -528,9 +522,9 @@ class SecurePersistencySimulator(TraceSimulator):
                 addr = pop_oldest(False)[0]
                 service = drain_service
                 if drain_counter is not None:
-                    drain_counter(addr // 64)
+                    drain_counter(addr)
                 if drain_levels is not None:
-                    service += drain_levels(addr // 64) * drain_hash_cycles
+                    service += drain_levels(addr) * drain_hash_cycles
                 start = drain_free_at if drain_free_at > now else now
                 drain_free_at = start + service
                 drain_completions.append(drain_free_at)
@@ -664,9 +658,9 @@ class SecurePersistencySimulator(TraceSimulator):
             resident.pop(block_addr, None)
             service = drain_service
             if drain_counter is not None:
-                drain_counter(block_addr // 64)
+                drain_counter(block_addr)
             if drain_levels is not None:
-                service += drain_levels(block_addr // 64) * drain_hash_cycles
+                service += drain_levels(block_addr) * drain_hash_cycles
             start = drain_free_at if drain_free_at > now else now
             drain_free_at = start + service
             flushes += 1
@@ -721,7 +715,6 @@ def run_scheme(
     scheme: Optional[Scheme],
     config: Optional[SystemConfig] = None,
     calibration: Optional[TimingCalibration] = None,
-    bmt_levels_fn: Optional[Callable[[int], int]] = None,
     warmup_frac: float = 0.0,
     tracer: Optional[Tracer] = None,
 ) -> SimulationResult:
@@ -730,7 +723,6 @@ def run_scheme(
         config=config,
         scheme=scheme,
         calibration=calibration,
-        bmt_levels_fn=bmt_levels_fn,
         tracer=tracer,
     )
     return simulator.run(trace, warmup_frac)

@@ -35,6 +35,7 @@ from .artifacts import (
     atomic_write_text,
     manifest_path,
     quarantine_artifact,
+    read_checked,
     read_verified,
     verify_artifact,
     write_artifact,
@@ -82,6 +83,7 @@ __all__ = [
     "manifest_path",
     "open_journal",
     "quarantine_artifact",
+    "read_checked",
     "read_journal",
     "read_verified",
     "register_emergency_cleanup",

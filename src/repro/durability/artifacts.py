@@ -156,6 +156,11 @@ def verify_artifact(path: Union[str, Path]) -> ArtifactStatus:
     path = Path(path)
     if not path.is_file():
         return ArtifactStatus.MISSING
+    return _grade(path, path.read_bytes())
+
+
+def _grade(path: Path, data: bytes) -> ArtifactStatus:
+    """Grade ``data``, read from ``path``, against the path's manifest."""
     sidecar = manifest_path(path)
     if not sidecar.is_file():
         return ArtifactStatus.UNMANIFESTED
@@ -165,7 +170,6 @@ def verify_artifact(path: Union[str, Path]) -> ArtifactStatus:
         expected_size = manifest["size"]
     except (ValueError, KeyError, TypeError):
         return ArtifactStatus.MISMATCH
-    data = path.read_bytes()
     if len(data) != expected_size or _digest(data) != expected_digest:
         return ArtifactStatus.MISMATCH
     return ArtifactStatus.OK
@@ -185,6 +189,25 @@ def quarantine_artifact(path: Union[str, Path]) -> Path:
         os.replace(str(sidecar), str(sidecar) + QUARANTINE_SUFFIX)
     _fsync_dir(path.parent)
     return quarantined
+
+
+def read_checked(path: Union[str, Path]) -> bytes:
+    """Read an artifact's bytes once, refusing bytes its manifest contradicts.
+
+    Unlike :func:`read_verified`, an artifact without a manifest
+    (hand-written, or from an older build) is returned as read.
+
+    Raises:
+        ArtifactError: the manifest does not match the bytes read, or is
+            malformed (``MISMATCH``).
+        OSError: the artifact cannot be read (``FileNotFoundError`` when
+            it is missing).
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    if _grade(path, data) is ArtifactStatus.MISMATCH:
+        raise ArtifactError(path, ArtifactStatus.MISMATCH)
+    return data
 
 
 def read_verified(path: Union[str, Path]) -> bytes:

@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-from ..durability import write_artifact
+from ..durability import read_checked, write_artifact
 from .cases import CaseResult, FaultCase, TamperSpec
 
 #: Reproducer file-format version (bump on incompatible field changes).
@@ -170,18 +170,35 @@ def save_reproducer(
     return path
 
 
+def read_reproducer(
+    path: Union[str, Path],
+) -> Tuple[FaultCase, Optional[CaseResult]]:
+    """A reproducer's case and recorded verdict, from one read of the file.
+
+    The verdict is ``None`` for version-1 files.  A file whose SHA-256
+    manifest (:func:`save_reproducer` writes one) does not match raises,
+    so an edited or torn reproducer never replays; a file without a
+    manifest (hand-written) loads.
+
+    Raises:
+        repro.durability.ArtifactError: the manifest does not match.
+        OSError: the file cannot be read.
+        ValueError, TypeError: malformed JSON, version or fields.
+    """
+    payload = json.loads(read_checked(path))
+    case = case_from_dict(payload)
+    recorded = payload.get("recorded_result")
+    return case, None if recorded is None else CaseResult(**recorded)
+
+
 def load_reproducer(path: Union[str, Path]) -> FaultCase:
     """Read a case back from a :func:`save_reproducer` file."""
-    return case_from_dict(json.loads(Path(path).read_text()))
+    return read_reproducer(path)[0]
 
 
 def load_recorded_result(path: Union[str, Path]) -> Optional[CaseResult]:
     """The verdict embedded in a reproducer, or ``None`` (version-1 files)."""
-    payload = json.loads(Path(path).read_text())
-    recorded = payload.get("recorded_result")
-    if recorded is None:
-        return None
-    return CaseResult(**recorded)
+    return read_reproducer(path)[1]
 
 
 def replay_reproducer(path: Union[str, Path]) -> CaseResult:
@@ -230,7 +247,7 @@ class ReplayOutcome:
 
 def replay_with_verdict(path: Union[str, Path]) -> ReplayOutcome:
     """Replay a reproducer and compare against its recorded verdict."""
-    return ReplayOutcome(
-        result=replay_reproducer(path),
-        recorded=load_recorded_result(path),
-    )
+    from .campaign import execute_case  # lazy: campaign imports this module
+
+    case, recorded = read_reproducer(path)
+    return ReplayOutcome(result=execute_case(case), recorded=recorded)

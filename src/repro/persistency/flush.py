@@ -50,7 +50,8 @@ class FlushBasedSimulator(TraceSimulator):
         secure: when True, each flushed line pays a serialized memory-tuple
             update at the MC (counter, OTP/BMT in parallel, MAC) — the
             write-through secure-memory discipline ("sec_wt").
-        config: Table I system configuration.
+        config: Table I system configuration; with ``secure``, a
+            ``security.bmf_cut`` prices each BMT update on the forest.
         calibration: shared free timing constants.
     """
 
@@ -89,9 +90,11 @@ class FlushBasedSimulator(TraceSimulator):
         mdc = MetadataCaches(config, stats) if self.secure else None
         # Writeback occupies the NVM write path via the WPQ.
         writeback = float(cal.drain_transfer_cycles)
-        otp_or_bmt = max(
-            config.security.aes_latency_cycles, config.security.bmt_update_cycles
-        )
+        aes_cycles = config.security.aes_latency_cycles
+        hash_cycles = config.security.mac_latency_cycles
+        otp_or_bmt = max(aes_cycles, config.security.bmt_update_cycles)
+        # Per-block BMT heights exist only under a BMF cut.
+        bmt_levels = mdc.bmt_levels if mdc is not None and mdc.forest is not None else None
         mc_engine = BusyResource("flush-mc-engine")
         transit = (
             config.l1.access_cycles
@@ -109,11 +112,14 @@ class FlushBasedSimulator(TraceSimulator):
             """MC-side service for persisting one flushed line."""
             service = writeback
             if mdc is not None:
-                service += mdc.access_counter(block_addr // 64)
+                service += mdc.access_counter(block_addr)
                 service += cal.counter_increment_cycles
-                service += otp_or_bmt
+                if bmt_levels is None:
+                    service += otp_or_bmt
+                else:
+                    service += max(aes_cycles, bmt_levels(block_addr) * hash_cycles)
                 service += cal.xor_cycles
-                service += config.security.mac_latency_cycles
+                service += hash_cycles
             return service
 
         def fence_epoch(now: float) -> float:

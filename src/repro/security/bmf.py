@@ -25,9 +25,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..sim.config import ROOT_DIGEST_BYTES
 from .bmt import BonsaiMerkleTree, PathNode
-
-ROOT_DIGEST_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,11 @@ class ForestTimingModel:
     The full-tree functional anchor is unnecessary when only update
     *heights* matter; this model keeps just the root cache and maps a
     counter-page index to the number of hash levels its BMT update costs.
-    Plugs into the simulator via ``bmt_levels_fn``.
+    The root cache is state, so one model serves one run:
+    :class:`~repro.security.metadata_cache.MetadataCaches` builds it from
+    ``SecurityConfig.bmf_cut`` and ``bmf_root_cache_bytes`` with the rest
+    of the memory controller's metadata state, and answers per block
+    through :meth:`~repro.security.metadata_cache.MetadataCaches.bmt_levels`.
 
     Args:
         full_height: height of the underlying BMT (paper: 8).

@@ -30,7 +30,7 @@ from typing import Dict, Optional
 from ..sim.config import CACHE_BLOCK_BYTES
 from ..sim.nvm import NonVolatileMemory
 from .bmt import BonsaiMerkleTree
-from .counters import CounterBlock, CounterStore
+from .counters import MINOR_COUNTERS_PER_PAGE, CounterBlock, CounterStore
 from .mac import MacEngine, MacRecord, MacStore
 from .otp import OTPEngine
 
@@ -176,8 +176,8 @@ class SecureMemory:
         previously persisted ciphertexts in the page must be re-encrypted
         under the new nonce and their MACs refreshed.
         """
-        base = page_index * 64
-        for offset in range(64):
+        base = page_index * MINOR_COUNTERS_PER_PAGE
+        for offset in range(MINOR_COUNTERS_PER_PAGE):
             if offset == skip_offset:
                 continue
             addr = base + offset

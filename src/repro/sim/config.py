@@ -15,10 +15,15 @@ via :meth:`SystemConfig.ns_to_cycles`.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 CACHE_BLOCK_BYTES = 64
 """Block size used by every cache in the hierarchy, the SecPB and the NVM."""
+
+ROOT_DIGEST_BYTES = 32
+"""One subtree-root digest in a Bonsai Merkle Forest's root cache."""
 
 
 @dataclass(frozen=True)
@@ -84,12 +89,18 @@ class SecPBConfig:
     we default it to half the high watermark.  Table I's 260 B entry size is
     not a field: no model reads it (battery sizing counts each scheme's
     fields, Fig. 5).
+
+    ``value_independent_coalescing`` is Sec. IV-A's optimization: the
+    value-independent steps (counter, OTP, BMT root) run once per
+    residency.  Turned off, they re-run on every store, the naive design
+    the paper argues against (the coalescing ablation).
     """
 
     entries: int = 32
     access_cycles: int = 2
     high_watermark: float = 0.75
     low_watermark: float = 0.375
+    value_independent_coalescing: bool = True
 
     def __post_init__(self) -> None:
         if self.entries <= 0:
@@ -122,12 +133,40 @@ class SecurityConfig:
     The split-counter geometry (7-bit minors, 64 per page) is fixed by
     ``MINOR_BITS`` and ``MINOR_COUNTERS_PER_PAGE`` in
     :mod:`repro.security.counters`, not configured here.
+
+    ``bmf_cut`` turns the BMT into a Bonsai Merkle Forest (Fig. 9: 2 for
+    DBMF, 5 for SBMF): an update whose subtree root is in the memory
+    controller's ``bmf_root_cache_bytes`` root cache recomputes only the
+    ``bmf_cut`` levels below it (:class:`repro.security.bmf.ForestTimingModel`).
+    ``None`` keeps the full ``bmt_levels`` on every update, and the root
+    cache size is then never read.
     """
 
     bmt_levels: int = 8
     mac_latency_cycles: int = 40
     aes_latency_cycles: int = 40
     speculative_verification: bool = True
+    bmf_cut: Optional[int] = None
+    bmf_root_cache_bytes: int = 4096
+
+    def __post_init__(self) -> None:
+        """Reject a tree, latency or forest no machine has."""
+        if self.bmt_levels < 1:
+            raise ValueError(f"a BMT needs at least one level, got {self.bmt_levels!r}")
+        for name in ("mac_latency_cycles", "aes_latency_cycles"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be a non-negative cycle count, got {value!r}")
+        if self.bmf_cut is not None and not 1 <= self.bmf_cut <= self.bmt_levels:
+            raise ValueError(
+                f"BMF cut {self.bmf_cut!r} must be within the BMT's "
+                f"{self.bmt_levels} levels"
+            )
+        if self.bmf_root_cache_bytes < ROOT_DIGEST_BYTES:
+            raise ValueError(
+                f"a {self.bmf_root_cache_bytes}-byte root cache holds no "
+                f"{ROOT_DIGEST_BYTES}-byte root digest"
+            )
 
     @property
     def bmt_update_cycles(self) -> int:
@@ -161,8 +200,9 @@ class SystemConfig:
     """Complete system configuration (Table I).
 
     A single :class:`SystemConfig` instance fully determines the timing model
-    of one simulation: cache geometry, SecPB size, metadata-cache geometry,
-    security latencies and NVM timing.
+    of one simulation: cache geometry, SecPB size and design options,
+    metadata-cache geometry, security latencies, the BMT (or forest) shape
+    and NVM timing.
     """
 
     clock_ghz: float = 4.0
@@ -191,6 +231,17 @@ class SystemConfig:
     secpb: SecPBConfig = field(default_factory=SecPBConfig)
     security: SecurityConfig = field(default_factory=SecurityConfig)
     nvm: NVMConfig = field(default_factory=NVMConfig)
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.clock_ghz < math.inf:
+            raise ValueError(
+                f"clock_ghz must be a positive finite number, got {self.clock_ghz!r}"
+            )
+        if self.store_buffer_entries < 1:
+            raise ValueError(
+                f"the store buffer needs at least one entry, got "
+                f"{self.store_buffer_entries!r}"
+            )
 
     def ns_to_cycles(self, nanoseconds: float) -> int:
         """Convert a wall-clock latency to processor cycles."""
@@ -222,10 +273,13 @@ class SystemConfig:
             self, secpb=dataclasses.replace(self.secpb, entries=entries)
         )
 
-    def with_bmt_levels(self, levels: int) -> "SystemConfig":
-        """Return a copy with a different BMT height (used by the BMF study)."""
+    def with_bmf_cut(self, cut: int, root_cache_bytes: int = 4096) -> "SystemConfig":
+        """Return a copy whose BMT is a forest cut at ``cut`` levels (Fig. 9)."""
         return dataclasses.replace(
-            self, security=dataclasses.replace(self.security, bmt_levels=levels)
+            self,
+            security=dataclasses.replace(
+                self.security, bmf_cut=cut, bmf_root_cache_bytes=root_cache_bytes
+            ),
         )
 
 

@@ -42,7 +42,6 @@ from repro.core.multicore import MultiCoreSecPBSimulator, sharing_traces
 from repro.core.schemes import CM, SPECTRUM_ORDER, get_scheme
 from repro.core.simulator import SecurePersistencySimulator, run_scheme
 from repro.persistency.flush import FlushBasedSimulator, PersistencyModel
-from repro.security.bmf import ForestTimingModel
 from repro.sim.config import SystemConfig
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -104,18 +103,10 @@ def _baseline_simulators() -> Dict[str, object]:
         config,
         security=dataclasses.replace(config.security, speculative_verification=False),
     )
-
-    def forest(cut_height: int):
-        return ForestTimingModel(
-            full_height=config.security.bmt_levels,
-            cut_height=cut_height,
-            root_cache_bytes=4096,
-        ).levels
-
     simulators: Dict[str, object] = {
         "sp": StrictPersistencySimulator(),
-        "sp_dbmf": StrictPersistencySimulator(bmt_levels_fn=forest(2)),
-        "sp_sbmf": StrictPersistencySimulator(bmt_levels_fn=forest(5)),
+        "sp_dbmf": StrictPersistencySimulator(config.with_bmf_cut(2)),
+        "sp_sbmf": StrictPersistencySimulator(config.with_bmf_cut(5)),
     }
     for model in (PersistencyModel.STRICT, PersistencyModel.EPOCH):
         for secure in (False, True):

@@ -6,6 +6,7 @@ from repro.baselines.bbb import PlaintextPersistentSystem, make_bbb_simulator, r
 from repro.baselines.strict import StrictPersistencySimulator, run_sp
 from repro.core.schemes import get_scheme
 from repro.core.simulator import run_scheme
+from repro.sim.config import SystemConfig
 from repro.workloads.synthetic import zipf_trace
 
 
@@ -69,7 +70,7 @@ class TestStrictPersistency:
     def test_bmf_reduces_sp_overhead(self, trace):
         """sp_dbmf < sp (Fig. 9)."""
         full = run_sp(trace)
-        dbmf = run_sp(trace, bmt_levels_fn=lambda page: 2)
+        dbmf = run_sp(trace, SystemConfig().with_bmf_cut(2))
         assert dbmf.cycles < full.cycles
 
     def test_sp_warmup_excludes_cycles(self, trace):

@@ -507,6 +507,46 @@ class TestResumableFlags:
         assert main(["faultcampaign", "--replay", str(path)]) == 0
         assert "PASS replay/demo" in capsys.readouterr().out
 
+    def test_replay_rejects_an_edited_reproducer(self, capsys, tmp_path):
+        # The saved manifest no longer matches, so the edited case must not
+        # replay (and blame a code change by diverging).
+        from repro.fault import save_reproducer
+        from repro.fault.campaign import execute_case
+
+        case = self._case(crash_index=13)
+        path = save_reproducer(case, tmp_path / "case.json", result=execute_case(case))
+        text = path.read_text()
+        assert '"crash_index": 13' in text
+        path.write_text(text.replace('"crash_index": 13', '"crash_index": 14'))
+        assert main(["faultcampaign", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unusable reproducer:" in captured.err
+        assert "mismatch" in captured.err
+
+    def test_replay_rejects_a_missing_reproducer(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        assert main(["faultcampaign", "--replay", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unusable reproducer:" in captured.err
+        assert "missing.json" in captured.err
+
+    def test_replay_hand_written_reproducer_without_manifest(self, capsys, tmp_path):
+        import dataclasses
+        import json
+
+        from repro.fault import case_to_dict
+        from repro.fault.campaign import execute_case
+
+        case = self._case()
+        payload = case_to_dict(case)
+        payload["recorded_result"] = dataclasses.asdict(execute_case(case))
+        path = tmp_path / "hand.json"
+        path.write_text(json.dumps(payload))
+        assert main(["faultcampaign", "--replay", str(path)]) == 0
+        assert "PASS replay/demo" in capsys.readouterr().out
+
     def test_replay_version1_reproducer_still_pass_fail(self, capsys, tmp_path):
         # A version-1 file (no recorded_result) can never diverge; the
         # verdict is plain pass/fail, asserting today's documented

@@ -1,5 +1,7 @@
 """Tests for the Sec. IV-A coalescing-optimization ablation flag."""
 
+import dataclasses
+
 from repro.core.controller import SecPBController
 from repro.core.schemes import get_scheme
 from repro.core.secpb import SecPBEntry
@@ -9,14 +11,18 @@ from repro.sim.config import SystemConfig
 from repro.workloads.synthetic import zipf_trace
 
 
-def controller(coalescing: bool):
+def coalescing_config(coalescing: bool) -> SystemConfig:
+    """Table I with ``secpb.value_independent_coalescing`` set."""
     config = SystemConfig()
-    return SecPBController(
+    return dataclasses.replace(
         config,
-        get_scheme("cm"),
-        MetadataCaches(config),
-        value_independent_coalescing=coalescing,
+        secpb=dataclasses.replace(config.secpb, value_independent_coalescing=coalescing),
     )
+
+
+def controller(coalescing: bool):
+    config = coalescing_config(coalescing)
+    return SecPBController(config, get_scheme("cm"), MetadataCaches(config))
 
 
 class TestControllerFlag:
@@ -52,10 +58,10 @@ class TestEndToEnd:
             name="coalesce-heavy",
         )
         with_opt = SecurePersistencySimulator(
-            scheme=get_scheme("cm"), value_independent_coalescing=True
+            coalescing_config(True), get_scheme("cm")
         ).run(trace)
         without_opt = SecurePersistencySimulator(
-            scheme=get_scheme("cm"), value_independent_coalescing=False
+            coalescing_config(False), get_scheme("cm")
         ).run(trace)
         assert without_opt.cycles > 1.5 * with_opt.cycles
         assert without_opt.stats["bmt.root_updates"] > 4 * with_opt.stats[
@@ -66,9 +72,9 @@ class TestEndToEnd:
         """COBCM has no eager steps: the flag must be a no-op."""
         trace = zipf_trace(2000, 300, store_fraction=0.7, seed=13)
         a = SecurePersistencySimulator(
-            scheme=get_scheme("cobcm"), value_independent_coalescing=True
+            coalescing_config(True), get_scheme("cobcm")
         ).run(trace)
         b = SecurePersistencySimulator(
-            scheme=get_scheme("cobcm"), value_independent_coalescing=False
+            coalescing_config(False), get_scheme("cobcm")
         ).run(trace)
         assert a.cycles == b.cycles

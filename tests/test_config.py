@@ -1,6 +1,7 @@
 """Tests for repro.sim.config — Table I encoding and validation."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -120,6 +121,51 @@ class TestSecurityConfig:
         assert SecurityConfig(bmt_levels=2).bmt_update_cycles == 80
         assert SecurityConfig(bmt_levels=5).bmt_update_cycles == 200
 
+    def test_no_forest_by_default(self):
+        sec = SecurityConfig()
+        assert sec.bmf_cut is None
+        assert sec.bmf_root_cache_bytes == 4096
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"bmt_levels": 0}, "at least one level"),
+            ({"bmt_levels": -2}, "at least one level"),
+            ({"mac_latency_cycles": -40}, "mac_latency_cycles"),
+            ({"mac_latency_cycles": math.inf}, "mac_latency_cycles"),
+            ({"mac_latency_cycles": math.nan}, "mac_latency_cycles"),
+            ({"aes_latency_cycles": -1}, "aes_latency_cycles"),
+            ({"aes_latency_cycles": math.inf}, "aes_latency_cycles"),
+            ({"bmf_cut": 0}, "BMF cut"),
+            ({"bmf_cut": 9}, "BMF cut"),
+            ({"bmt_levels": 2, "bmf_cut": 5}, "BMF cut"),
+            ({"bmf_root_cache_bytes": 31}, "root digest"),
+            ({"bmf_root_cache_bytes": 0}, "root digest"),
+        ],
+    )
+    def test_no_machine_has_it(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            SecurityConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"bmt_levels": 2},
+            {"bmt_levels": 5},
+            {"bmt_levels": 1, "bmf_cut": 1},
+            {"bmf_cut": 2},
+            {"bmf_cut": 5},
+            {"bmf_cut": 8},
+            {"bmf_cut": 5, "bmf_root_cache_bytes": 1024},
+            {"bmf_root_cache_bytes": 32},
+            {"mac_latency_cycles": 0, "aes_latency_cycles": 0},
+        ],
+    )
+    def test_values_in_use_accepted(self, fields):
+        sec = SecurityConfig(**fields)
+        assert all(getattr(sec, name) == value for name, value in fields.items())
+
 
 class TestSystemConfig:
     def test_ns_to_cycles_at_4ghz(self):
@@ -143,11 +189,39 @@ class TestSystemConfig:
         assert cfg.secpb.entries == 32  # original unchanged
         assert bigger.l1 == cfg.l1
 
-    def test_with_bmt_levels_returns_new_config(self):
+    def test_with_bmf_cut_returns_new_config(self):
         cfg = SystemConfig()
-        dbmf = cfg.with_bmt_levels(2)
-        assert dbmf.security.bmt_levels == 2
-        assert cfg.security.bmt_levels == 8
+        dbmf = cfg.with_bmf_cut(2)
+        assert (dbmf.security.bmf_cut, dbmf.security.bmf_root_cache_bytes) == (2, 4096)
+        assert dbmf.security.bmt_levels == 8
+        assert cfg.security.bmf_cut is None  # original unchanged
+        assert cfg.with_bmf_cut(5, 1024).security.bmf_root_cache_bytes == 1024
+        with pytest.raises(ValueError, match="BMF cut"):
+            cfg.with_bmf_cut(9)
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"clock_ghz": 0.0}, "clock_ghz"),
+            ({"clock_ghz": -1.0}, "clock_ghz"),
+            ({"clock_ghz": math.inf}, "clock_ghz"),
+            ({"clock_ghz": math.nan}, "clock_ghz"),
+            ({"store_buffer_entries": 0}, "store buffer"),
+            ({"store_buffer_entries": -4}, "store buffer"),
+        ],
+    )
+    def test_no_machine_has_it(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            SystemConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"clock_ghz": 3.0}, {"clock_ghz": 4.0}, {"store_buffer_entries": 1}]
+        + [{"store_buffer_entries": depth} for depth in (8, 16, 32, 64, 128)],
+    )
+    def test_values_in_use_accepted(self, fields):
+        config = SystemConfig(**fields)
+        assert all(getattr(config, name) == value for name, value in fields.items())
 
     def test_config_is_frozen(self):
         cfg = SystemConfig()

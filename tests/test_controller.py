@@ -9,22 +9,19 @@ from repro.security.metadata_cache import MetadataCaches
 from repro.sim.config import SystemConfig
 
 
-def controller(scheme_name, bmt_levels_fn=None, config=None):
+def controller(scheme_name, config=None):
     config = config if config is not None else SystemConfig()
-    return SecPBController(
-        config,
-        get_scheme(scheme_name),
-        MetadataCaches(config),
-        bmt_levels_fn=bmt_levels_fn,
-    )
+    return SecPBController(config, get_scheme(scheme_name), MetadataCaches(config))
 
 
 def warm_new_entry(ctl, block_addr=0, now=0.0):
-    """Price a new entry with a warm counter cache (steady state).
+    """Price a new entry with a warm counter cache and, under a BMF cut, a
+    warm root cache (steady state).
 
     Returns the unblock cycles and the entry.
     """
-    ctl.mdc.access_counter(block_addr // 64)
+    ctl.mdc.access_counter(block_addr)
+    ctl.mdc.bmt_levels(block_addr)
     entry = SecPBEntry(block_addr)
     return ctl.price_new_entry(now, block_addr, entry), entry
 
@@ -118,7 +115,7 @@ class TestBmtEngineSerialization:
 
     def test_bmf_hook_reduces_levels(self):
         full = controller("cm")
-        dbmf = controller("cm", bmt_levels_fn=lambda page: 2)
+        dbmf = controller("cm", config=SystemConfig().with_bmf_cut(2))
         full_cycles, _ = warm_new_entry(full)
         dbmf_cycles, _ = warm_new_entry(dbmf)
         assert dbmf_cycles < full_cycles
@@ -154,8 +151,9 @@ class TestDrainPricing:
         assert bmt_updates == 2
 
     def test_drain_uses_forest_levels(self):
-        flat = controller("cobcm", bmt_levels_fn=lambda page: 2)
+        flat = controller("cobcm", config=SystemConfig().with_bmf_cut(2))
         full = controller("cobcm")
+        flat.mdc.bmt_levels(0)  # pin the subtree root
         assert flat.price_drain(0) < full.price_drain(0)
 
 

@@ -143,7 +143,7 @@ class TestWarmup:
 class TestBmfHook:
     def test_reduced_height_speeds_up_cm(self, trace):
         full = run_scheme(trace, get_scheme("cm"))
-        dbmf = run_scheme(trace, get_scheme("cm"), bmt_levels_fn=lambda p: 2)
+        dbmf = run_scheme(trace, get_scheme("cm"), SystemConfig().with_bmf_cut(2))
         assert dbmf.cycles < full.cycles
 
 

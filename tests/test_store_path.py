@@ -42,7 +42,6 @@ from repro.core.schemes import (
 from repro.core.secpb import SecPB, SecPBEntry
 from repro.core.simulator import SecurePersistencySimulator, StorePath, TraceSimulator
 from repro.obs.tracing import LANE_DRAIN, LANE_STALLS, LANE_STORES, Tracer
-from repro.security.bmf import ForestTimingModel
 from repro.security.metadata_cache import MetadataCaches
 from repro.sim.config import SystemConfig
 from repro.sim.engine import BoundedPipeline, BusyResource
@@ -77,9 +76,7 @@ def _reference_store_path(
             config,
             model.scheme,
             mdc,
-            bmt_levels_fn=model._bmt_levels_fn,
             calibration=cal,
-            value_independent_coalescing=model.value_independent_coalescing,
             bmt_engine=bmt_engine,
             mac_engine=mac_engine,
         )
@@ -291,16 +288,13 @@ def _reference_sp_store_path(
     transit_to_mc = config.l1.access_cycles + config.l2.access_cycles + config.l3.access_cycles
     hash_cycles = config.security.mac_latency_cycles
     aes_cycles = config.security.aes_latency_cycles
-    levels_fn = model._bmt_levels_fn
-    full_levels = config.security.bmt_levels
     stores = 0
 
     def store(clock: float, block_addr: int) -> float:
         nonlocal stores
         stores += 1
-        page = block_addr // 64
-        ctr_latency = mdc.access_counter(page)
-        levels = levels_fn(page) if levels_fn is not None else full_levels
+        ctr_latency = mdc.access_counter(block_addr)
+        levels = mdc.bmt_levels(block_addr)
         service = (
             ctr_latency
             + cal.counter_increment_cycles
@@ -338,12 +332,11 @@ def _nonspec() -> SystemConfig:
     )
 
 
-def _bmf_levels(cut_height: int):
-    return ForestTimingModel(
-        full_height=SystemConfig().security.bmt_levels,
-        cut_height=cut_height,
-        root_cache_bytes=4096,
-    ).levels
+def _without_coalescing(config: SystemConfig) -> SystemConfig:
+    return dataclasses.replace(
+        config,
+        secpb=dataclasses.replace(config.secpb, value_independent_coalescing=False),
+    )
 
 
 def _schemes():
@@ -359,12 +352,10 @@ def traces():
     return [build_trace("gamess", 3000, 1), mixed]
 
 
-def _check(model, trace, warmup_frac, twin=None):
-    """``model``'s run equals the reference run of ``twin``, an equal model
-    with state of its own (default: ``model``; a forest's root cache is
-    state, so BMF models need a twin)."""
+def _check(model, trace, warmup_frac):
+    """``model``'s run equals its reference run."""
     result = model.run(trace, warmup_frac)
-    reference = _reference_run(twin if twin is not None else model, trace, warmup_frac)
+    reference = _reference_run(model, trace, warmup_frac)
     name = f"{model.scheme_name} on {trace.name}"
     assert result.cycles == reference.cycles, name  # exact, not approx
     assert result.instructions == reference.instructions, name
@@ -388,20 +379,11 @@ class TestStorePathOracle:
 
     @pytest.mark.parametrize("cut_height", [2, 5])
     def test_bmf_cuts(self, traces, cut_height):
+        config = SystemConfig().with_bmf_cut(cut_height)
         for trace in traces:
             for scheme in (CM, COBCM):
-                model, twin = (
-                    SecurePersistencySimulator(
-                        scheme=scheme, bmt_levels_fn=_bmf_levels(cut_height)
-                    )
-                    for _ in range(2)
-                )
-                _check(model, trace, 0.3, twin)
-            model, twin = (
-                StrictPersistencySimulator(bmt_levels_fn=_bmf_levels(cut_height))
-                for _ in range(2)
-            )
-            _check(model, trace, 0.3, twin)
+                _check(SecurePersistencySimulator(config, scheme), trace, 0.3)
+            _check(StrictPersistencySimulator(config), trace, 0.3)
 
     def test_sp(self, traces):
         for trace in traces:
@@ -410,13 +392,10 @@ class TestStorePathOracle:
 
     @pytest.mark.parametrize("entries", [4, 32])
     def test_without_value_independent_coalescing(self, traces, entries):
-        config = SystemConfig().with_secpb_entries(entries)
+        config = _without_coalescing(SystemConfig().with_secpb_entries(entries))
         for trace in traces:
             for scheme in _schemes()[1:]:
-                model = SecurePersistencySimulator(
-                    config, scheme, INEXACT, value_independent_coalescing=False
-                )
-                _check(model, trace, 0.3)
+                _check(SecurePersistencySimulator(config, scheme, INEXACT), trace, 0.3)
 
     def test_design_space_schemes(self, traces):
         """The three valid splits no named scheme takes (a lazy OTP with an

@@ -43,7 +43,6 @@ from repro.core.simulator import (
     load_verification_cycles,
 )
 from repro.persistency.flush import FlushBasedSimulator, PersistencyModel
-from repro.security.bmf import ForestTimingModel
 from repro.sim import hierarchy
 from repro.sim.config import SECPB_SIZE_SWEEP, CacheConfig, SystemConfig
 from repro.sim.hierarchy import MemoryHierarchy, front_end
@@ -98,15 +97,6 @@ def _hierarchy_view(stats):
     }
 
 
-def _bmf_levels(cut_height: int):
-    config = SystemConfig()
-    return ForestTimingModel(
-        full_height=config.security.bmt_levels,
-        cut_height=cut_height,
-        root_cache_bytes=4096,
-    ).levels
-
-
 def _single_core_models():
     """One instance of every single-core timing model."""
     models = [SecurePersistencySimulator()]
@@ -114,7 +104,7 @@ def _single_core_models():
     models += [
         SecurePersistencySimulator(_nonspec(), CM),
         StrictPersistencySimulator(),
-        StrictPersistencySimulator(bmt_levels_fn=_bmf_levels(2)),
+        StrictPersistencySimulator(SystemConfig().with_bmf_cut(2)),
         FlushBasedSimulator(PersistencyModel.STRICT),
         FlushBasedSimulator(PersistencyModel.EPOCH, secure=True),
     ]
@@ -196,7 +186,7 @@ def _reference_run(model, trace, warmup_frac):
         clock += gap * cpi_base
         if not is_store:
             if latency >= memory_fill_cycles and verify_load_cycles:
-                latency += mdc.access_counter(block_addr // 64)
+                latency += mdc.access_counter(block_addr)
                 latency += verify_load_cycles
                 count_load_verification()
             if latency <= l1_hit_cycles:
@@ -527,8 +517,8 @@ class TestOneReplayPerTrace:
         ]
         for cut in (2, 5):
             models += [
-                SecurePersistencySimulator(scheme=CM, bmt_levels_fn=_bmf_levels(cut)),
-                StrictPersistencySimulator(bmt_levels_fn=_bmf_levels(cut)),
+                SecurePersistencySimulator(config.with_bmf_cut(cut), CM),
+                StrictPersistencySimulator(config.with_bmf_cut(cut)),
             ]
         models.append(StrictPersistencySimulator())
         return models
